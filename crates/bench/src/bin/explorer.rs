@@ -5,98 +5,39 @@
 //! the explorer rediscovers the published operating points and that the
 //! winners execute and cross-validate on the cycle-accurate simulator.
 //!
-//! Part 2 measures search throughput (candidate mappings evaluated per
-//! second) over a workload matrix — graph sizes × tile budgets, single-
-//! versus multi-threaded — and records the full matrix in
-//! `BENCH_explorer.json`.  Pass `--quick` to shrink the matrix to one
-//! tiny workload so CI can smoke the JSON-emitting path without timing
-//! noise.
+//! Part 2 measures time to answer: the wall time of one `explore` call
+//! (graph analysis, interval arena, prefix DP and realization) over a
+//! workload matrix of 10–48-stage pipelines × 64/128/256-tile budgets ×
+//! both voltage policies.  Each cell records the min and median over
+//! [`RUNS`] calls, the mappings evaluated, and the answer (curve and
+//! frontier lengths, best power) in `BENCH_explorer.json`.  Pass
+//! `--quick` to shrink the matrix to one tiny workload so CI can smoke
+//! the JSON-emitting path without timing noise.
+
+use std::time::Instant;
 
 use bench::{rule, synthetic_pipeline};
 use synchro_power::Technology;
 use synchroscalar::experiments::auto_mapping_summary;
 use synchroscalar::explorer::{
-    explore, explore_bus_widths, CommSpec, ExplorerConfig, ExplorerError, SearchStrategy,
-    TileCandidates, VoltagePolicy, EXHAUSTIVE_ACTOR_LIMIT,
+    explore, explore_bus_widths, CommSpec, ExplorerConfig, ExplorerError, TileCandidates,
+    VoltagePolicy,
 };
-use synchroscalar::sdf::SdfGraph;
 
-/// Measurement repetitions per cell; the fastest run is recorded (least
-/// scheduler interference).
-const RUNS: usize = 3;
-
-/// What a capped-thread record says in place of a meaningless speedup
-/// ratio.
-const ONE_CORE_WARNING: &str =
-    "threads capped to 1 core; multi-threaded rows duplicate the single-threaded measurement";
-
-#[derive(Clone)]
-struct Throughput {
-    threads: usize,
-    mappings: u64,
-    elapsed_seconds: f64,
-    mappings_per_sec: f64,
-}
+/// Timed `explore` calls per matrix cell.
+const RUNS: usize = 7;
 
 struct MatrixRow {
     stages: usize,
     budget: u32,
-    strategy_name: &'static str,
     policy_name: &'static str,
-    single: Throughput,
-    multi: Throughput,
-}
-
-impl MatrixRow {
-    /// Multi- over single-threaded throughput, or `None` on a one-core
-    /// host where the ratio would be meaningless noise.
-    fn speedup(&self, one_core: bool) -> Option<f64> {
-        (!one_core).then(|| self.multi.mappings_per_sec / self.single.mappings_per_sec.max(1e-9))
-    }
-}
-
-fn workload_config(stages: usize, budget: u32) -> (ExplorerConfig, &'static str) {
-    // Graphs beyond the library's exhaustive limit use the (exact-width)
-    // beam engine: the exhaustive engine enumerates 2^(stages−1)
-    // groupings.
-    let strategy = if stages <= EXHAUSTIVE_ACTOR_LIMIT {
-        (SearchStrategy::Exhaustive, "exhaustive")
-    } else {
-        (
-            SearchStrategy::Beam {
-                width: budget as usize + 1,
-            },
-            "beam",
-        )
-    };
-    (
-        ExplorerConfig::new(1e6, budget)
-            .with_candidates(TileCandidates::All)
-            .with_strategy(strategy.0),
-        strategy.1,
-    )
-}
-
-fn measure(graph: &SdfGraph, config: &ExplorerConfig, threads: usize) -> Throughput {
-    let config = config.clone().with_threads(threads);
-    let mut best: Option<Throughput> = None;
-    for _ in 0..RUNS {
-        let exploration = explore(graph, &config).expect("synthetic pipeline explores");
-        let run = Throughput {
-            threads: exploration.stats.threads_used,
-            mappings: exploration.stats.mappings_evaluated,
-            elapsed_seconds: exploration.stats.elapsed_seconds,
-            mappings_per_sec: exploration.stats.mappings_evaluated as f64
-                / exploration.stats.elapsed_seconds.max(1e-9),
-        };
-        if best
-            .as_ref()
-            .is_none_or(|b| run.elapsed_seconds < b.elapsed_seconds)
-        {
-            best = Some(run);
-        }
-    }
-    best.expect("at least one run")
+    /// Fastest and median wall time of one `explore` call (ms).
+    min_ms: f64,
+    median_ms: f64,
+    mappings: u64,
+    curve_len: usize,
+    frontier_len: usize,
+    best_power_mw: f64,
 }
 
 fn policy_name(policy: VoltagePolicy) -> &'static str {
@@ -106,35 +47,31 @@ fn policy_name(policy: VoltagePolicy) -> &'static str {
     }
 }
 
-fn measure_row(
-    stages: usize,
-    budget: u32,
-    policy: VoltagePolicy,
-    multi_threads: usize,
-) -> MatrixRow {
+fn measure_row(stages: usize, budget: u32, policy: VoltagePolicy) -> MatrixRow {
     let graph = synthetic_pipeline(stages);
-    let (config, strategy_name) = workload_config(stages, budget);
-    let config = config.with_voltage_policy(policy);
-    let single = measure(&graph, &config, 1);
-    // On a one-core host the multi-threaded run is the same measurement;
-    // don't burn RUNS extra explorations per cell repeating it.
-    let multi = if multi_threads <= 1 {
-        single.clone()
-    } else {
-        let multi = measure(&graph, &config, multi_threads);
-        assert_eq!(
-            single.mappings, multi.mappings,
-            "thread count must not change the search space"
-        );
-        multi
-    };
+    let config = ExplorerConfig::new(1e6, budget)
+        .with_candidates(TileCandidates::All)
+        .with_voltage_policy(policy);
+    let mut times = Vec::with_capacity(RUNS);
+    let mut answer = None;
+    for _ in 0..RUNS {
+        let started = Instant::now();
+        let exploration = explore(&graph, &config).expect("synthetic pipeline explores");
+        times.push(started.elapsed().as_secs_f64() * 1e3);
+        answer = Some(exploration);
+    }
+    times.sort_by(f64::total_cmp);
+    let exploration = answer.expect("at least one run");
     MatrixRow {
         stages,
         budget,
-        strategy_name,
         policy_name: policy_name(policy),
-        single,
-        multi,
+        min_ms: times[0],
+        median_ms: times[RUNS / 2],
+        mappings: exploration.stats.mappings_evaluated,
+        curve_len: exploration.curve.len(),
+        frontier_len: exploration.frontier.len(),
+        best_power_mw: exploration.best.power_mw,
     }
 }
 
@@ -179,34 +116,22 @@ fn bus_width_sweep() -> Vec<SweepRow> {
         .collect()
 }
 
-fn row_json(row: &MatrixRow, one_core: bool) -> String {
-    // On a capped host the record carries an explicit explanation, not a
-    // bare null a reader has to reverse-engineer.
-    let speedup = match row.speedup(one_core) {
-        None => format!("\"{ONE_CORE_WARNING}\""),
-        Some(s) => format!("{s:.3}"),
-    };
+fn row_json(row: &MatrixRow) -> String {
     format!(
         concat!(
-            "    {{\n",
-            "      \"workload\": {{\"stages\": {}, \"tile_budget\": {}, \"candidates\": \"all\", \"strategy\": \"{}\", \"voltage_policy\": \"{}\"}},\n",
-            "      \"mappings_evaluated\": {},\n",
-            "      \"single_threaded\": {{\"threads\": 1, \"elapsed_seconds\": {:.6}, \"mappings_per_sec\": {:.0}}},\n",
-            "      \"multi_threaded\": {{\"threads\": {}, \"elapsed_seconds\": {:.6}, \"mappings_per_sec\": {:.0}}},\n",
-            "      \"speedup\": {}\n",
-            "    }}"
+            "    {{\"stages\": {}, \"tile_budget\": {}, \"candidates\": \"all\", \"voltage_policy\": \"{}\", ",
+            "\"explore_ms_min\": {:.4}, \"explore_ms_median\": {:.4}, \"mappings_evaluated\": {}, ",
+            "\"curve_len\": {}, \"frontier_len\": {}, \"best_power_mw\": {:.6}}}"
         ),
         row.stages,
         row.budget,
-        row.strategy_name,
         row.policy_name,
-        row.single.mappings,
-        row.single.elapsed_seconds,
-        row.single.mappings_per_sec,
-        row.multi.threads,
-        row.multi.elapsed_seconds,
-        row.multi.mappings_per_sec,
-        speedup,
+        row.min_ms,
+        row.median_ms,
+        row.mappings,
+        row.curve_len,
+        row.frontier_len,
+        row.best_power_mw,
     )
 }
 
@@ -261,71 +186,59 @@ fn main() {
         "auto mappings must not cost more than the hand-built references"
     );
 
-    // Part 2 — search throughput over the workload matrix.  Resolve the
-    // multi-thread count *before* measuring so the record reports the
-    // count that actually ran, not the `0 = auto` placeholder.
-    let multi_threads = ExplorerConfig::new(1e6, 64).resolved_threads();
+    // Part 2 — time to answer over the workload matrix.  Each cell
+    // carries its voltage policy.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let one_core = multi_threads <= 1;
-    if one_core {
-        println!("\nwarning: {ONE_CORE_WARNING}");
-    }
-    // Each cell carries its voltage policy: the cost mode is a per-row
-    // strategy, with one single-voltage row in both matrix sizes.
-    let matrix: Vec<(usize, u32, VoltagePolicy)> = if quick {
-        vec![
-            (6, 16, VoltagePolicy::PerColumn),
-            (6, 16, VoltagePolicy::SingleVoltage),
-        ]
+    let mut matrix: Vec<(usize, u32, VoltagePolicy)> = Vec::new();
+    let (stage_counts, budgets): (&[usize], &[u32]) = if quick {
+        (&[6], &[16])
     } else {
-        let mut cells = Vec::new();
-        for &stages in &[10usize, 16, 24] {
-            for &budget in &[64u32, 128, 256] {
-                cells.push((stages, budget, VoltagePolicy::PerColumn));
+        (&[10, 16, 24, 32, 48], &[64, 128, 256])
+    };
+    for &stages in stage_counts {
+        for &budget in budgets {
+            for policy in [VoltagePolicy::PerColumn, VoltagePolicy::SingleVoltage] {
+                matrix.push((stages, budget, policy));
             }
         }
-        cells.push((10, 64, VoltagePolicy::SingleVoltage));
-        cells
-    };
+    }
 
     println!(
-        "\nSearch throughput matrix ({} matrix, all tile candidates, best of {RUNS} runs):",
+        "\nTime to answer ({} matrix, all tile candidates, min/median of {RUNS} explore calls):",
         if quick { "quick" } else { "full" }
     );
-    rule(115);
+    rule(104);
     println!(
-        "{:>6} {:>7} {:>11} {:>15} {:>14} {:>16} {:>16} {:>9}",
+        "{:>6} {:>7} {:>15} {:>10} {:>10} {:>12} {:>6} {:>9} {:>12}",
         "Stages",
         "Budget",
-        "Strategy",
         "Policy",
+        "Min ms",
+        "Median ms",
         "Mappings",
-        "1-thread M/s",
-        "N-thread M/s",
-        "Speedup"
+        "Curve",
+        "Frontier",
+        "Best mW"
     );
-    rule(115);
+    rule(104);
     let mut measured = Vec::new();
     for (stages, budget, policy) in matrix {
-        let row = measure_row(stages, budget, policy, multi_threads);
-        let speedup = match row.speedup(one_core) {
-            None => "n/a".to_string(),
-            Some(s) => format!("{s:.2}x"),
-        };
+        let row = measure_row(stages, budget, policy);
         println!(
-            "{:>6} {:>7} {:>11} {:>15} {:>14} {:>16.1} {:>16.1} {:>9}",
+            "{:>6} {:>7} {:>15} {:>10.3} {:>10.3} {:>12} {:>6} {:>9} {:>12.1}",
             row.stages,
             row.budget,
-            row.strategy_name,
             row.policy_name,
-            row.single.mappings,
-            row.single.mappings_per_sec / 1e6,
-            row.multi.mappings_per_sec / 1e6,
-            speedup
+            row.min_ms,
+            row.median_ms,
+            row.mappings,
+            row.curve_len,
+            row.frontier_len,
+            row.best_power_mw
         );
         measured.push(row);
     }
-    rule(115);
+    rule(104);
 
     // Part 3 — the bus-width sweep: the communication-feasibility prune
     // exercised across horizontal-bus widths (words per cycle).
@@ -358,18 +271,18 @@ fn main() {
         "wider buses must readmit the mapping"
     );
 
-    let rows_json: Vec<String> = measured.iter().map(|r| row_json(r, one_core)).collect();
+    let rows_json: Vec<String> = measured.iter().map(row_json).collect();
     let sweep_json_rows: Vec<String> = sweep.iter().map(sweep_json).collect();
     let json = format!(
         concat!(
             "{{\n",
             "  \"bench\": \"explorer\",\n",
-            "  \"schema_version\": 2,\n",
+            "  \"schema_version\": 3,\n",
             "  \"generated_at\": \"{}\",\n",
             "  \"quick\": {},\n",
             "  \"host_cores\": {},\n",
-            "  \"threads_resolved\": {},\n",
             "  \"runs_per_cell\": {},\n",
+            "  \"metric\": \"wall time of one single-threaded explore call: graph analysis, interval arena, prefix DP and realization\",\n",
             "  \"workloads\": [\n",
             "{}\n",
             "  ],\n",
@@ -381,7 +294,6 @@ fn main() {
         synchroscalar::trace::iso8601_utc_now(),
         quick,
         cores,
-        multi_threads,
         RUNS,
         rows_json.join(",\n"),
         sweep_json_rows.join(",\n"),

@@ -16,7 +16,7 @@
 //! | `fig9`   | Figure 9 — leakage sensitivity (DDC, 802.11a) |
 //! | `fig10`  | Figure 10 — leakage sensitivity (MPEG-4, SV) |
 //! | `sensitivity` | Section 5.5 — tile-power sensitivity |
-//! | `explorer` | Automatic mapping of the suite + search throughput (`BENCH_explorer.json`) |
+//! | `explorer` | Automatic mapping of the suite + explorer time to answer (`BENCH_explorer.json`) |
 //! | `sim` | Fast-tier vs interpreter wall-clock on million-frame traces (`BENCH_sim.json`) |
 //!
 //! The Criterion benches in `benches/` measure the substrate itself (kernel

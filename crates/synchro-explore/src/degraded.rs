@@ -269,16 +269,24 @@ pub fn explore_degraded(
                 continue;
             }
             let swept = degraded_config(config, loss, (num, den));
-            let outcome = plan_search(graph, &ctx, &swept).and_then(|plan| {
+            let outcome = plan_search(graph, &ctx, &swept).and_then(|max_group_size| {
                 let arena = search::IntervalArena::build_with_cache(
                     &ctx,
                     &evaluator,
                     swept.candidates,
                     swept.tile_budget,
-                    plan.max_group_size,
+                    max_group_size,
                     &mut cache,
                 );
-                run_search(graph, &swept, &ctx, &evaluator, &arena, &plan, swept.comm)
+                run_search(
+                    graph,
+                    &swept,
+                    &ctx,
+                    &evaluator,
+                    &arena,
+                    max_group_size,
+                    swept.comm,
+                )
             });
             match outcome {
                 Ok(exploration) if exploration.best.feasible => {
@@ -414,7 +422,7 @@ mod tests {
         // Budget 8, the mapping needs 2: losing 4 tiles still fits at
         // full rate, and the remap must say so.
         let g = hungry_actor();
-        let config = ExplorerConfig::new(1e6, 8).with_threads(1);
+        let config = ExplorerConfig::new(1e6, 8);
         let curve = explore_degraded(&g, &config, &[ResourceLoss::column("4 tiles down", 4)])
             .expect("structural success");
         assert_eq!(curve.points.len(), 1);
@@ -430,7 +438,7 @@ mod tests {
         // Losing 7 of 8 tiles leaves 1: 1000 MHz at full rate is out of
         // envelope; the ladder lands exactly on (1, 2) → 500 MHz.
         let g = hungry_actor();
-        let config = ExplorerConfig::new(1e6, 8).with_threads(1);
+        let config = ExplorerConfig::new(1e6, 8);
         let losses = [
             ResourceLoss::column("1 tile down", 1),
             ResourceLoss::column("7 tiles down", 7),
@@ -451,8 +459,7 @@ mod tests {
         let g = chatty_pair();
         let config = ExplorerConfig::new(1e6, 8)
             .single_actor_columns()
-            .with_comm(CommSpec::new(1, 8))
-            .with_threads(1);
+            .with_comm(CommSpec::new(1, 8));
         let curve =
             explore_degraded(&g, &config, &[ResourceLoss::bus_splits("split 0 dead", 1)]).unwrap();
         let p = &curve.points[0];
@@ -465,7 +472,7 @@ mod tests {
     #[test]
     fn structural_errors_propagate_instead_of_masquerading_as_points() {
         let empty = SdfGraph::new();
-        let config = ExplorerConfig::new(1e6, 8).with_threads(1);
+        let config = ExplorerConfig::new(1e6, 8);
         let err = explore_degraded(&empty, &config, &[ResourceLoss::column("any", 1)])
             .expect_err("empty graph is structural");
         assert!(!err.is_resource_exhaustion(), "got {err:?}");
@@ -476,7 +483,7 @@ mod tests {
         // The walker must be bit-identical to calling `explore` by hand
         // with the shrunk budget at the achieved rate.
         let g = hungry_actor();
-        let config = ExplorerConfig::new(1e6, 8).with_threads(1);
+        let config = ExplorerConfig::new(1e6, 8);
         let loss = ResourceLoss::column("6 tiles down", 6);
         let curve = explore_degraded(&g, &config, std::slice::from_ref(&loss)).unwrap();
         let p = &curve.points[0];
@@ -509,7 +516,6 @@ mod tests {
         ExplorerConfig::new(1e6, 4)
             .single_actor_columns()
             .with_board(BoardSearch::new(2))
-            .with_threads(1)
     }
 
     #[test]

@@ -14,15 +14,15 @@
 //! * the full power-vs-tiles curve (one entry per reachable tile count),
 //! * the Pareto frontier of that curve (the Figure 8-style trade-off).
 //!
-//! Small graphs are solved by exhaustive enumeration of contiguous
-//! groupings (each grouping solved exactly by a per-tile-count dynamic
-//! program); large graphs fall back to a dominance-pruned beam search
-//! over grouping prefixes.  Both engines fan out across a `std::thread`
-//! worker pool and run an allocation-free hot path: interval costs live
-//! in one flat arena, DP states carry backpointers instead of cloned
-//! allocation vectors, and the exhaustive engine work-steals grouping
-//! chunks off an atomic cursor so skewed groupings cannot idle workers
-//! (see the README's "Performance" section).
+//! One exact engine answers every query: a single-threaded prefix
+//! dynamic program over actor boundaries and exact tile counts.  Each
+//! interval's cost is evaluated once into a flat arena; each DP cell
+//! keeps the partial mappings no other partial covers in power,
+//! committed cross-column words and feasibility; and winners are rebuilt
+//! from back-pointers only at the last boundary.  The work is
+//! O(n·g·B·k) — actors × max group size × tile budget × tile options per
+//! group — so no grouping is ever enumerated (see the README's
+//! "Performance" section).
 //!
 //! A solution [`realize`](ExplorerSolution::realize)s back into a plain
 //! `(SdfGraph, Mapping)` pair — the original graph for single-actor
@@ -83,12 +83,6 @@ pub enum ExplorerError {
         /// The configured budget.
         budget: u32,
     },
-    /// The graph is too large for the exhaustive engine; use
-    /// [`SearchStrategy::Beam`] (or [`SearchStrategy::Auto`]).
-    TooManyActorsForExhaustive {
-        /// Actors in the graph.
-        actors: usize,
-    },
     /// The search space contained no candidate at all.
     NoSolutions,
     /// A hand-built mapping failed [`Mapping::validate`].
@@ -101,13 +95,14 @@ pub enum ExplorerError {
         /// An actor without a placement (or placed more than once).
         actor: ActorId,
     },
-    /// Every candidate grouping was rejected by the communication
-    /// feasibility prune: no mapping's cross-column traffic fits the
+    /// The communication feasibility prune left nothing: no mapping
+    /// within the tile budget has cross-column traffic that fits the
     /// configured TDM frame.
     CommInfeasible {
         /// The configured frame capacity in slots per iteration.
         capacity: u64,
-        /// Groupings the prune rejected.
+        /// Groupings whose cross-column words exceed the frame (counted
+        /// over the grouping DAG, saturating at `u64::MAX`).
         pruned: u64,
     },
     /// No contiguous partition of the graph across the permitted chip
@@ -129,10 +124,6 @@ impl fmt::Display for ExplorerError {
                 f,
                 "tile budget {budget} cannot host {min_groups} column groups"
             ),
-            ExplorerError::TooManyActorsForExhaustive { actors } => write!(
-                f,
-                "{actors} actors is too many for exhaustive grouping enumeration"
-            ),
             ExplorerError::NoSolutions => write!(f, "search space contained no candidates"),
             ExplorerError::InvalidMapping { violations } => {
                 write!(f, "mapping has {} violation(s)", violations.len())?;
@@ -146,8 +137,8 @@ impl fmt::Display for ExplorerError {
             }
             ExplorerError::CommInfeasible { capacity, pruned } => write!(
                 f,
-                "no grouping's cross-column traffic fits the {capacity}-slot TDM frame \
-                 ({pruned} groupings rejected)"
+                "no mapping within the tile budget fits its cross-column traffic in the \
+                 {capacity}-slot TDM frame ({pruned} groupings rejected)"
             ),
             ExplorerError::BoardInfeasible {
                 max_chips,
@@ -185,7 +176,6 @@ impl ExplorerError {
         match self {
             ExplorerError::Sdf(_) => "sdf",
             ExplorerError::BudgetTooSmall { .. } => "budget_too_small",
-            ExplorerError::TooManyActorsForExhaustive { .. } => "too_many_actors",
             ExplorerError::NoSolutions => "no_solutions",
             ExplorerError::InvalidMapping { .. } => "invalid_mapping",
             ExplorerError::IncompleteMapping { .. } => "incomplete_mapping",
@@ -208,23 +198,6 @@ impl From<SdfError> for ExplorerError {
     fn from(value: SdfError) -> Self {
         ExplorerError::Sdf(value)
     }
-}
-
-/// Which search engine [`explore`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchStrategy {
-    /// Exhaustive for small graphs, beam search for large ones.
-    #[default]
-    Auto,
-    /// Enumerate every contiguous grouping and solve each exactly.
-    Exhaustive,
-    /// Dominance-pruned beam search over grouping prefixes, keeping at
-    /// most `width` partial solutions per prefix length.  Exact for the
-    /// best solution and the frontier when `width ≥ budget + 1`.
-    Beam {
-        /// Maximum partial solutions retained per prefix length.
-        width: usize,
-    },
 }
 
 /// Which supply-voltage policy the explorer's cost model reports under.
@@ -254,17 +227,13 @@ pub enum VoltagePolicy {
 /// `synchro-route` compiler, which also enforces reachability under the
 /// concrete segment topology.
 ///
-/// The exhaustive engine applies the prune per grouping before its DP,
-/// so its results are exact under the constraint.  The beam engine
-/// tracks the cross-column words each prefix has already committed and
-/// makes its dominance check Pareto over `(power, cross words)`, so a
-/// schedulable-but-pricier prefix is never shadowed by a cheaper
-/// unschedulable one; prefixes whose committed traffic already
-/// overflows the frame are dropped as they form.  Both engines are
-/// exact under the constraint (property-tested against each other),
-/// though the beam's width cap needs head-room beyond `budget + 1` when
-/// `comm` is set, since a layer may keep several partials per tile
-/// count.
+/// The search tracks the cross-column words each partial mapping has
+/// already committed and makes its dominance check Pareto over
+/// `(power, cross words)`, so a schedulable-but-pricier prefix is never
+/// shadowed by a cheaper unschedulable one; prefixes whose committed
+/// traffic already overflows the frame are dropped as they form.  The
+/// result is exact under the constraint (property-tested against an
+/// exhaustive oracle that filters whole groupings).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommSpec {
     /// Bus width in words per cycle (independent splits).
@@ -367,12 +336,6 @@ impl BoardSearch {
     }
 }
 
-/// Above this actor count [`SearchStrategy::Auto`] switches from
-/// exhaustive grouping enumeration (2^(n−1) groupings) to beam search,
-/// and [`SearchStrategy::Exhaustive`] is rejected outright (public so
-/// harnesses picking a strategy per workload stay in sync).
-pub const EXHAUSTIVE_ACTOR_LIMIT: usize = 16;
-
 /// Configuration of one exploration.
 #[derive(Debug, Clone)]
 pub struct ExplorerConfig {
@@ -384,10 +347,6 @@ pub struct ExplorerConfig {
     pub tech: Technology,
     /// Candidate tile counts per column group.
     pub candidates: TileCandidates,
-    /// Search engine selection.
-    pub strategy: SearchStrategy,
-    /// Worker threads (0 = one per available core).
-    pub threads: usize,
     /// Largest number of adjacent actors the search may fuse into one
     /// column group.  `1` restricts the space to the paper's structure of
     /// one algorithm block per column group (what Table 4 publishes);
@@ -414,22 +373,20 @@ pub struct ExplorerConfig {
     pub board: Option<BoardSearch>,
     /// Trace handle the search reports into: phase spans
     /// (`explore.plan` / `explore.arena` / `explore.search`) and
-    /// engine-qualified registry counters mirroring [`SearchStats`].
+    /// `explore.*` registry counters mirroring [`SearchStats`].
     /// Disabled by default — the search pays nothing for it.
     pub trace: Trace,
 }
 
 impl ExplorerConfig {
     /// A default configuration: ISCA 2004 technology, power-of-two tile
-    /// candidates, automatic engine choice, all cores, grouping enabled.
+    /// candidates, grouping enabled, no communication prune.
     pub fn new(iteration_rate_hz: f64, tile_budget: u32) -> Self {
         ExplorerConfig {
             iteration_rate_hz,
             tile_budget,
             tech: Technology::isca2004(),
             candidates: TileCandidates::PowersOfTwo,
-            strategy: SearchStrategy::Auto,
-            threads: 0,
             max_group_size: usize::MAX,
             efficiency: 1.0,
             comm: None,
@@ -444,20 +401,6 @@ impl ExplorerConfig {
     #[must_use]
     pub fn single_actor_columns(mut self) -> Self {
         self.max_group_size = 1;
-        self
-    }
-
-    /// Override the search strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Override the worker-thread count (0 = one per available core).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -506,18 +449,11 @@ impl ExplorerConfig {
         self
     }
 
-    /// The worker-thread count this configuration actually runs with:
-    /// `threads` when non-zero, otherwise one per available core.  Public
-    /// so benchmarks can resolve the count *before* measuring and report
-    /// it honestly (a `threads: 0` row in a perf record is meaningless).
+    /// The thread count the search runs on: always 1, since the search
+    /// is single-threaded.  Kept so harnesses that record a thread count
+    /// keep working.
     pub fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+        1
     }
 }
 
@@ -615,9 +551,9 @@ pub struct Exploration {
     /// overall when nothing fits the envelope — check
     /// [`ExplorerSolution::feasible`]).
     pub best: ExplorerSolution,
-    /// The cheapest solution at every reachable exact tile count, sorted
-    /// by tiles ascending.  Complete for the exhaustive engine; the beam
-    /// engine only retains non-dominated counts.
+    /// The cheapest solution at every reachable exact tile count (the
+    /// cheapest feasible one where any exists), one entry per count,
+    /// sorted by tiles ascending.
     pub curve: Vec<ExplorerSolution>,
     /// The non-dominated (tiles, power) subset of `curve` — the Figure
     /// 8-style Pareto frontier.
@@ -661,12 +597,12 @@ fn reject_on_err<T>(trace: &Trace, result: &Result<T, ExplorerError>) {
 
 fn explore_impl(graph: &SdfGraph, config: &ExplorerConfig) -> Result<Exploration, ExplorerError> {
     let trace = &config.trace;
-    let (ctx, plan, evaluator) = {
+    let (ctx, max_group_size, evaluator) = {
         let _span = trace.span("explore.plan");
         let ctx = GraphContext::new(graph)?;
-        let plan = plan_search(graph, &ctx, config)?;
+        let max_group_size = plan_search(graph, &ctx, config)?;
         let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency);
-        (ctx, plan, evaluator)
+        (ctx, max_group_size, evaluator)
     };
     let arena = {
         let _span = trace.span("explore.arena");
@@ -675,69 +611,45 @@ fn explore_impl(graph: &SdfGraph, config: &ExplorerConfig) -> Result<Exploration
             &evaluator,
             config.candidates,
             config.tile_budget,
-            plan.max_group_size,
+            max_group_size,
         )
     };
     let result = {
         let _span = trace.span("explore.search");
-        run_search(graph, config, &ctx, &evaluator, &arena, &plan, config.comm)
+        run_search(
+            graph,
+            config,
+            &ctx,
+            &evaluator,
+            &arena,
+            max_group_size,
+            config.comm,
+        )
     };
     if let Ok(exploration) = &result {
-        // Unify the ad-hoc SearchStats counters into the metrics registry,
-        // qualified by the engine that produced them.
+        // Unify the ad-hoc SearchStats counters into the metrics registry.
         let s = &exploration.stats;
-        let keys = if plan.use_beam.is_some() {
-            [
-                ("explore.beam.mappings_evaluated", s.mappings_evaluated),
-                ("explore.beam.groupings_examined", s.groupings_examined),
-                ("explore.beam.states_pruned", s.states_pruned),
-                (
-                    "explore.beam.groupings_comm_pruned",
-                    s.groupings_comm_pruned,
-                ),
-            ]
-        } else {
-            [
-                (
-                    "explore.exhaustive.mappings_evaluated",
-                    s.mappings_evaluated,
-                ),
-                (
-                    "explore.exhaustive.groupings_examined",
-                    s.groupings_examined,
-                ),
-                ("explore.exhaustive.states_pruned", s.states_pruned),
-                (
-                    "explore.exhaustive.groupings_comm_pruned",
-                    s.groupings_comm_pruned,
-                ),
-            ]
-        };
-        for (name, delta) in keys {
+        for (name, delta) in [
+            ("explore.mappings_evaluated", s.mappings_evaluated),
+            ("explore.groupings_examined", s.groupings_examined),
+            ("explore.states_pruned", s.states_pruned),
+            ("explore.groupings_comm_pruned", s.groupings_comm_pruned),
+        ] {
             trace.counter(name, delta);
         }
     }
     result
 }
 
-/// The resolved engine choice of one exploration: how large groups may
-/// get, which engine runs, and across how many workers.
-struct SearchPlan {
-    max_group_size: usize,
-    /// `Some(width)` = beam search, `None` = exhaustive enumeration.
-    use_beam: Option<usize>,
-    threads: usize,
-}
-
-/// Validate `config` against the analysed graph and resolve the engine
-/// choice.  Split out of [`explore`] so sweeps sharing one
-/// [`search::IntervalArena`] across invocations plan once per point
-/// without re-running the search tail.
+/// Validate `config` against the analysed graph and return the largest
+/// group size the search may fuse.  Split out of [`explore`] so sweeps
+/// sharing one [`search::IntervalArena`] across invocations plan once
+/// per point without re-running the search tail.
 fn plan_search(
     graph: &SdfGraph,
     ctx: &GraphContext,
     config: &ExplorerConfig,
-) -> Result<SearchPlan, ExplorerError> {
+) -> Result<usize, ExplorerError> {
     let n = ctx.n;
     // Fusing is only sound when actor order is a topological order with
     // strictly forward edges: contiguous groups of a forward-edged chain
@@ -758,29 +670,10 @@ fn plan_search(
             budget: config.tile_budget,
         });
     }
-    let default_width = (config.tile_budget as usize + 1).max(64);
-    let use_beam = match config.strategy {
-        SearchStrategy::Exhaustive if max_group_size > 1 && n > EXHAUSTIVE_ACTOR_LIMIT => {
-            return Err(ExplorerError::TooManyActorsForExhaustive { actors: n });
-        }
-        SearchStrategy::Exhaustive => None,
-        SearchStrategy::Beam { width } => Some(width),
-        SearchStrategy::Auto => {
-            if max_group_size == 1 || n <= EXHAUSTIVE_ACTOR_LIMIT {
-                None
-            } else {
-                Some(default_width)
-            }
-        }
-    };
-    Ok(SearchPlan {
-        max_group_size,
-        use_beam,
-        threads: config.resolved_threads(),
-    })
+    Ok(max_group_size)
 }
 
-/// Run the planned engine over a prebuilt arena and package the outcome.
+/// Run the search over a prebuilt arena and package the outcome.
 /// `comm` is explicit (rather than read from `config`) so comm sweeps
 /// reuse one arena — interval costs do not depend on the frame.
 fn run_search(
@@ -789,49 +682,25 @@ fn run_search(
     ctx: &GraphContext,
     evaluator: &Evaluator,
     arena: &search::IntervalArena,
-    plan: &SearchPlan,
+    max_group_size: usize,
     comm: Option<CommSpec>,
 ) -> Result<Exploration, ExplorerError> {
-    let use_beam = plan.use_beam;
-    let outcome = match use_beam {
-        None => search::exhaustive(
-            ctx,
-            arena,
-            config.tile_budget,
-            plan.max_group_size,
-            plan.threads,
-            comm,
-        ),
-        Some(width) => search::beam(
-            ctx,
-            arena,
-            config.tile_budget,
-            plan.max_group_size,
-            width,
-            plan.threads,
-            comm,
-        ),
-    };
+    let outcome = search::prefix_dp(ctx, arena, config.tile_budget, max_group_size, comm);
     if outcome.curve.is_empty() {
-        // Blame communication only when the prune certainly rejected
-        // *every* grouping: the exhaustive engine examines each one, so
-        // pruned == examined is a proof.  The beam engine's comm counter
-        // tallies pruned prefix *extensions*, which cannot distinguish
-        // comm-starved from budget-starved searches, so the beam reports
-        // the honest NoSolutions instead.
-        if use_beam.is_none()
-            && outcome.stats.groupings_comm_pruned > 0
-            && outcome.stats.groupings_comm_pruned >= outcome.stats.groupings_examined
-        {
-            return Err(ExplorerError::CommInfeasible {
-                capacity: comm.map(|c| c.capacity()).unwrap_or(0),
-                pruned: outcome.stats.groupings_comm_pruned,
-            });
-        }
-        return Err(ExplorerError::NoSolutions);
+        // `plan_search` admits only budgets that host the fewest-group
+        // grouping at one tile per group, and every interval offers a
+        // 1-tile option, so only the frame can empty the last boundary.
+        return Err(match comm {
+            Some(comm) => ExplorerError::CommInfeasible {
+                capacity: comm.capacity(),
+                pruned: search::comm_rejected_groupings(ctx, max_group_size, comm.capacity()),
+            },
+            None => ExplorerError::NoSolutions,
+        });
     }
 
-    let mut curve: Vec<ExplorerSolution> = outcome
+    // The search yields one candidate per tile count, tiles ascending.
+    let curve: Vec<ExplorerSolution> = outcome
         .curve
         .iter()
         .map(|c| {
@@ -843,9 +712,9 @@ fn run_search(
                 &c.allocation,
                 config.voltage_policy,
             );
-            // The search engines accumulate cost layer by layer in the
-            // same order realization sums it, so the backpointer DP's
-            // totals must agree bit-for-bit with the re-evaluation.  Under
+            // The search accumulates cost group by group in the same
+            // order realization sums it, so the DP's totals must agree
+            // bit-for-bit with the re-evaluation.  Under
             // the single-voltage policy the realized cost is deliberately
             // re-priced at the shared supply, so the identity only holds
             // for the per-column relaxation the search ran on.
@@ -860,16 +729,6 @@ fn run_search(
             solution
         })
         .collect();
-    // One entry per tile count: feasible beats infeasible, then lower
-    // power wins (the beam engine can surface both a cheap infeasible and
-    // a pricier feasible solution at the same count).
-    curve.sort_by(|a, b| {
-        a.total_tiles
-            .cmp(&b.total_tiles)
-            .then(b.feasible.cmp(&a.feasible))
-            .then(a.power_mw.partial_cmp(&b.power_mw).expect("finite power"))
-    });
-    curve.dedup_by_key(|s| s.total_tiles);
 
     // The Pareto frontier covers achievable (feasible) designs; only when
     // nothing fits the envelope does it fall back to the whole curve.
@@ -972,7 +831,7 @@ pub struct BusWidthPoint {
 ///
 /// Interval costs do not depend on the frame, so the sweep analyses the
 /// graph and builds the [`search::IntervalArena`] once and reruns only
-/// the engine per width — each point is bit-identical to an independent
+/// the DP per width — each point is bit-identical to an independent
 /// [`explore`] call at that width.
 pub fn explore_bus_widths(
     graph: &SdfGraph,
@@ -986,25 +845,31 @@ pub fn explore_bus_widths(
     };
     let shared = (|| {
         let ctx = GraphContext::new(graph).ok()?;
-        let plan = plan_search(graph, &ctx, config).ok()?;
+        let max_group_size = plan_search(graph, &ctx, config).ok()?;
         let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency);
         let arena = search::IntervalArena::build(
             &ctx,
             &evaluator,
             config.candidates,
             config.tile_budget,
-            plan.max_group_size,
+            max_group_size,
         );
-        Some((ctx, plan, evaluator, arena))
+        Some((ctx, max_group_size, evaluator, arena))
     })();
     widths
         .iter()
         .map(|&splits| {
             let comm = comm_of(splits);
             let outcome = match &shared {
-                Some((ctx, plan, evaluator, arena)) => {
-                    run_search(graph, config, ctx, evaluator, arena, plan, Some(comm))
-                }
+                Some((ctx, max_group_size, evaluator, arena)) => run_search(
+                    graph,
+                    config,
+                    ctx,
+                    evaluator,
+                    arena,
+                    *max_group_size,
+                    Some(comm),
+                ),
                 // Analysis or planning failed: fall back to the plain
                 // path so every point reports the structured error.
                 None => explore(graph, &config.clone().with_comm(comm)),
@@ -1059,16 +924,24 @@ pub fn explore_budget_sweep(
         .iter()
         .map(|&budget| {
             let swept = at_budget(budget);
-            let outcome = plan_search(graph, &ctx, &swept).and_then(|plan| {
+            let outcome = plan_search(graph, &ctx, &swept).and_then(|max_group_size| {
                 let arena = search::IntervalArena::build_with_cache(
                     &ctx,
                     &evaluator,
                     swept.candidates,
                     budget,
-                    plan.max_group_size,
+                    max_group_size,
                     &mut cache,
                 );
-                run_search(graph, &swept, &ctx, &evaluator, &arena, &plan, swept.comm)
+                run_search(
+                    graph,
+                    &swept,
+                    &ctx,
+                    &evaluator,
+                    &arena,
+                    max_group_size,
+                    swept.comm,
+                )
             });
             BudgetPoint { budget, outcome }
         })
@@ -1359,36 +1232,38 @@ fn chip_subgraph(
 }
 
 /// Stable hooks for the repo's criterion benches, exposing the search
-/// core's internal stages (interval-arena build, single-grouping DP) so
-/// per-stage regressions are visible without making the internals part of
-/// the supported API.  Not for downstream use.
+/// core's internal stages (interval-arena build, prefix DP) so per-stage
+/// regressions are visible without making the internals part of the
+/// supported API.  Not for downstream use.
 #[doc(hidden)]
 pub mod perf {
     use crate::model::{Evaluator, GraphContext};
-    use crate::search::{grouping_dp, DpScratch, IntervalArena};
-    use crate::{ExplorerConfig, ExplorerError};
+    use crate::search::{prefix_dp, IntervalArena};
+    use crate::{plan_search, CommSpec, ExplorerConfig, ExplorerError};
     use synchro_sdf::SdfGraph;
 
     /// A graph analysed and interval-evaluated once, ready to run DP
     /// passes without rebuilding the arena.
     pub struct PreparedSearch {
+        ctx: GraphContext,
         arena: IntervalArena,
-        scratch: DpScratch,
-        singleton: Vec<(usize, usize)>,
         budget: u32,
+        max_group_size: usize,
+        comm: Option<CommSpec>,
     }
 
     impl PreparedSearch {
-        /// Analyse `graph` and build the interval arena under `config`.
+        /// Analyse `graph`, validate `config` as [`crate::explore`] does,
+        /// and build the interval arena.
         ///
         /// # Errors
         ///
-        /// Propagates graph-analysis failures.
+        /// Propagates graph-analysis and budget failures.
         pub fn new(graph: &SdfGraph, config: &ExplorerConfig) -> Result<Self, ExplorerError> {
             let ctx = GraphContext::new(graph)?;
+            let max_group_size = plan_search(graph, &ctx, config)?;
             let evaluator =
                 Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency);
-            let max_group_size = config.max_group_size.clamp(1, ctx.n.max(1));
             let arena = IntervalArena::build(
                 &ctx,
                 &evaluator,
@@ -1396,12 +1271,12 @@ pub mod perf {
                 config.tile_budget,
                 max_group_size,
             );
-            let singleton = (0..ctx.n).map(|i| (i, i + 1)).collect();
             Ok(PreparedSearch {
+                ctx,
                 arena,
-                scratch: DpScratch::new(config.tile_budget, ctx.n),
-                singleton,
                 budget: config.tile_budget,
+                max_group_size,
+                comm: config.comm,
             })
         }
 
@@ -1410,11 +1285,18 @@ pub mod perf {
             self.arena.option_count()
         }
 
-        /// Run the backpointer DP over the all-singleton grouping and
-        /// return the transitions examined (the unit `mappings/s`
-        /// counts).
-        pub fn singleton_dp(&mut self) -> u64 {
-            grouping_dp(&self.singleton, &self.arena, self.budget, &mut self.scratch)
+        /// Run the prefix DP once (winners rebuilt, not realized) and
+        /// return the partial mappings it evaluated.
+        pub fn run_dp(&self) -> u64 {
+            prefix_dp(
+                &self.ctx,
+                &self.arena,
+                self.budget,
+                self.max_group_size,
+                self.comm,
+            )
+            .stats
+            .mappings_evaluated
         }
     }
 }
@@ -1547,23 +1429,45 @@ mod tests {
 
     #[test]
     fn engines_agree_on_best_and_frontier() {
+        // The prefix DP against the exhaustive test oracle on the DDC:
+        // every tile count, the best power and the frontier agree.
         let g = ddc();
-        let base = ExplorerConfig::new(16e6, 40);
-        let exhaustive =
-            explore(&g, &base.clone().with_strategy(SearchStrategy::Exhaustive)).unwrap();
-        let beam = explore(&g, &base.with_strategy(SearchStrategy::Beam { width: 64 })).unwrap();
-        assert!((exhaustive.best.power_mw - beam.best.power_mw).abs() < 1e-6);
-        let ef: Vec<(u32, u64)> = exhaustive
+        let config = ExplorerConfig::new(16e6, 40);
+        let dp = explore(&g, &config).unwrap();
+        let ctx = GraphContext::new(&g).unwrap();
+        let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, 1.0);
+        let (oracle, _) =
+            search::reference::exhaustive(&ctx, &evaluator, config.candidates, 40, 5, None);
+        let curve: Vec<(u32, u64)> = dp
+            .curve
+            .iter()
+            .map(|s| (s.total_tiles, s.power_mw.to_bits()))
+            .collect();
+        let expected: Vec<(u32, u64)> = oracle
+            .iter()
+            .map(|c| (c.allocation.iter().sum(), c.power_mw.to_bits()))
+            .collect();
+        assert_eq!(curve, expected);
+        let feasible: Vec<&search::Candidate> = oracle.iter().filter(|c| c.feasible).collect();
+        let best = feasible
+            .iter()
+            .map(|c| c.power_mw)
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(dp.best.power_mw.to_bits(), best.to_bits());
+        let points: Vec<(u32, f64)> = feasible
+            .iter()
+            .map(|c| (c.allocation.iter().sum(), c.power_mw))
+            .collect();
+        let frontier: Vec<(u32, u64)> = pareto::frontier_indices(&points)
+            .into_iter()
+            .map(|i| (points[i].0, points[i].1.to_bits()))
+            .collect();
+        let got: Vec<(u32, u64)> = dp
             .frontier
             .iter()
             .map(|s| (s.total_tiles, s.power_mw.to_bits()))
             .collect();
-        let bf: Vec<(u32, u64)> = beam
-            .frontier
-            .iter()
-            .map(|s| (s.total_tiles, s.power_mw.to_bits()))
-            .collect();
-        assert_eq!(ef, bf);
+        assert_eq!(got, frontier);
     }
 
     #[test]
@@ -1669,17 +1573,6 @@ mod tests {
             evaluate_mapping(&g, &partial, &config),
             Err(ExplorerError::IncompleteMapping { .. })
         ));
-    }
-
-    #[test]
-    fn threads_do_not_change_the_result() {
-        let g = ddc();
-        let one = explore(&g, &ExplorerConfig::new(16e6, 50).with_threads(1)).unwrap();
-        let many = explore(&g, &ExplorerConfig::new(16e6, 50).with_threads(8)).unwrap();
-        assert_eq!(one.best.allocation(), many.best.allocation());
-        assert_eq!(one.best.power_mw.to_bits(), many.best.power_mw.to_bits());
-        assert_eq!(one.curve.len(), many.curve.len());
-        assert_eq!(one.stats.mappings_evaluated, many.stats.mappings_evaluated);
     }
 
     #[test]
@@ -1801,11 +1694,52 @@ mod tests {
     #[test]
     fn stats_count_work_and_record_threads() {
         let g = ddc();
-        let exploration = explore(&g, &ExplorerConfig::new(16e6, 50).with_threads(2)).unwrap();
+        let exploration = explore(&g, &ExplorerConfig::new(16e6, 50)).unwrap();
         assert!(exploration.stats.mappings_evaluated > 0);
         assert!(exploration.stats.groupings_examined >= 1);
-        assert_eq!(exploration.stats.threads_used, 2);
+        assert_eq!(exploration.stats.threads_used, 1);
         assert!(exploration.stats.elapsed_seconds >= 0.0);
+    }
+
+    #[test]
+    fn comm_aware_search_finds_the_optimum_above_sixteen_actors() {
+        // An 18-stage chain under a 25-slot frame.  A front capped at
+        // max(budget + 1, 64) partials per prefix dropped the optimal
+        // prefix here and returned a 485.76 mW mapping; the uncapped
+        // DP finds the 476.61 mW optimum.
+        let costs = [
+            267u64, 98, 197, 365, 279, 392, 297, 131, 329, 182, 287, 105, 405, 116, 300, 276, 306,
+            397,
+        ];
+        let caps = [1u32, 8, 1, 4, 2, 16, 4, 8, 1, 4, 1, 4, 8, 8, 2, 1, 2, 8];
+        let tokens = [2u64, 2, 3, 3, 3, 3, 1, 1, 1, 3, 1, 1, 1, 1, 1, 3, 2];
+        let mut g = SdfGraph::new();
+        let actors: Vec<ActorId> = costs
+            .iter()
+            .zip(&caps)
+            .enumerate()
+            .map(|(i, (&cycles, &cap))| g.add_actor(format!("s{i}"), cycles, cap))
+            .collect();
+        for (i, &t) in tokens.iter().enumerate() {
+            g.add_edge(actors[i], actors[i + 1], t, t, 0).unwrap();
+        }
+        let config = ExplorerConfig::new(1e6, 63).with_comm(CommSpec::new(1, 25));
+        let exploration = explore(&g, &config).unwrap();
+        assert!(exploration.best.feasible);
+        assert_eq!(
+            exploration.best.power_mw.to_bits(),
+            476.606805248f64.to_bits(),
+            "{} mW",
+            exploration.best.power_mw
+        );
+        let groups: Vec<(usize, usize)> = exploration
+            .best
+            .columns
+            .iter()
+            .map(|c| (c.actors[0].0, c.actors[0].0 + c.actors.len()))
+            .collect();
+        let ctx = GraphContext::new(&g).unwrap();
+        assert!(ctx.grouping_cross_words(&groups) <= 25);
     }
 
     #[test]

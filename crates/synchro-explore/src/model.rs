@@ -109,7 +109,7 @@ impl GraphContext {
     /// beyond it.  Each crossing edge of a complete grouping is counted
     /// exactly once — at the group containing its lower endpoint — so
     /// summing this over a grouping's groups equals
-    /// [`GraphContext::grouping_cross_words`].  The beam engine tracks
+    /// [`GraphContext::grouping_cross_words`].  The search tracks
     /// cross words per partial with it (the increment depends only on the
     /// new group, never on how the prefix was grouped).
     pub fn group_cross_out(&self, start: usize, end: usize) -> u64 {

@@ -1,40 +1,63 @@
-//! The search engines: exhaustive enumeration of contiguous groupings
-//! (each solved exactly by a per-tile-count dynamic program) for small
-//! graphs, and a dominance-pruned beam search over grouping prefixes for
-//! large ones.  Both fan their work across a `std::thread` worker pool.
+//! The search engine: one single-threaded prefix dynamic program over
+//! contiguous actor groupings and exact tile counts.
 //!
-//! The hot path is allocation-free: interval options live in one
-//! contiguous [`IntervalArena`], the per-grouping dynamic program keeps
-//! backpointer-indexed states in a reusable [`DpScratch`] (winning
-//! allocations are reconstructed only when a grouping actually improves a
-//! worker's incumbent), and the exhaustive engine load-balances skewed
-//! groupings by work-stealing chunks off an atomic cursor.  A clone-based
-//! reference implementation of the grouping DP is retained under
-//! `#[cfg(test)]` and property-tested for exact agreement.
+//! Boundary `i` of the DP stands for the first `i` actors, already
+//! grouped into columns and given tiles.  Its cell at exact tile count
+//! `t` keeps every partial mapping of actors `0..i` on `t` tiles that no
+//! other partial *covers* — one with no more power, no more committed
+//! cross-column words, and feasible whenever the covered one is.  The
+//! kept set is the union of two Pareto fronts over `(power, cross
+//! words)`: one over all partials and one over feasible partials only,
+//! so a cheaper infeasible prefix never hides a feasible one.  Without a
+//! [`CommSpec`] every cross-word count is 0 and a cell keeps at most two
+//! entries.
+//!
+//! Cells are relaxed in boundary order from the pre-evaluated
+//! [`IntervalArena`]: every kept partial of boundary `start` is extended
+//! by every tile option of the group `start..end`.  Dominance across a
+//! cell is exact, because a group's cost, tiles and cross words do not
+//! depend on how the prefix before it was grouped.  Each kept partial
+//! is one back-pointer node, and allocations are rebuilt only for the
+//! winners at the last boundary.  The work is O(n·g·B·k): actors × max
+//! group size × tile budget × tile options per group (times the front
+//! size under a `CommSpec`).
+//!
+//! Ties are deterministic.  Boundaries are built in order; within one,
+//! sources run by group start ascending, then by kept order, then by
+//! tile option ascending.  On an exact `(power, cross, feasibility)` tie
+//! the incumbent keeps the cell.
+//!
+//! A clone-based exhaustive engine is retained under `#[cfg(test)]` as
+//! [`reference`]; a differential property test pins the DP to it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use crate::model::{EvalCache, Evaluator, GraphContext};
-use crate::space::{grouping_from_mask_into, mask_respects_group_size, Grouping, TileCandidates};
+use crate::space::{Grouping, TileCandidates};
 use crate::CommSpec;
 
 /// Counters describing one search run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchStats {
-    /// Candidate (partial) mappings examined: one per dynamic-program or
-    /// beam transition, i.e. one per tile-allocation decision evaluated.
+    /// Partial mappings evaluated: one per DP relaxation, i.e. one kept
+    /// prefix extended by one tile option of one group.
     pub mappings_evaluated: u64,
-    /// Actor→column groupings examined.
+    /// Contiguous actor→column groupings the search covers (paths through
+    /// the grouping DAG, saturating at `u64::MAX`).  The DP examines all
+    /// of them implicitly and enumerates none.
     pub groupings_examined: u64,
-    /// Partial solutions discarded by dominance pruning or the beam cap
-    /// (zero for the exhaustive engine, which prunes nothing).
+    /// Partial mappings the dominance check discarded: offers an already
+    /// kept partial covers, plus kept partials a later offer covers.
     pub states_pruned: u64,
-    /// Groupings rejected by the communication-feasibility prune (their
-    /// cross-column traffic cannot fit the configured TDM frame).
+    /// Under a [`CommSpec`]: extensions (one per tile option) dropped
+    /// because the prefix's committed cross-column words plus the new
+    /// group's would overflow the TDM frame.  When no grouping fits,
+    /// [`crate::ExplorerError::CommInfeasible`] counts whole groupings
+    /// instead.  Zero without a `CommSpec`.
     pub groupings_comm_pruned: u64,
-    /// Worker threads the search fanned out across.
+    /// Always 1: the search is single-threaded.  Kept so harnesses that
+    /// record a thread count keep working.
     pub threads_used: usize,
     /// Wall-clock search time in seconds.
     pub elapsed_seconds: f64,
@@ -50,9 +73,8 @@ pub(crate) struct Candidate {
     pub feasible: bool,
 }
 
-/// The raw outcome of a search: for each reachable exact tile count, the
-/// best candidate found (the exhaustive engine covers every reachable
-/// count; the beam engine only retains non-dominated counts).
+/// The raw outcome of a search: the best candidate at every reachable
+/// exact tile count, tiles ascending.
 pub(crate) struct SearchOutcome {
     pub curve: Vec<Candidate>,
     pub stats: SearchStats,
@@ -74,8 +96,8 @@ pub(crate) struct IntervalOption {
 /// offsets array indexed by `(start, end)`.
 ///
 /// Interval costs are independent of the surrounding grouping, so the
-/// arena is computed once and shared (read-only) by every worker; the
-/// flat layout keeps the DP's option scans on sequential cache lines
+/// arena is computed once per search (and shared across sweep points);
+/// the flat layout keeps the DP's option scans on sequential cache lines
 /// instead of chasing `Vec<Vec<Option<Vec<_>>>>` indirections.
 pub(crate) struct IntervalArena {
     /// Row stride of the offsets table (`n + 1` end slots per start).
@@ -172,901 +194,221 @@ impl IntervalArena {
     }
 }
 
-fn better(power: f64, feasible: bool, than_power: f64, than_feasible: bool) -> bool {
-    // Feasible solutions always beat infeasible ones at the same tile
-    // count; otherwise strictly lower power wins (ties keep the
-    // incumbent, which makes the merge order-deterministic).
-    match (feasible, than_feasible) {
-        (true, false) => true,
-        (false, true) => false,
-        _ => power < than_power,
-    }
-}
+/// `parent` of the root entry, which has no group of its own.
+const ROOT: u32 = u32::MAX;
 
-/// Reusable dynamic-program state for one worker: two tile-count layers
-/// (current and next) plus the per-layer winning tile choices that let a
-/// finished curve reconstruct its allocation without per-transition
-/// clones.  `power == f64::INFINITY` marks an unreachable cell.
-pub(crate) struct DpScratch {
-    power: Vec<f64>,
-    feasible: Vec<bool>,
-    next_power: Vec<f64>,
-    next_feasible: Vec<bool>,
-    /// `choices[layer * (budget + 1) + total]` = tiles the winner of that
-    /// cell assigned to group `layer`; walking layers backwards from a
-    /// final cell reconstructs its allocation.
-    choices: Vec<u32>,
-    /// Largest reachable total of the final layer (0 when even the empty
-    /// prefix is gone, i.e. the grouping cannot fit the budget).
-    reach_max: usize,
-}
-
-impl DpScratch {
-    pub fn new(budget: u32, max_groups: usize) -> Self {
-        let cells = budget as usize + 1;
-        DpScratch {
-            power: vec![f64::INFINITY; cells],
-            feasible: vec![false; cells],
-            next_power: vec![f64::INFINITY; cells],
-            next_feasible: vec![false; cells],
-            choices: vec![0; cells * max_groups.max(1)],
-            reach_max: 0,
-        }
-    }
-
-    /// The `(power, feasible)` of the final layer's cell at `total`
-    /// tiles, if reachable.
-    fn cell(&self, total: usize) -> Option<(f64, bool)> {
-        if self.power[total].is_finite() {
-            Some((self.power[total], self.feasible[total]))
-        } else {
-            None
-        }
-    }
-
-    /// Walk the recorded choices backwards to reconstruct the allocation
-    /// of the final-layer cell at `total` tiles (one tile count per
-    /// group, pipeline order).
-    fn reconstruct(&self, groups: usize, cells: usize, total: usize) -> Vec<u32> {
-        let mut allocation = vec![0u32; groups];
-        let mut remaining = total;
-        for (layer, slot) in allocation.iter_mut().enumerate().rev() {
-            let tiles = self.choices[layer * cells + remaining];
-            *slot = tiles;
-            remaining -= tiles as usize;
-        }
-        debug_assert_eq!(remaining, 0, "choice chain must end at zero tiles");
-        allocation
-    }
-}
-
-/// Solve one grouping exactly: a knapsack-style dynamic program over the
-/// groups that records, for every exact total tile count, the cheapest
-/// cost and a backpointer (the tiles assigned to the last group), leaving
-/// the full curve in `scratch`.  Returns the transitions examined.
-pub(crate) fn grouping_dp(
-    groups: &[(usize, usize)],
-    arena: &IntervalArena,
-    budget: u32,
-    scratch: &mut DpScratch,
-) -> u64 {
-    let cells = budget as usize + 1;
-    scratch.power[..cells].fill(f64::INFINITY);
-    scratch.feasible[..cells].fill(false);
-    scratch.power[0] = 0.0;
-    scratch.feasible[0] = true;
-    let mut reach_max = 0usize;
-    let mut transitions = 0u64;
-    for (layer, &(start, end)) in groups.iter().enumerate() {
-        let options = arena.options(start, end);
-        scratch.next_power[..cells].fill(f64::INFINITY);
-        scratch.next_feasible[..cells].fill(false);
-        let choice_row = &mut scratch.choices[layer * cells..(layer + 1) * cells];
-        let mut next_max = 0usize;
-        for used in 0..=reach_max {
-            let base_power = scratch.power[used];
-            if !base_power.is_finite() {
-                continue;
-            }
-            let base_feasible = scratch.feasible[used];
-            let headroom = budget as usize - used;
-            for opt in options {
-                let tiles = opt.tiles as usize;
-                if tiles > headroom {
-                    break;
-                }
-                transitions += 1;
-                let total = used + tiles;
-                let new_power = base_power + opt.power;
-                let new_feasible = base_feasible && opt.feasible;
-                if better(
-                    new_power,
-                    new_feasible,
-                    scratch.next_power[total],
-                    scratch.next_feasible[total],
-                ) {
-                    // The first touch of a cell always lands here (the
-                    // incumbent is infinite), so `next_max` tracks every
-                    // reachable total.
-                    scratch.next_power[total] = new_power;
-                    scratch.next_feasible[total] = new_feasible;
-                    choice_row[total] = opt.tiles;
-                    if total > next_max {
-                        next_max = total;
-                    }
-                }
-            }
-        }
-        std::mem::swap(&mut scratch.power, &mut scratch.next_power);
-        std::mem::swap(&mut scratch.feasible, &mut scratch.next_feasible);
-        reach_max = next_max;
-    }
-    scratch.reach_max = reach_max;
-    transitions
-}
-
-/// A worker's incumbent for one exact tile count: cost plus the grouping
-/// job index (for deterministic, enumeration-order tie-breaks) and the
-/// allocation reconstructed when the incumbent was set.
-struct LocalBest {
-    power: f64,
-    feasible: bool,
-    job: usize,
-    allocation: Vec<u32>,
-}
-
-/// The grouping jobs of one exhaustive run: either the single
-/// all-singleton grouping (any graph size) or partition bitmasks.
-enum GroupingJobs {
-    Singleton,
-    Masks(Vec<u64>),
-}
-
-impl GroupingJobs {
-    fn len(&self) -> usize {
-        match self {
-            GroupingJobs::Singleton => 1,
-            GroupingJobs::Masks(masks) => masks.len(),
-        }
-    }
-
-    /// Decode job `index` into `out`.
-    fn decode(&self, n: usize, index: usize, out: &mut Grouping) {
-        match self {
-            GroupingJobs::Singleton => {
-                out.clear();
-                out.extend((0..n).map(|i| (i, i + 1)));
-            }
-            GroupingJobs::Masks(masks) => grouping_from_mask_into(n, masks[index], out),
-        }
-    }
-}
-
-/// Exhaustively enumerate every contiguous grouping (up to
-/// `max_group_size` actors per group) and solve each exactly, fanning the
-/// groupings across `threads` workers that steal fixed-size chunks off a
-/// shared atomic cursor (so a skewed grouping cannot idle the pool the
-/// way a static split can).  The merged curve holds, for every reachable
-/// exact tile count, the globally cheapest candidate; exact-cost ties go
-/// to the earliest-enumerated grouping, independent of thread count.
-///
-/// `arena` must have been built for `ctx` with the same `budget` and
-/// `max_group_size` (see [`IntervalArena::build`]); callers running
-/// several searches over one graph build it once and share it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exhaustive(
-    ctx: &GraphContext,
-    arena: &IntervalArena,
-    budget: u32,
-    max_group_size: usize,
-    threads: usize,
-    comm: Option<CommSpec>,
-) -> SearchOutcome {
-    let started = Instant::now();
-    let n = ctx.n;
-
-    // Every grouping to solve.  The all-singleton grouping (one actor per
-    // column, the structure of every Table 4 mapping) is built directly;
-    // larger group sizes enumerate partition bitmasks.
-    let jobs = if max_group_size <= 1 {
-        GroupingJobs::Singleton
-    } else {
-        let all = 1u64 << (n - 1);
-        GroupingJobs::Masks(
-            (0..all)
-                .filter(|&m| mask_respects_group_size(n, m, max_group_size))
-                .collect(),
-        )
-    };
-    let job_count = jobs.len();
-
-    let cells = budget as usize + 1;
-    let workers = threads.max(1).min(job_count.max(1));
-    // Chunks small enough to balance skew, large enough that the atomic
-    // cursor stays cold.
-    let steal_chunk = job_count.div_ceil(workers * 8).clamp(1, 64);
-    let cursor = AtomicUsize::new(0);
-    let results: Vec<(Vec<Option<LocalBest>>, u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let jobs = &jobs;
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut scratch = DpScratch::new(budget, n);
-                    let mut groups: Grouping = Vec::with_capacity(n);
-                    let mut local: Vec<Option<LocalBest>> = (0..cells).map(|_| None).collect();
-                    let mut evaluated = 0u64;
-                    let mut comm_pruned = 0u64;
-                    loop {
-                        let first = cursor.fetch_add(steal_chunk, Ordering::Relaxed);
-                        if first >= job_count {
-                            break;
-                        }
-                        for job in first..(first + steal_chunk).min(job_count) {
-                            jobs.decode(n, job, &mut groups);
-                            // Communication prune: a grouping whose
-                            // cross-column traffic cannot fit the TDM
-                            // frame is unschedulable under any tile
-                            // allocation — skip its DP entirely.
-                            if let Some(comm) = comm {
-                                if ctx.grouping_cross_words(&groups) > comm.capacity() {
-                                    comm_pruned += 1;
-                                    continue;
-                                }
-                            }
-                            evaluated += grouping_dp(&groups, arena, budget, &mut scratch);
-                            for (tiles, slot) in local
-                                .iter_mut()
-                                .enumerate()
-                                .take(scratch.reach_max + 1)
-                                .skip(1)
-                            {
-                                let Some((power, feasible)) = scratch.cell(tiles) else {
-                                    continue;
-                                };
-                                // Jobs are stolen in ascending order, so
-                                // keep-incumbent-on-tie equals
-                                // lowest-job-wins within a worker.
-                                let improves = match slot {
-                                    Some(c) => better(power, feasible, c.power, c.feasible),
-                                    None => true,
-                                };
-                                if improves {
-                                    *slot = Some(LocalBest {
-                                        power,
-                                        feasible,
-                                        job,
-                                        allocation: scratch.reconstruct(groups.len(), cells, tiles),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    (local, evaluated, comm_pruned)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut merged: Vec<Option<LocalBest>> = (0..cells).map(|_| None).collect();
-    let mut evaluated = 0u64;
-    let mut comm_pruned = 0u64;
-    for (local, count, pruned) in results {
-        evaluated += count;
-        comm_pruned += pruned;
-        for (slot, candidate) in merged.iter_mut().zip(local) {
-            let Some(candidate) = candidate else { continue };
-            let improves = match slot {
-                Some(c) => {
-                    if better(candidate.power, candidate.feasible, c.power, c.feasible) {
-                        true
-                    } else if better(c.power, c.feasible, candidate.power, candidate.feasible) {
-                        false
-                    } else {
-                        // Exact-cost tie: the earliest-enumerated grouping
-                        // wins, matching a sequential merge.
-                        candidate.job < c.job
-                    }
-                }
-                None => true,
-            };
-            if improves {
-                *slot = Some(candidate);
-            }
-        }
-    }
-
-    let mut decode_scratch: Grouping = Vec::with_capacity(n);
-    let curve = merged
-        .into_iter()
-        .flatten()
-        .map(|best| {
-            jobs.decode(n, best.job, &mut decode_scratch);
-            Candidate {
-                groups: decode_scratch.clone(),
-                allocation: best.allocation,
-                power_mw: best.power,
-                feasible: best.feasible,
-            }
-        })
-        .collect();
-
-    SearchOutcome {
-        curve,
-        stats: SearchStats {
-            mappings_evaluated: evaluated,
-            groupings_examined: job_count as u64,
-            states_pruned: 0,
-            groupings_comm_pruned: comm_pruned,
-            threads_used: workers,
-            elapsed_seconds: started.elapsed().as_secs_f64(),
-        },
-    }
-}
-
-/// Sentinel for "no arena node" (the root of a backpointer chain).
-const NO_NODE: u32 = u32::MAX;
-
-/// Sentinel start marking the root partial, which has no group of its
-/// own.
-const NO_GROUP: u32 = u32::MAX;
-
-/// One materialized link of a beam partial's backpointer chain: the group
-/// `start..end` placed on `tiles` tiles, extending `parent`.
+/// One kept partial mapping of the DP: actors `0..boundary` on `tiles`
+/// tiles.  Its last group is `start..boundary` on `group_tiles` tiles and
+/// `parent` indexes the kept entry it extends, so every kept entry is
+/// also a back-pointer node.
 #[derive(Debug, Clone, Copy)]
-struct BeamNode {
+struct Entry {
+    power: f64,
+    /// Cross-column words per iteration committed by the completed
+    /// groups (always 0 without a `CommSpec`).
+    cross: u64,
+    tiles: u32,
     parent: u32,
     start: u32,
-    end: u32,
-    tiles: u32,
-}
-
-/// One partial solution of the beam search: the first `boundary` actors
-/// grouped and allocated.  Instead of carrying its grouping and
-/// allocation as vectors (cloned on every transition), a partial holds a
-/// backpointer into the node arena plus its own last group; the chain is
-/// materialized one node per *surviving* partial and full vectors are
-/// reconstructed only for the final layer.
-#[derive(Debug, Clone, Copy)]
-struct Partial {
-    tiles: u32,
-    power: f64,
+    group_tiles: u32,
     feasible: bool,
-    /// Cross-column words per iteration already committed by the prefix's
-    /// completed groups (always 0 when the search has no `CommSpec`; the
-    /// increment per new group is [`GraphContext::group_cross_out`], which
-    /// depends only on the group itself, so the total is exact for any
-    /// completion).
-    cross: u64,
-    /// Arena node of the already-materialized prefix (`NO_NODE` = root).
-    parent: u32,
-    /// This partial's own group (`start == NO_GROUP` for the root).
-    start: u32,
-    end: u32,
-    choice: u32,
 }
 
-/// The beam engine's communication prune: the TDM frame capacity plus a
-/// per-interval table of [`GraphContext::group_cross_out`] increments, so
-/// expansions extend a partial's committed cross words in O(1) and drop
-/// any prefix that already overflows the frame (cross words only grow).
-struct CommPrune {
-    capacity: u64,
-    stride: usize,
-    /// `delta[start * stride + end]` = cross words gained by appending the
-    /// group `start..end`.
-    delta: Vec<u64>,
-}
-
-impl CommPrune {
-    fn new(ctx: &GraphContext, max_group_size: usize, capacity: u64) -> Self {
-        let n = ctx.n;
-        let stride = n + 1;
-        let mut delta = vec![0u64; n * stride];
-        for start in 0..n {
-            for end in start + 1..=(start + max_group_size).min(n) {
-                delta[start * stride + end] = ctx.group_cross_out(start, end);
-            }
-        }
-        CommPrune {
-            capacity,
-            stride,
-            delta,
-        }
-    }
-
-    #[inline]
-    fn delta(&self, start: usize, end: usize) -> u64 {
-        self.delta[start * self.stride + end]
+impl Entry {
+    /// Does `self` make `other` redundant?  Every completion of `other`
+    /// is then matched by the same completion of `self`: no more power,
+    /// no more cross words, and feasible whenever `other`'s is.
+    fn covers(&self, other: &Entry) -> bool {
+        self.power <= other.power && self.cross <= other.cross && (self.feasible || !other.feasible)
     }
 }
 
-/// Dominance-prune a layer: keep, per exact tile count, the cheapest
-/// partial, then drop any partial dominated by a cheaper-or-equal partial
-/// with fewer tiles.  Pruning across tile counts is sound for the best
-/// solution and the Pareto frontier because a prefix with fewer tiles and
-/// less power can absorb any completion its competitor can.
-///
-/// Two staircases survive: partials improving on every earlier partial
-/// overall, and feasible partials improving on every earlier *feasible*
-/// partial (so the cheapest feasible prefix is never shadowed by a
-/// cheaper infeasible one).  Each staircase is capped at `width` entries
-/// independently — a staircase holds at most one partial per tile count,
-/// so `width ≥ budget + 1` never drops anything and the beam stays exact.
-///
-/// With `comm_aware` set, a partial's committed cross words join the
-/// dominance check: each staircase becomes a Pareto front over
-/// `(power, cross)`, because a completion's cross increment is
-/// independent of the prefix — a pricier prefix with fewer committed
-/// cross words may be the only one whose completions fit the TDM frame.
-/// A front may then hold several partials per tile count, so exactness
-/// needs `width` at least the largest per-layer front (the agreement
-/// property test sizes it generously); the cap discards the
-/// highest-power entries first.
-///
-/// Returns the number of partials discarded.
-fn prune_layer(layer: &mut Vec<Partial>, width: usize, comm_aware: bool) -> u64 {
-    layer.sort_by(|a, b| {
-        a.tiles
-            .cmp(&b.tiles)
-            .then(a.power.partial_cmp(&b.power).expect("finite power"))
-            .then(a.cross.cmp(&b.cross))
-    });
-    let before = layer.len();
-    let mut any_staircase: Vec<Partial> = Vec::new();
-    let mut feasible_staircase: Vec<Partial> = Vec::new();
-    if comm_aware {
-        // Pareto fronts over (power, cross).  Entries are processed in
-        // (tiles, power, cross) order, so every kept entry has no more
-        // tiles than the candidate it is tested against; power and cross
-        // must be checked explicitly.
-        let mut any_front: Vec<(f64, u64)> = Vec::new();
-        let mut feasible_front: Vec<(f64, u64)> = Vec::new();
-        let dominated = |front: &[(f64, u64)], p: &Partial| {
-            front
-                .iter()
-                .any(|&(power, cross)| power <= p.power && cross <= p.cross)
-        };
-        for partial in layer.drain(..) {
-            let improves_any = !dominated(&any_front, &partial);
-            let improves_feasible = partial.feasible && !dominated(&feasible_front, &partial);
-            if improves_any {
-                any_front.push((partial.power, partial.cross));
-            }
-            if improves_feasible {
-                feasible_front.push((partial.power, partial.cross));
-            }
-            if improves_feasible {
-                feasible_staircase.push(partial);
-            } else if improves_any {
-                any_staircase.push(partial);
-            }
-        }
-        // Cap each front by discarding the highest-power entries (the
-        // final sort below restores (tiles, power, cross) order).
-        for staircase in [&mut any_staircase, &mut feasible_staircase] {
-            if staircase.len() > width {
-                staircase.sort_by(|a, b| {
-                    b.power
-                        .partial_cmp(&a.power)
-                        .expect("finite power")
-                        .then(a.tiles.cmp(&b.tiles))
-                        .then(a.cross.cmp(&b.cross))
-                });
-                staircase.drain(..staircase.len() - width);
-            }
-        }
-    } else {
-        let mut best_any = f64::INFINITY;
-        let mut best_feasible = f64::INFINITY;
-        for partial in layer.drain(..) {
-            let improves_any = partial.power < best_any;
-            let improves_feasible = partial.feasible && partial.power < best_feasible;
-            if improves_any {
-                best_any = partial.power;
-            }
-            if improves_feasible {
-                best_feasible = partial.power;
-            }
-            // A feasible partial on both staircases is stored once, on the
-            // feasible one (it survives the same cap either way: both
-            // staircases are strictly power-descending in tile order).
-            if improves_feasible {
-                feasible_staircase.push(partial);
-            } else if improves_any {
-                any_staircase.push(partial);
-            }
-        }
-        // Powers are strictly descending along each staircase; keep the
-        // lowest-power tail of each.
-        for staircase in [&mut any_staircase, &mut feasible_staircase] {
-            if staircase.len() > width {
-                staircase.drain(..staircase.len() - width);
-            }
-        }
+/// Offer `entry` to a cell: drop it if a kept entry covers it (the
+/// incumbent wins exact ties), otherwise keep it and evict every entry it
+/// covers.  Returns the number of entries discarded.
+fn offer(cell: &mut Vec<Entry>, entry: Entry) -> u64 {
+    if cell.iter().any(|kept| kept.covers(&entry)) {
+        return 1;
     }
-    let mut kept = any_staircase;
-    kept.append(&mut feasible_staircase);
-    kept.sort_by(|a, b| {
-        a.tiles
-            .cmp(&b.tiles)
-            .then(a.power.partial_cmp(&b.power).expect("finite power"))
-            .then(a.cross.cmp(&b.cross))
-    });
-    let pruned = (before - kept.len()) as u64;
-    *layer = kept;
-    pruned
+    let before = cell.len();
+    cell.retain(|kept| !entry.covers(kept));
+    cell.push(entry);
+    (before + 1 - cell.len()) as u64
 }
 
-/// A materialized expansion source: one surviving partial of the previous
-/// layer, reduced to the fields its extensions need.
-#[derive(Debug, Clone, Copy)]
-struct Source {
-    node: u32,
-    tiles: u32,
-    power: f64,
-    feasible: bool,
-    cross: u64,
-}
-
-/// Materialize the surviving partials of a layer as arena nodes, so their
-/// extensions can reference them by index instead of cloning vectors.
-/// Returns the expansion sources in layer order.
-fn materialize_layer(layer: &[Partial], nodes: &mut Vec<BeamNode>) -> Vec<Source> {
-    layer
-        .iter()
-        .map(|p| {
-            let node = if p.start == NO_GROUP {
-                NO_NODE
-            } else {
-                nodes.push(BeamNode {
-                    parent: p.parent,
-                    start: p.start,
-                    end: p.end,
-                    tiles: p.choice,
-                });
-                (nodes.len() - 1) as u32
-            };
-            Source {
-                node,
-                tiles: p.tiles,
-                power: p.power,
-                feasible: p.feasible,
-                cross: p.cross,
-            }
-        })
-        .collect()
-}
-
-/// Walk a final partial's backpointer chain into explicit grouping and
-/// allocation vectors (pipeline order).
-fn reconstruct_partial(nodes: &[BeamNode], partial: &Partial) -> (Grouping, Vec<u32>) {
-    let mut groups: Grouping = Vec::new();
-    let mut allocation: Vec<u32> = Vec::new();
-    if partial.start != NO_GROUP {
-        groups.push((partial.start as usize, partial.end as usize));
-        allocation.push(partial.choice);
-    }
-    let mut cursor = partial.parent;
-    while cursor != NO_NODE {
-        let node = nodes[cursor as usize];
-        groups.push((node.start as usize, node.end as usize));
-        allocation.push(node.tiles);
-        cursor = node.parent;
-    }
-    groups.reverse();
-    allocation.reverse();
-    (groups, allocation)
-}
-
-/// One layer's expansion work, published to the persistent worker pool:
-/// extend every source partial of `layer` with every group ending at one
-/// of `ends`.
-struct LayerTask {
-    layer: usize,
-    ends: Vec<usize>,
-    sources: Vec<Source>,
-}
-
-/// Shared state of the beam engine's persistent worker pool: one task at
-/// a time, ends stolen one by one off `next_end`.  Each result carries
-/// `(end, partials, transitions examined, comm-overflow skips)`.
-struct BeamPoolState {
-    shutdown: bool,
-    task: Option<Arc<LayerTask>>,
-    next_end: usize,
-    remaining: usize,
-    results: Vec<(usize, Vec<Partial>, u64, u64)>,
-}
-
-struct BeamPool {
-    state: Mutex<BeamPoolState>,
-    work_ready: Condvar,
-    layer_done: Condvar,
-}
-
-impl BeamPool {
-    fn new() -> Self {
-        BeamPool {
-            state: Mutex::new(BeamPoolState {
-                shutdown: false,
-                task: None,
-                next_end: 0,
-                remaining: 0,
-                results: Vec::new(),
-            }),
-            work_ready: Condvar::new(),
-            layer_done: Condvar::new(),
-        }
-    }
-
-    /// Publish a layer task, block until every end is expanded, and
-    /// return the results sorted by end (so the merge order — and with it
-    /// the search result — is independent of worker scheduling).
-    fn run_layer(&self, task: LayerTask) -> Vec<(usize, Vec<Partial>, u64, u64)> {
-        let ends = task.ends.len();
-        {
-            let mut state = self.state.lock().expect("pool lock");
-            state.task = Some(Arc::new(task));
-            state.next_end = 0;
-            state.remaining = ends;
-            self.work_ready.notify_all();
-        }
-        let mut results = {
-            let mut state = self.state.lock().expect("pool lock");
-            while state.remaining > 0 {
-                state = self.layer_done.wait(state).expect("pool lock");
-            }
-            std::mem::take(&mut state.results)
-        };
-        results.sort_by_key(|&(end, _, _, _)| end);
-        results
-    }
-
-    fn shutdown(&self) {
-        let mut state = self.state.lock().expect("pool lock");
-        state.shutdown = true;
-        self.work_ready.notify_all();
-    }
-}
-
-/// Extend every source partial with every tile option of the group
-/// `layer..end`.  Returns the new partials, the transitions examined, and
-/// the extensions skipped because their committed cross words already
-/// overflow the TDM frame (cross words only grow, so such a prefix can
-/// never complete feasibly).
-fn expand_layer_end(
-    arena: &IntervalArena,
-    budget: u32,
-    comm: Option<&CommPrune>,
-    layer: usize,
-    end: usize,
-    sources: &[Source],
-) -> (Vec<Partial>, u64, u64) {
-    let options = arena.options(layer, end);
-    let mut next = Vec::new();
-    let mut count = 0u64;
-    let mut comm_skipped = 0u64;
-    for &source in sources {
-        let cross = match comm {
-            Some(prune) => {
-                let cross = source.cross + prune.delta(layer, end);
-                if cross > prune.capacity {
-                    comm_skipped += options
-                        .iter()
-                        .take_while(|opt| source.tiles + opt.tiles <= budget)
-                        .count() as u64;
-                    continue;
-                }
-                cross
-            }
-            None => 0,
-        };
-        for opt in options {
-            let total = source.tiles + opt.tiles;
-            if total > budget {
-                break;
-            }
-            count += 1;
-            next.push(Partial {
-                tiles: total,
-                power: source.power + opt.power,
-                feasible: source.feasible && opt.feasible,
-                cross,
-                parent: source.node,
-                start: layer as u32,
-                end: end as u32,
-                choice: opt.tiles,
-            });
-        }
-    }
-    (next, count, comm_skipped)
-}
-
-/// The loop each persistent worker runs: steal one end of the current
-/// layer task, expand it, deposit the result, and wake the coordinator
-/// when the layer is complete.
-fn beam_worker(pool: &BeamPool, arena: &IntervalArena, budget: u32, comm: Option<&CommPrune>) {
-    loop {
-        let (task, index) = {
-            let mut state = pool.state.lock().expect("pool lock");
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if let Some(task) = &state.task {
-                    if state.next_end < task.ends.len() {
-                        break;
-                    }
-                }
-                state = pool.work_ready.wait(state).expect("pool lock");
-            }
-            let task = Arc::clone(state.task.as_ref().expect("checked above"));
-            let index = state.next_end;
-            state.next_end += 1;
-            (task, index)
-        };
-        let end = task.ends[index];
-        let (partials, count, skipped) =
-            expand_layer_end(arena, budget, comm, task.layer, end, &task.sources);
-        let mut state = pool.state.lock().expect("pool lock");
-        state.results.push((end, partials, count, skipped));
-        state.remaining -= 1;
-        if state.remaining == 0 {
-            state.task = None;
-            pool.layer_done.notify_all();
-        }
-    }
-}
-
-/// Beam search over grouping prefixes with dominance pruning: layer `i`
-/// holds partial solutions covering actors `0..i`; each step extends a
-/// layer with every possible next group, pruning each target layer to at
-/// most `width` non-dominated partials.  With `width ≥ budget + 1` the
-/// engine is exact for the best solution and the frontier.
-///
-/// Under a `comm` spec every partial tracks the cross-column words its
-/// completed groups have already committed: extensions that overflow the
-/// TDM frame are dropped as they form, and the dominance prune keeps the
-/// `(power, cross)` Pareto front per staircase instead of power alone —
-/// so a schedulable-but-pricier prefix is never shadowed by a cheaper
-/// prefix whose completions cannot fit the frame.  The comm prune is
-/// exact (property-tested against the exhaustive engine); width caps
-/// under comm need head-room beyond `budget + 1` since a front may hold
-/// several partials per tile count.
-///
-/// Layer expansions fan out across a *persistent* work-stealing pool (the
-/// structure the exhaustive engine uses): `threads` workers are spawned
-/// once for the whole search and steal `(layer, end)` expansions off a
-/// shared cursor, instead of the seed's per-layer `thread::spawn` burst
-/// that re-created the pool on every one of a deep graph's layers.
-/// Results merge in end order, so the outcome is bit-identical at any
-/// thread count (property-tested at 1 and 8).
+/// Run the prefix DP over `arena` and return the best candidate at every
+/// reachable exact tile count: the cheapest feasible one, or the cheapest
+/// overall when none is feasible.  Under `comm`, extensions whose
+/// committed cross-column words overflow the frame are dropped as they
+/// form (cross words only grow), so every candidate fits the frame.
 ///
 /// `arena` must have been built for `ctx` with the same `budget` and
 /// `max_group_size` (see [`IntervalArena::build`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn beam(
+pub(crate) fn prefix_dp(
     ctx: &GraphContext,
     arena: &IntervalArena,
     budget: u32,
     max_group_size: usize,
-    width: usize,
-    threads: usize,
     comm: Option<CommSpec>,
 ) -> SearchOutcome {
     let started = Instant::now();
     let n = ctx.n;
-    let width = width.max(1);
-    let comm_prune = comm.map(|spec| CommPrune::new(ctx, max_group_size, spec.capacity()));
-    let comm_prune = comm_prune.as_ref();
-
-    let mut layers: Vec<Vec<Partial>> = vec![Vec::new(); n + 1];
-    layers[0].push(Partial {
-        tiles: 0,
+    let capacity = comm.map(|c| c.capacity());
+    let mut stats = SearchStats {
+        threads_used: 1,
+        ..SearchStats::default()
+    };
+    // `kept[bounds[i]..bounds[i + 1]]` is boundary i, tiles ascending.
+    let mut kept = vec![Entry {
         power: 0.0,
-        feasible: true,
         cross: 0,
-        parent: NO_NODE,
-        start: NO_GROUP,
-        end: 0,
-        choice: 0,
-    });
-    let mut nodes: Vec<BeamNode> = Vec::new();
-    let mut evaluated = 0u64;
-    let mut groupings = 0u64;
-    let mut pruned = 0u64;
-    let mut comm_pruned = 0u64;
-    let workers = threads.max(1);
-
-    let pool = BeamPool::new();
-    std::thread::scope(|scope| {
-        // Spawn the persistent pool once; a single-threaded search skips
-        // it and expands inline (same merge order, so same result).
-        if workers > 1 {
-            for _ in 0..workers {
-                let pool = &pool;
-                scope.spawn(move || beam_worker(pool, arena, budget, comm_prune));
-            }
-        }
-
-        for i in 0..n {
-            if i > 0 {
-                pruned += prune_layer(&mut layers[i], width, comm_prune.is_some());
-            }
-            if layers[i].is_empty() {
-                continue;
-            }
-            let ends: Vec<usize> = (i + 1..=(i + max_group_size).min(n)).collect();
-            let survivors = std::mem::take(&mut layers[i]);
-            let sources = materialize_layer(&survivors, &mut nodes);
-            let expansions: Vec<(usize, Vec<Partial>, u64, u64)> = if workers > 1 {
-                pool.run_layer(LayerTask {
-                    layer: i,
-                    ends,
-                    sources,
-                })
+        tiles: 0,
+        parent: ROOT,
+        start: 0,
+        group_tiles: 0,
+        feasible: true,
+    }];
+    let mut bounds = vec![0usize, 1];
+    let mut paths = vec![0u64; n + 1];
+    paths[0] = 1;
+    // The cells of the boundary being built, one per exact tile count.
+    let mut cells: Vec<Vec<Entry>> = vec![Vec::new(); budget as usize + 1];
+    for end in 1..=n {
+        for start in end.saturating_sub(max_group_size)..end {
+            paths[end] = paths[end].saturating_add(paths[start]);
+            let options = arena.options(start, end);
+            let delta = if capacity.is_some() {
+                ctx.group_cross_out(start, end)
             } else {
-                ends.into_iter()
-                    .map(|end| {
-                        let (partials, count, skipped) =
-                            expand_layer_end(arena, budget, comm_prune, i, end, &sources);
-                        (end, partials, count, skipped)
-                    })
-                    .collect()
+                0
             };
-            for (end, partials, count, skipped) in expansions {
-                evaluated += count;
-                comm_pruned += skipped;
-                if end == n {
-                    groupings += partials.len() as u64;
+            let first = bounds[start];
+            for (offset, source) in kept[first..bounds[start + 1]].iter().enumerate() {
+                let headroom = budget - source.tiles;
+                let fitting = options.iter().take_while(|opt| opt.tiles <= headroom);
+                let cross = source.cross.saturating_add(delta);
+                if capacity.is_some_and(|cap| cross > cap) {
+                    stats.groupings_comm_pruned += fitting.count() as u64;
+                    continue;
                 }
-                layers[end].extend(partials);
+                for opt in fitting {
+                    stats.mappings_evaluated += 1;
+                    let tiles = source.tiles + opt.tiles;
+                    let entry = Entry {
+                        power: source.power + opt.power,
+                        cross,
+                        tiles,
+                        parent: (first + offset) as u32,
+                        start: start as u32,
+                        group_tiles: opt.tiles,
+                        feasible: source.feasible && opt.feasible,
+                    };
+                    stats.states_pruned += offer(&mut cells[tiles as usize], entry);
+                }
             }
         }
-        pool.shutdown();
-    });
+        for cell in &mut cells {
+            kept.append(cell);
+        }
+        bounds.push(kept.len());
+    }
 
-    pruned += prune_layer(&mut layers[n], width, comm_prune.is_some());
-    let curve = layers[n]
-        .iter()
-        .map(|p| {
-            let (groups, allocation) = reconstruct_partial(&nodes, p);
-            Candidate {
-                groups,
-                allocation,
-                power_mw: p.power,
-                feasible: p.feasible,
-            }
-        })
+    let curve = kept[bounds[n]..]
+        .chunk_by(|a, b| a.tiles == b.tiles)
+        .filter(|cell| cell[0].tiles > 0)
+        .map(|cell| reconstruct(&kept, winner(cell), n))
         .collect();
-    SearchOutcome {
-        curve,
-        stats: SearchStats {
-            mappings_evaluated: evaluated,
-            groupings_examined: groupings,
-            states_pruned: pruned,
-            groupings_comm_pruned: comm_pruned,
-            threads_used: workers,
-            elapsed_seconds: started.elapsed().as_secs_f64(),
-        },
+    stats.groupings_examined = paths[n];
+    stats.elapsed_seconds = started.elapsed().as_secs_f64();
+    SearchOutcome { curve, stats }
+}
+
+/// The curve entry of a non-empty last-boundary cell: its cheapest
+/// feasible partial, or its cheapest partial when none is feasible.
+fn winner(cell: &[Entry]) -> &Entry {
+    let by_power = |a: &&Entry, b: &&Entry| a.power.total_cmp(&b.power);
+    cell.iter()
+        .filter(|e| e.feasible)
+        .min_by(by_power)
+        .or_else(|| cell.iter().min_by(by_power))
+        .expect("cells are non-empty")
+}
+
+/// Walk `entry`'s back-pointer chain into explicit grouping and
+/// allocation vectors (pipeline order).
+fn reconstruct(kept: &[Entry], entry: &Entry, n: usize) -> Candidate {
+    let mut groups = Vec::new();
+    let mut allocation = Vec::new();
+    let mut node = entry;
+    let mut end = n;
+    while node.parent != ROOT {
+        groups.push((node.start as usize, end));
+        allocation.push(node.group_tiles);
+        end = node.start as usize;
+        node = &kept[node.parent as usize];
+    }
+    groups.reverse();
+    allocation.reverse();
+    Candidate {
+        groups,
+        allocation,
+        power_mw: entry.power,
+        feasible: entry.feasible,
     }
 }
 
-/// The clone-based reference engine the optimized core is property-tested
+/// Count the contiguous groupings of `ctx` (groups of at most
+/// `max_group_size` actors) whose cross-column words exceed `capacity`:
+/// the groupings the communication prune rejects.  A counting pass over
+/// the grouping DAG with one `cross words → groupings` map per boundary;
+/// every total past the capacity shares one bucket, so nothing is
+/// enumerated.  Saturates at `u64::MAX`.
+pub(crate) fn comm_rejected_groupings(
+    ctx: &GraphContext,
+    max_group_size: usize,
+    capacity: u64,
+) -> u64 {
+    let overflow = capacity.saturating_add(1);
+    let mut counts: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); ctx.n + 1];
+    counts[0].insert(0, 1);
+    for end in 1..=ctx.n {
+        let (done, rest) = counts.split_at_mut(end);
+        let first = end.saturating_sub(max_group_size);
+        for (start, prefixes) in done.iter().enumerate().skip(first) {
+            let delta = ctx.group_cross_out(start, end);
+            for (&cross, &groupings) in prefixes {
+                let bucket = cross.saturating_add(delta).min(overflow);
+                let slot = rest[0].entry(bucket).or_insert(0);
+                *slot = slot.saturating_add(groupings);
+            }
+        }
+    }
+    counts[ctx.n]
+        .range(overflow..)
+        .fold(0, |total, (_, &groupings)| total.saturating_add(groupings))
+}
+
+/// The clone-based exhaustive engine the prefix DP is property-tested
 /// against: the seed implementation of the interval table and the
-/// per-grouping dynamic program, kept verbatim (allocations and all).
+/// per-grouping dynamic program (allocations and all), plus the
+/// communication prune applied per grouping.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
-    use crate::space::grouping_from_mask;
+    use crate::space::{grouping_from_mask, mask_respects_group_size};
 
     /// Per-interval candidate options: `(tiles, power, feasible)`.
     pub type IntervalOptions = Vec<(u32, f64, bool)>;
+
+    /// Feasible beats infeasible at the same tile count; otherwise
+    /// strictly lower power wins (ties keep the incumbent).
+    fn better(power: f64, feasible: bool, than_power: f64, than_feasible: bool) -> bool {
+        match (feasible, than_feasible) {
+            (true, false) => true,
+            (false, true) => false,
+            _ => power < than_power,
+        }
+    }
 
     /// The seed's nested interval table.
     pub fn interval_table(
@@ -1103,73 +445,83 @@ pub(crate) mod reference {
         table
     }
 
-    /// The seed's clone-based grouping DP: returns
-    /// `dp[tiles] = (power, feasible, allocation)`.
+    /// One cell of a grouping curve: `(power, feasible, allocation)`.
+    pub type CurveCell = Option<(f64, bool, Vec<u32>)>;
+
+    /// The seed's clone-based grouping DP, run as two exact min-power
+    /// passes: one over feasible options only, one over all options.
+    /// Returns `dp[tiles]`: the cheapest feasible allocation where one
+    /// exists, else the cheapest overall.  (The seed ran one pass that
+    /// preferred feasible partials, which loses the cheapest allocation
+    /// at tile counts no feasible allocation reaches.)
     pub fn grouping_curve(
         groups: &Grouping,
         table: &[Vec<Option<IntervalOptions>>],
         budget: u32,
-        evaluated: &mut u64,
-    ) -> Vec<Option<(f64, bool, Vec<u32>)>> {
-        let mut dp: Vec<Option<(f64, bool, Vec<u32>)>> = vec![None; budget as usize + 1];
-        dp[0] = Some((0.0, true, Vec::new()));
-        for &(start, end) in groups {
-            let options = table[start][end].as_ref().expect("interval inside table");
-            let mut next: Vec<Option<(f64, bool, Vec<u32>)>> = vec![None; budget as usize + 1];
-            for (used, cell) in dp.iter().enumerate() {
-                let Some((power, feasible, allocation)) = cell else {
-                    continue;
-                };
-                for &(tiles, column_power, column_feasible) in options {
-                    let total = used + tiles as usize;
-                    if total > budget as usize {
-                        break;
-                    }
-                    *evaluated += 1;
-                    let new_power = power + column_power;
-                    let new_feasible = *feasible && column_feasible;
-                    let slot = &mut next[total];
-                    let improves = match slot {
-                        Some((p, f, _)) => better(new_power, new_feasible, *p, *f),
-                        None => true,
+    ) -> Vec<CurveCell> {
+        let pass = |feasible_only: bool| {
+            let mut dp: Vec<CurveCell> = vec![None; budget as usize + 1];
+            dp[0] = Some((0.0, true, Vec::new()));
+            for &(start, end) in groups {
+                let options = table[start][end].as_ref().expect("interval inside table");
+                let mut next: Vec<CurveCell> = vec![None; budget as usize + 1];
+                for (used, cell) in dp.iter().enumerate() {
+                    let Some((power, feasible, allocation)) = cell else {
+                        continue;
                     };
-                    if improves {
-                        let mut alloc = allocation.clone();
-                        alloc.push(tiles);
-                        *slot = Some((new_power, new_feasible, alloc));
+                    for &(tiles, column_power, column_feasible) in options {
+                        let total = used + tiles as usize;
+                        if total > budget as usize {
+                            break;
+                        }
+                        if feasible_only && !column_feasible {
+                            continue;
+                        }
+                        let new_power = power + column_power;
+                        let slot = &mut next[total];
+                        if slot.as_ref().is_none_or(|(p, _, _)| new_power < *p) {
+                            let mut alloc = allocation.clone();
+                            alloc.push(tiles);
+                            *slot = Some((new_power, *feasible && column_feasible, alloc));
+                        }
                     }
                 }
+                dp = next;
             }
-            dp = next;
-        }
-        dp
+            dp
+        };
+        let feasible = pass(true);
+        pass(false)
+            .into_iter()
+            .zip(feasible)
+            .map(|(any, feasible)| feasible.or(any))
+            .collect()
     }
 
     /// The seed's sequential exhaustive merge: enumerate every grouping,
-    /// solve each with [`grouping_curve`], and keep the cheapest candidate
-    /// per exact tile count (earliest grouping wins exact-cost ties).
+    /// drop those whose cross-column words exceed `capacity`, solve the
+    /// rest with [`grouping_curve`], and keep the best candidate per
+    /// exact tile count.  Returns the curve and the groupings dropped.
     pub fn exhaustive(
         ctx: &GraphContext,
         evaluator: &Evaluator,
         candidates: TileCandidates,
         budget: u32,
         max_group_size: usize,
+        capacity: Option<u64>,
     ) -> (Vec<Candidate>, u64) {
         let n = ctx.n;
         let table = interval_table(ctx, evaluator, candidates, budget, max_group_size);
-        let groupings: Vec<Grouping> = if max_group_size <= 1 {
-            vec![(0..n).map(|i| (i, i + 1)).collect()]
-        } else {
-            let all = 1u64 << (n - 1);
-            (0..all)
-                .filter(|&m| mask_respects_group_size(n, m, max_group_size))
-                .map(|m| grouping_from_mask(n, m))
-                .collect()
-        };
+        let all = 1u64 << (n - 1);
         let mut merged: Vec<Option<Candidate>> = vec![None; budget as usize + 1];
-        let mut evaluated = 0u64;
-        for groups in &groupings {
-            let dp = grouping_curve(groups, &table, budget, &mut evaluated);
+        let mut pruned = 0u64;
+        for mask in (0..all).filter(|&m| mask_respects_group_size(n, m, max_group_size)) {
+            let groups = grouping_from_mask(n, mask);
+            if capacity.is_some_and(|cap| ctx.grouping_cross_words(&groups) > cap) {
+                pruned += 1;
+                continue;
+            }
+            let dp = grouping_curve(&groups, &table, budget);
             for (tiles, cell) in dp.iter().enumerate().skip(1) {
                 let Some((power, feasible, allocation)) = cell else {
                     continue;
@@ -1189,28 +541,35 @@ pub(crate) mod reference {
                 }
             }
         }
-        (merged.into_iter().flatten().collect(), evaluated)
+        (merged.into_iter().flatten().collect(), pruned)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::grouping_from_mask;
+    use crate::{explore, ExplorerConfig, ExplorerError, ExplorerSolution};
     use proptest::prelude::*;
     use synchro_sdf::SdfGraph;
 
-    fn chain(cycles: &[u64], caps: &[u32]) -> SdfGraph {
+    /// A pipeline chain; edge `i → i + 1` produces and consumes
+    /// `rates[i]` tokens per firing.
+    fn chain_with_rates(cycles: &[u64], caps: &[u32], rates: &[(u64, u64)]) -> SdfGraph {
         let mut graph = SdfGraph::new();
         let mut prev = None;
         for (i, (&c, &cap)) in cycles.iter().zip(caps).enumerate() {
             let actor = graph.add_actor(format!("a{i}"), c, cap);
             if let Some(p) = prev {
-                graph.add_edge(p, actor, 1, 1, 0).unwrap();
+                let (produce, consume) = rates[i - 1];
+                graph.add_edge(p, actor, produce, consume, 0).unwrap();
             }
             prev = Some(actor);
         }
         graph
+    }
+
+    fn chain(cycles: &[u64], caps: &[u32]) -> SdfGraph {
+        chain_with_rates(cycles, caps, &vec![(1, 1); cycles.len()])
     }
 
     fn context_and_evaluator(graph: &SdfGraph) -> (GraphContext, Evaluator) {
@@ -1219,7 +578,18 @@ mod tests {
         (ctx, evaluator)
     }
 
+    fn best_feasible_power(curve: &[Candidate]) -> f64 {
+        curve
+            .iter()
+            .filter(|c| c.feasible)
+            .map(|c| c.power_mw)
+            .fold(f64::INFINITY, f64::min)
+    }
+
     const CAP_CHOICES: [u32; 6] = [1, 2, 4, 8, 16, 32];
+    /// Edge rates, weighted towards 1:1 so that most chains keep some
+    /// feasible tile counts.
+    const RATE_CHOICES: [(u64, u64); 4] = [(1, 1), (1, 1), (2, 1), (1, 2)];
 
     #[test]
     fn arena_matches_the_reference_table_bit_for_bit() {
@@ -1249,243 +619,151 @@ mod tests {
         }
     }
 
-    /// One cell of the reference curve shape: `(power, feasible,
-    /// allocation)` when the tile count is reachable.
-    type CurveCell = Option<(f64, bool, Vec<u32>)>;
-
-    /// Expand the backpointer DP's final layer into the reference curve
-    /// shape for comparison.
-    fn dp_full_curve(
-        groups: &Grouping,
-        arena: &IntervalArena,
-        budget: u32,
-        scratch: &mut DpScratch,
-    ) -> (Vec<CurveCell>, u64) {
-        let transitions = grouping_dp(groups, arena, budget, scratch);
-        let cells = budget as usize + 1;
-        let curve = (0..cells)
-            .map(|tiles| {
-                scratch.cell(tiles).map(|(power, feasible)| {
-                    (
-                        power,
-                        feasible,
-                        scratch.reconstruct(groups.len(), cells, tiles),
-                    )
-                })
-            })
-            .collect();
-        (curve, transitions)
+    /// `(tiles, power bits, feasible)` of a curve point.
+    fn point(s: &ExplorerSolution) -> (u32, u64, bool) {
+        (s.total_tiles, s.power_mw.to_bits(), s.feasible)
     }
 
     proptest! {
-        /// The backpointer DP reconstructs exactly the same
-        /// `(power, feasible, allocation)` curve as the retained
-        /// clone-based reference, for random chains, groupings and
-        /// budgets.
+        /// The prefix DP, through `explore`, against the exhaustive
+        /// oracle on random 2–8-actor chains with 1:1, 2:1 and 1:2
+        /// edges, max group sizes {1, 2, n}, both tile-candidate sets,
+        /// random budgets, and no frame or a 0–7-slot one.  The curve
+        /// matches tile count by tile count (power bits and
+        /// feasibility), and so do the best solution and the frontier.
+        /// Every winner is a contiguous grouping that fits the group
+        /// size and the frame.  When nothing fits, the error matches:
+        /// `BudgetTooSmall`, or `CommInfeasible` counting exactly the
+        /// groupings the oracle rejected.
         #[test]
         fn backpointer_dp_matches_clone_based_reference(
-            cycles in prop::collection::vec(1u64..2_000, 2..8),
-            cap_picks in prop::collection::vec(0usize..6, 2..8),
-            budget in 2u32..40,
-            mask in 0u64..128,
+            cycles in prop::collection::vec(1u64..1_000, 8),
+            cap_picks in prop::collection::vec(0usize..6, 8),
+            rate_picks in prop::collection::vec(0usize..4, 8),
+            n in 2usize..9,
+            group_pick in 0usize..3,
+            all_candidates in any::<bool>(),
+            budget in 1u32..40,
+            capacity_pick in 0u64..9,
         ) {
-            let n = cycles.len().min(cap_picks.len());
             let caps: Vec<u32> = cap_picks[..n].iter().map(|&i| CAP_CHOICES[i]).collect();
-            let graph = chain(&cycles[..n], &caps);
+            let rates: Vec<(u64, u64)> = rate_picks.iter().map(|&i| RATE_CHOICES[i]).collect();
+            let graph = chain_with_rates(&cycles[..n], &caps, &rates);
             let (ctx, evaluator) = context_and_evaluator(&graph);
-            let groups = grouping_from_mask(n, mask);
-            for candidates in [TileCandidates::PowersOfTwo, TileCandidates::All] {
-                let arena = IntervalArena::build(&ctx, &evaluator, candidates, budget, n);
-                let table =
-                    reference::interval_table(&ctx, &evaluator, candidates, budget, n);
-                let mut scratch = DpScratch::new(budget, n);
-                let (fast, fast_count) = dp_full_curve(&groups, &arena, budget, &mut scratch);
-                let mut slow_count = 0u64;
-                let slow = reference::grouping_curve(&groups, &table, budget, &mut slow_count);
-                prop_assert_eq!(fast_count, slow_count);
-                for (tiles, (a, b)) in fast.iter().zip(&slow).enumerate() {
-                    match (a, b) {
-                        (None, None) => {}
-                        (Some((pa, fa, alloc_a)), Some((pb, fb, alloc_b))) => {
-                            prop_assert_eq!(pa.to_bits(), pb.to_bits(), "power at {}", tiles);
-                            prop_assert_eq!(fa, fb, "feasibility at {}", tiles);
-                            prop_assert_eq!(alloc_a, alloc_b, "allocation at {}", tiles);
-                        }
-                        _ => prop_assert!(false, "reachability differs at {} tiles", tiles),
-                    }
-                }
-            }
-        }
-
-        /// The persistent-pool beam engine returns bit-identical curves
-        /// at 1 and 8 threads: same groupings, same allocations, same
-        /// power bits, same counters.
-        #[test]
-        fn beam_is_bit_identical_across_thread_counts(
-            cycles in prop::collection::vec(1u64..2_000, 2..8),
-            cap_picks in prop::collection::vec(0usize..6, 2..8),
-            budget in 2u32..32,
-            width in 1usize..40,
-        ) {
-            let n = cycles.len().min(cap_picks.len());
-            let caps: Vec<u32> = cap_picks[..n].iter().map(|&i| CAP_CHOICES[i]).collect();
-            let graph = chain(&cycles[..n], &caps);
-            let (ctx, evaluator) = context_and_evaluator(&graph);
-            let candidates = TileCandidates::PowersOfTwo;
-            let arena = IntervalArena::build(&ctx, &evaluator, candidates, budget, n);
-            let one = beam(&ctx, &arena, budget, n, width, 1, None);
-            let eight = beam(&ctx, &arena, budget, n, width, 8, None);
-            prop_assert_eq!(one.stats.mappings_evaluated, eight.stats.mappings_evaluated);
-            prop_assert_eq!(one.stats.groupings_examined, eight.stats.groupings_examined);
-            prop_assert_eq!(one.stats.states_pruned, eight.stats.states_pruned);
-            prop_assert_eq!(one.curve.len(), eight.curve.len());
-            for (a, b) in one.curve.iter().zip(&eight.curve) {
-                prop_assert_eq!(a.power_mw.to_bits(), b.power_mw.to_bits());
-                prop_assert_eq!(a.feasible, b.feasible);
-                prop_assert_eq!(&a.groups, &b.groups);
-                prop_assert_eq!(&a.allocation, &b.allocation);
-            }
-        }
-
-        /// The work-stealing exhaustive engine returns bit-identical
-        /// curves to the sequential clone-based reference, across 1 and
-        /// 8 threads.
-        #[test]
-        fn exhaustive_matches_reference_across_thread_counts(
-            cycles in prop::collection::vec(1u64..2_000, 2..6),
-            cap_picks in prop::collection::vec(0usize..6, 2..6),
-            budget in 2u32..32,
-        ) {
-            let n = cycles.len().min(cap_picks.len());
-            let caps: Vec<u32> = cap_picks[..n].iter().map(|&i| CAP_CHOICES[i]).collect();
-            let graph = chain(&cycles[..n], &caps);
-            let (ctx, evaluator) = context_and_evaluator(&graph);
-            let candidates = TileCandidates::PowersOfTwo;
-            let (slow_curve, slow_count) =
-                reference::exhaustive(&ctx, &evaluator, candidates, budget, n);
-            let arena = IntervalArena::build(&ctx, &evaluator, candidates, budget, n);
-            for threads in [1usize, 8] {
-                let fast = exhaustive(&ctx, &arena, budget, n, threads, None);
-                prop_assert_eq!(fast.stats.mappings_evaluated, slow_count);
-                prop_assert_eq!(fast.curve.len(), slow_curve.len());
-                for (a, b) in fast.curve.iter().zip(&slow_curve) {
-                    prop_assert_eq!(a.power_mw.to_bits(), b.power_mw.to_bits());
-                    prop_assert_eq!(a.feasible, b.feasible);
-                    prop_assert_eq!(&a.groups, &b.groups);
-                    prop_assert_eq!(&a.allocation, &b.allocation);
-                }
-            }
-        }
-
-        /// Under a `CommSpec` the comm-aware beam agrees with the
-        /// exhaustive engine: same best feasible power (bit-for-bit),
-        /// same overall minimum power, and emptiness only when every
-        /// grouping overflows the frame.  This pins the exactness of the
-        /// cross-word dominance dimension — the old final-layer-only
-        /// filter could lose the only schedulable prefix to a cheaper
-        /// unschedulable one.
-        #[test]
-        fn beam_comm_prune_agrees_with_exhaustive(
-            cycles in prop::collection::vec(1u64..2_000, 2..7),
-            cap_picks in prop::collection::vec(0usize..6, 2..7),
-            budget in 2u32..24,
-            capacity in 0u64..7,
-        ) {
-            let n = cycles.len().min(cap_picks.len());
-            let caps: Vec<u32> = cap_picks[..n].iter().map(|&i| CAP_CHOICES[i]).collect();
-            let graph = chain(&cycles[..n], &caps);
-            let (ctx, evaluator) = context_and_evaluator(&graph);
-            let candidates = TileCandidates::PowersOfTwo;
-            let comm = Some(CommSpec::new(1, capacity));
-            let arena = IntervalArena::build(&ctx, &evaluator, candidates, budget, n);
-            let full = exhaustive(&ctx, &arena, budget, n, 2, comm);
-            // Width generous enough that the (power, cross) fronts are
-            // never capped: a chain of ≤ 6 unit-token edges has at most
-            // 6 distinct cross values per tile count.
-            let beamed = beam(&ctx, &arena, budget, n, 256, 2, comm);
-            for c in &beamed.curve {
-                prop_assert!(
-                    ctx.grouping_cross_words(&c.groups) <= capacity,
-                    "beam kept an unschedulable grouping {:?}",
-                    c.groups
-                );
-            }
-            prop_assert_eq!(full.curve.is_empty(), beamed.curve.is_empty());
-            let best_feasible = |curve: &[Candidate]| {
-                curve
-                    .iter()
-                    .filter(|c| c.feasible)
-                    .map(|c| c.power_mw)
-                    .fold(f64::INFINITY, f64::min)
+            let max_group = [1, 2, n][group_pick];
+            let candidates = if all_candidates {
+                TileCandidates::All
+            } else {
+                TileCandidates::PowersOfTwo
             };
-            let best_any = |curve: &[Candidate]| {
-                curve
-                    .iter()
-                    .map(|c| c.power_mw)
-                    .fold(f64::INFINITY, f64::min)
+            // 8 stands for "no frame".
+            let capacity = (capacity_pick < 8).then_some(capacity_pick);
+            let mut config = ExplorerConfig::new(1e6, budget).with_candidates(candidates);
+            config.max_group_size = max_group;
+            if let Some(capacity) = capacity {
+                config = config.with_comm(CommSpec::new(1, capacity));
+            }
+            let (oracle, rejected) =
+                reference::exhaustive(&ctx, &evaluator, candidates, budget, max_group, capacity);
+
+            let exploration = match explore(&graph, &config) {
+                Ok(exploration) => exploration,
+                Err(ExplorerError::BudgetTooSmall { min_groups, .. }) => {
+                    prop_assert!(oracle.is_empty());
+                    prop_assert_eq!(min_groups, n.div_ceil(max_group));
+                    prop_assert!((budget as usize) < min_groups);
+                    return Ok(());
+                }
+                Err(ExplorerError::CommInfeasible { capacity: cap, pruned }) => {
+                    prop_assert!(oracle.is_empty());
+                    prop_assert_eq!(Some(cap), capacity);
+                    prop_assert_eq!(pruned, rejected);
+                    prop_assert!(pruned > 0);
+                    return Ok(());
+                }
+                Err(other) => {
+                    return Err(TestCaseError::fail(format!("unexpected error {other}")));
+                }
             };
-            prop_assert_eq!(
-                best_feasible(&full.curve).to_bits(),
-                best_feasible(&beamed.curve).to_bits()
-            );
-            prop_assert_eq!(
-                best_any(&full.curve).to_bits(),
-                best_any(&beamed.curve).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn identical_stages_tie_break_to_the_earliest_grouping() {
-        // Every stage identical → huge numbers of exact-cost ties; the
-        // merged winner must match the sequential reference exactly,
-        // regardless of thread count.
-        let graph = chain(&[100, 100, 100, 100], &[8, 8, 8, 8]);
-        let (ctx, evaluator) = context_and_evaluator(&graph);
-        let (reference_curve, _) =
-            reference::exhaustive(&ctx, &evaluator, TileCandidates::All, 16, 4);
-        let arena = IntervalArena::build(&ctx, &evaluator, TileCandidates::All, 16, 4);
-        for threads in [1usize, 3, 8] {
-            let fast = exhaustive(&ctx, &arena, 16, 4, threads, None);
-            assert_eq!(fast.curve.len(), reference_curve.len());
-            for (a, b) in fast.curve.iter().zip(&reference_curve) {
-                assert_eq!(a.groups, b.groups, "tie-break grouping differs");
-                assert_eq!(a.allocation, b.allocation);
-                assert_eq!(a.power_mw.to_bits(), b.power_mw.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn beam_reconstruction_matches_exhaustive_candidates() {
-        let graph = chain(&[60, 100, 5, 380, 370], &[16, 16, 4, 32, 32]);
-        let (ctx, evaluator) = context_and_evaluator(&graph);
-        let budget = 20u32;
-        let wide = budget as usize + 1;
-        let arena = IntervalArena::build(&ctx, &evaluator, TileCandidates::PowersOfTwo, budget, 5);
-        let full = exhaustive(&ctx, &arena, budget, 5, 2, None);
-        let beamed = beam(&ctx, &arena, budget, 5, wide, 2, None);
-        // Every beam candidate must be a well-formed contiguous grouping
-        // whose allocation sums to its tile count, and the best costs
-        // must agree with the exhaustive engine.
-        for c in &beamed.curve {
-            let mut covered = 0usize;
-            for &(start, end) in &c.groups {
-                assert_eq!(start, covered, "groups must tile 0..n contiguously");
-                covered = end;
-            }
-            assert_eq!(covered, ctx.n);
-            assert_eq!(c.allocation.len(), c.groups.len());
-            assert!(c.allocation.iter().sum::<u32>() <= budget);
-        }
-        let best = |curve: &[Candidate]| {
-            curve
+            let oracle_points: Vec<(u32, u64, bool)> = oracle
                 .iter()
-                .filter(|c| c.feasible)
-                .map(|c| c.power_mw)
-                .fold(f64::INFINITY, f64::min)
+                .map(|c| (c.allocation.iter().sum(), c.power_mw.to_bits(), c.feasible))
+                .collect();
+            let curve: Vec<(u32, u64, bool)> = exploration.curve.iter().map(point).collect();
+            prop_assert_eq!(&curve, &oracle_points);
+
+            // The oracle's best: cheapest feasible, else cheapest.
+            let cheapest = |feasible_only: bool| {
+                oracle_points
+                    .iter()
+                    .filter(|p| p.2 || !feasible_only)
+                    .min_by(|a, b| f64::from_bits(a.1).total_cmp(&f64::from_bits(b.1)))
+                    .copied()
+            };
+            let best = cheapest(true).or_else(|| cheapest(false));
+            prop_assert_eq!(Some(point(&exploration.best)), best);
+            // The oracle's frontier: the strictly falling power staircase
+            // over the feasible points (all points when none is feasible).
+            let any_feasible = oracle_points.iter().any(|p| p.2);
+            let mut floor = f64::INFINITY;
+            let mut frontier = Vec::new();
+            for &p in oracle_points.iter().filter(|p| p.2 || !any_feasible) {
+                if f64::from_bits(p.1) < floor {
+                    floor = f64::from_bits(p.1);
+                    frontier.push(p);
+                }
+            }
+            let got: Vec<(u32, u64, bool)> = exploration.frontier.iter().map(point).collect();
+            prop_assert_eq!(got, frontier);
+
+            for solution in &exploration.curve {
+                let groups: Grouping = solution
+                    .columns
+                    .iter()
+                    .map(|c| (c.actors[0].0, c.actors[0].0 + c.actors.len()))
+                    .collect();
+                let mut covered = 0usize;
+                for &(start, end) in &groups {
+                    prop_assert_eq!(start, covered);
+                    prop_assert!(end - start <= max_group);
+                    covered = end;
+                }
+                prop_assert_eq!(covered, n);
+                prop_assert!(capacity.is_none_or(|cap| ctx.grouping_cross_words(&groups) <= cap));
+            }
+        }
+    }
+
+    #[test]
+    fn cells_keep_exactly_the_uncovered_partials() {
+        let partial = |power: f64, cross: u64, feasible: bool| Entry {
+            power,
+            cross,
+            tiles: 4,
+            parent: ROOT,
+            start: 0,
+            group_tiles: 4,
+            feasible,
         };
-        assert_eq!(best(&full.curve).to_bits(), best(&beamed.curve).to_bits());
+        let mut cell = Vec::new();
+        assert_eq!(offer(&mut cell, partial(10.0, 2, true)), 0);
+        // A cheaper infeasible partial joins the cell without evicting
+        // the feasible one, and so does a pricier one with fewer cross
+        // words.
+        assert_eq!(offer(&mut cell, partial(8.0, 2, false)), 0);
+        assert_eq!(offer(&mut cell, partial(12.0, 1, true)), 0);
+        assert_eq!(cell.len(), 3);
+        assert_eq!(winner(&cell).power, 10.0, "feasible first, then power");
+        // Covered offers are dropped; on an exact tie the incumbent stays.
+        assert_eq!(offer(&mut cell, partial(9.0, 2, false)), 1);
+        assert_eq!(offer(&mut cell, partial(10.0, 2, true)), 1);
+        // At equal power and cross words, feasible covers infeasible.
+        assert_eq!(offer(&mut cell, partial(8.0, 2, true)), 2);
+        let kept: Vec<(f64, u64, bool)> = cell
+            .iter()
+            .map(|e| (e.power, e.cross, e.feasible))
+            .collect();
+        assert_eq!(kept, vec![(12.0, 1, true), (8.0, 2, true)]);
     }
 
     #[test]
@@ -1496,39 +774,31 @@ mod tests {
         // more than 2 cross words but keep the fused ones.
         let graph = chain(&[60, 100, 5, 380], &[16, 16, 4, 32]);
         let (ctx, evaluator) = context_and_evaluator(&graph);
-        let comm = Some(CommSpec::new(1, 2));
-        let arena = IntervalArena::build(&ctx, &evaluator, TileCandidates::PowersOfTwo, 24, 4);
-        let full = exhaustive(&ctx, &arena, 24, 4, 2, comm);
-        assert!(full.stats.groupings_comm_pruned > 0);
-        for c in &full.curve {
+        let candidates = TileCandidates::PowersOfTwo;
+        let arena = IntervalArena::build(&ctx, &evaluator, candidates, 24, 4);
+        let kept = prefix_dp(&ctx, &arena, 24, 4, Some(CommSpec::new(1, 2)));
+        assert!(kept.stats.groupings_comm_pruned > 0);
+        assert!(!kept.curve.is_empty());
+        for c in &kept.curve {
             assert!(ctx.grouping_cross_words(&c.groups) <= 2, "{:?}", c.groups);
         }
-        let beamed = beam(&ctx, &arena, 24, 4, 25, 2, comm);
-        // The beam tracks committed cross words per partial, so every
-        // surviving candidate fits the frame.  (It need not report comm
-        // prunes here: a dominated overflowing prefix can fall to the
-        // (power, cross) front before its extensions are ever attempted.)
-        for c in &beamed.curve {
-            assert!(ctx.grouping_cross_words(&c.groups) <= 2, "{:?}", c.groups);
-        }
-        // The surviving best costs agree between the engines.
-        let best = |curve: &[Candidate]| {
-            curve
-                .iter()
-                .filter(|c| c.feasible)
-                .map(|c| c.power_mw)
-                .fold(f64::INFINITY, f64::min)
-        };
-        assert_eq!(best(&full.curve).to_bits(), best(&beamed.curve).to_bits());
+        // The surviving best cost agrees with the exhaustive oracle.
+        let (oracle, rejected) =
+            reference::exhaustive(&ctx, &evaluator, candidates, 24, 4, Some(2));
+        assert_eq!(
+            best_feasible_power(&kept.curve).to_bits(),
+            best_feasible_power(&oracle).to_bits()
+        );
+        assert_eq!(comm_rejected_groupings(&ctx, 4, 2), rejected);
         // A frame with no capacity prunes everything once fusion cannot
-        // hide all the traffic (groups of at most 2 leave ≥1 cross word).
-        let arena2 = IntervalArena::build(&ctx, &evaluator, TileCandidates::PowersOfTwo, 24, 2);
-        let none = exhaustive(&ctx, &arena2, 24, 2, 2, Some(CommSpec::new(1, 0)));
+        // hide all the traffic (groups of at most 2 leave ≥1 cross word):
+        // all 5 groupings into groups of 1–2 actors are rejected.
+        let arena2 = IntervalArena::build(&ctx, &evaluator, candidates, 24, 2);
+        let none = prefix_dp(&ctx, &arena2, 24, 2, Some(CommSpec::new(1, 0)));
         assert!(none.curve.is_empty());
         assert!(none.stats.groupings_comm_pruned > 0);
-        let none_beam = beam(&ctx, &arena2, 24, 2, 25, 2, Some(CommSpec::new(1, 0)));
-        assert!(none_beam.curve.is_empty());
-        assert!(none_beam.stats.groupings_comm_pruned > 0);
+        assert_eq!(none.stats.groupings_examined, 5);
+        assert_eq!(comm_rejected_groupings(&ctx, 2, 0), 5);
     }
 
     #[test]
@@ -1595,12 +865,20 @@ mod tests {
         let graph = chain(&[10, 10, 10], &[4, 4, 4]);
         let (ctx, evaluator) = context_and_evaluator(&graph);
         let arena = IntervalArena::build(&ctx, &evaluator, TileCandidates::All, 2, 1);
-        let mut scratch = DpScratch::new(2, 3);
-        let groups: Grouping = vec![(0, 1), (1, 2), (2, 3)];
-        let transitions = grouping_dp(&groups, &arena, 2, &mut scratch);
-        assert!(transitions > 0, "partial prefixes are still explored");
-        assert_eq!(scratch.reach_max, 0, "no complete assignment fits");
-        assert!(scratch.cell(1).is_none());
-        assert!(scratch.cell(2).is_none());
+        let singles = prefix_dp(&ctx, &arena, 2, 1, None);
+        assert!(
+            singles.stats.mappings_evaluated > 0,
+            "partial prefixes are still explored"
+        );
+        assert!(singles.curve.is_empty(), "no complete assignment fits");
+        let arena = IntervalArena::build(&ctx, &evaluator, TileCandidates::All, 2, 3);
+        let fused = prefix_dp(&ctx, &arena, 2, 3, None);
+        let tiles: Vec<u32> = fused
+            .curve
+            .iter()
+            .map(|c| c.allocation.iter().sum())
+            .collect();
+        assert_eq!(tiles, vec![1, 2], "one entry per reachable tile count");
+        assert!(fused.curve.iter().all(|c| c.groups.len() <= 2));
     }
 }

@@ -14,7 +14,8 @@ pub enum TileCandidates {
     #[default]
     PowersOfTwo,
     /// Every tile count from 1 to the parallelism cap.  A larger space
-    /// that admits unbalanced splits; mainly useful with the beam engine.
+    /// that admits unbalanced splits; the search cost grows linearly with
+    /// the options per group.
     All,
 }
 
@@ -54,20 +55,11 @@ impl TileCandidates {
 pub(crate) type Grouping = Vec<(usize, usize)>;
 
 /// Decode a partition bitmask into group ranges.  Bit `k` set means a
-/// column boundary after actor `k`.  (The engines decode into scratch
-/// buffers via [`grouping_from_mask_into`]; this allocating wrapper
-/// remains for tests and the clone-based reference engine.)
+/// column boundary after actor `k`.  Only the exhaustive test oracle
+/// enumerates groupings this way.
 #[cfg(test)]
 pub(crate) fn grouping_from_mask(n: usize, mask: u64) -> Grouping {
     let mut groups = Vec::new();
-    grouping_from_mask_into(n, mask, &mut groups);
-    groups
-}
-
-/// Like [`grouping_from_mask`], but decodes into a reusable scratch
-/// buffer (cleared first) so workers do not allocate per grouping.
-pub(crate) fn grouping_from_mask_into(n: usize, mask: u64, groups: &mut Grouping) {
-    groups.clear();
     let mut start = 0usize;
     for k in 0..n {
         let boundary = k + 1 == n || mask & (1u64 << k) != 0;
@@ -76,9 +68,11 @@ pub(crate) fn grouping_from_mask_into(n: usize, mask: u64, groups: &mut Grouping
             start = k + 1;
         }
     }
+    groups
 }
 
-/// Does any group of the mask exceed `max_group_size` actors?
+/// Does every group of the mask hold at most `max_group_size` actors?
+#[cfg(test)]
 pub(crate) fn mask_respects_group_size(n: usize, mask: u64, max_group_size: usize) -> bool {
     let mut run = 0usize;
     for k in 0..n {

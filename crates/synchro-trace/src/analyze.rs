@@ -1028,11 +1028,11 @@ mod tests {
             detail: "tile budget 4 cannot host 24 column groups".to_owned(),
         });
         ledger.record(&TraceEvent::Counter {
-            name: "explore.beam.groupings_comm_pruned",
+            name: "explore.groupings_comm_pruned",
             delta: 2,
         });
         ledger.record(&TraceEvent::Counter {
-            name: "explore.beam.states_pruned",
+            name: "explore.states_pruned",
             delta: 99,
         });
         let classes = ledger.classes();

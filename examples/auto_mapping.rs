@@ -29,11 +29,10 @@ fn main() {
     let config = ExplorerConfig::new(rate, 50).single_actor_columns();
     let exploration = explore(&graph, &config).unwrap();
     println!(
-        "Explored {} candidate mappings across {} groupings on {} threads in {:.1} ms.",
+        "Explored {} candidate mappings across {} groupings in {:.0} µs.",
         exploration.stats.mappings_evaluated,
         exploration.stats.groupings_examined,
-        exploration.stats.threads_used,
-        exploration.stats.elapsed_seconds * 1e3
+        exploration.stats.elapsed_seconds * 1e6
     );
 
     println!("\nPower-vs-tiles Pareto frontier (Figure 8-style):");

@@ -8,9 +8,7 @@
 use proptest::prelude::*;
 use synchro_power::{Technology, VfCurve};
 use synchro_sdf::SdfGraph;
-use synchroscalar::explorer::{
-    dominates, evaluate_mapping, explore, ExplorerConfig, SearchStrategy,
-};
+use synchroscalar::explorer::{dominates, evaluate_mapping, explore, ExplorerConfig};
 use synchroscalar::mapper;
 
 /// Build a pipeline chain with the given per-actor costs and parallelism
@@ -115,77 +113,6 @@ proptest! {
                     !dominates(b.total_tiles, b.power_mw, a.total_tiles, a.power_mw),
                     "curve point dominates a frontier point"
                 );
-            }
-        }
-    }
-
-    /// The exhaustive and beam engines agree on the best power and the
-    /// frontier whenever the beam is wide enough.
-    #[test]
-    fn beam_matches_exhaustive_when_wide(
-        cycles in prop::collection::vec(1u64..800, 2..6),
-        cap_picks in prop::collection::vec(0usize..6, 2..6),
-        budget in 4u32..32,
-    ) {
-        let n = cycles.len().min(cap_picks.len());
-        let caps: Vec<u32> = cap_picks[..n].iter().map(|&i| CAP_CHOICES[i]).collect();
-        let graph = chain(&cycles[..n], &caps);
-        let base = ExplorerConfig::new(1e6, budget);
-        let exhaustive = explore(
-            &graph,
-            &base.clone().with_strategy(SearchStrategy::Exhaustive),
-        )
-        .unwrap();
-        let beam = explore(
-            &graph,
-            &base.with_strategy(SearchStrategy::Beam {
-                width: budget as usize + 1,
-            }),
-        )
-        .unwrap();
-        let tolerance = 1e-9 * exhaustive.best.power_mw.max(1.0);
-        prop_assert!((exhaustive.best.power_mw - beam.best.power_mw).abs() <= tolerance);
-        prop_assert_eq!(exhaustive.frontier.len(), beam.frontier.len());
-        for (a, b) in exhaustive.frontier.iter().zip(&beam.frontier) {
-            prop_assert_eq!(a.total_tiles, b.total_tiles);
-            prop_assert!((a.power_mw - b.power_mw).abs() <= 1e-9 * a.power_mw.max(1.0));
-        }
-    }
-
-    /// Search counters are accumulated per worker and merged once, so the
-    /// totals — mappings evaluated, groupings examined, states pruned —
-    /// must be identical no matter how many threads the work fans across,
-    /// for both engines.
-    #[test]
-    fn stats_totals_are_independent_of_thread_count(
-        cycles in prop::collection::vec(1u64..1_000, 2..6),
-        cap_picks in prop::collection::vec(0usize..6, 2..6),
-        budget in 4u32..32,
-    ) {
-        let n = cycles.len().min(cap_picks.len());
-        let caps: Vec<u32> = cap_picks[..n].iter().map(|&i| CAP_CHOICES[i]).collect();
-        let graph = chain(&cycles[..n], &caps);
-        for strategy in [
-            SearchStrategy::Exhaustive,
-            SearchStrategy::Beam { width: budget as usize + 1 },
-            SearchStrategy::Beam { width: 4 },
-        ] {
-            let run = |threads: usize| {
-                explore(
-                    &graph,
-                    &ExplorerConfig::new(1e6, budget)
-                        .with_strategy(strategy)
-                        .with_threads(threads),
-                )
-                .unwrap()
-                .stats
-            };
-            let one = run(1);
-            for threads in [2usize, 8] {
-                let many = run(threads);
-                prop_assert_eq!(one.mappings_evaluated, many.mappings_evaluated);
-                prop_assert_eq!(one.groupings_examined, many.groupings_examined);
-                prop_assert_eq!(one.states_pruned, many.states_pruned);
             }
         }
     }
