@@ -37,9 +37,9 @@ fn bench_column_simulator(c: &mut Criterion) {
     });
 }
 
-/// The event-driven `Chip::run` against the naive tick loop on a
-/// divider-heavy mix (co-prime dividers leave ~98 % of reference ticks
-/// empty, which the fast path skips in bulk).
+/// `Chip::run` against the naive tick loop on a divider-heavy mix:
+/// co-prime dividers leave ~98 % of reference ticks empty, which `run`
+/// never visits because each column walks only its own divider's ticks.
 fn bench_chip_run(c: &mut Criterion) {
     let build = || {
         let mut chip = Chip::new();
@@ -52,7 +52,7 @@ fn bench_chip_run(c: &mut Criterion) {
         }
         chip
     };
-    c.bench_function("chip_run_event_driven", |b| {
+    c.bench_function("chip_run", |b| {
         b.iter(|| {
             let mut chip = build();
             chip.run(200_000).unwrap()

@@ -5,7 +5,7 @@
 use bench::rule;
 use synchro_apps::{Application, ApplicationProfile};
 use synchro_power::Technology;
-use synchroscalar::mapper::{self, CompiledChip, ExecutionReport, MapperOptions};
+use synchroscalar::mapper::{self, ExecutionReport, MapperOptions};
 use synchroscalar::pipeline::{evaluate_application, EvaluationOptions};
 
 fn run_application(
@@ -16,7 +16,7 @@ fn run_application(
         synchroscalar::sdf::Mapping,
         f64,
     ),
-) -> (CompiledChip, ExecutionReport) {
+) -> ExecutionReport {
     let (graph, mapping, rate) = reference;
     let options = MapperOptions {
         iterations: 8,
@@ -61,24 +61,15 @@ fn run_application(
         validation.firings_exact,
         validation.agrees_within(0.10)
     );
-    (compiled, execution)
+    execution
 }
 
 fn main() {
-    let (ddc, ddc_exec) =
-        run_application("DDC @ 64 MS/s", Application::Ddc, mapper::ddc_reference());
-    let (_, wifi_exec) = run_application(
+    let ddc_exec = run_application("DDC @ 64 MS/s", Application::Ddc, mapper::ddc_reference());
+    let wifi_exec = run_application(
         "802.11a @ 54 Mbps",
         Application::Wifi80211a,
         mapper::wifi_reference(),
-    );
-
-    println!(
-        "Event-driven scheduler: DDC ran {} reference ticks in {} scheduler iterations \
-         (naive loop would take {})",
-        ddc_exec.reference_ticks,
-        ddc.chip().run_loop_iterations(),
-        ddc_exec.reference_ticks
     );
     assert!(ddc_exec.firings_exact() && wifi_exec.firings_exact());
 }

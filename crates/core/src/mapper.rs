@@ -1658,8 +1658,8 @@ impl CompiledChip {
         }
     }
 
-    /// [`CompiledChip::execute_faulted`] on the interpreted event-driven
-    /// tier, regardless of the compiled [`ExecutionTier`].
+    /// [`CompiledChip::execute_faulted`] on the interpreted tier
+    /// ([`Chip::run`]), regardless of the compiled [`ExecutionTier`].
     ///
     /// # Errors
     ///
@@ -1681,7 +1681,7 @@ impl CompiledChip {
     /// [`CompiledChip::execute_faulted`] on the naive tick-by-tick
     /// driver ([`Chip::run_ticked`]) — the differential-testing
     /// reference.  Windows are cut at exactly the same reference ticks as
-    /// the event-driven driver's, so the two produce bit-identical
+    /// [`Chip::run`]'s, so the two produce bit-identical
     /// statistics and outcomes.
     ///
     /// # Errors
@@ -3203,6 +3203,9 @@ mod tests {
         }
         let neither = [
             MapperError::Sdf(SdfError::Empty),
+            MapperError::Sdf(SdfError::Overflow {
+                quantity: "repetition vector",
+            }),
             MapperError::Dou(synchro_dou::DouError::EmptyPattern),
             MapperError::Column(ColumnError::Bus(synchro_bus::BusError::IndexOutOfRange {
                 what: "split",

@@ -16,7 +16,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -130,24 +129,22 @@ impl SegmentConfig {
         self.closed[split][gap]
     }
 
-    /// The set of tiles electrically connected to `tile` on `split`
-    /// (including `tile` itself).
-    pub fn connected_group(&self, split: usize, tile: usize) -> BTreeSet<usize> {
-        let mut group = BTreeSet::new();
-        group.insert(tile);
-        // Walk down while switches are closed.
+    /// The tiles electrically connected to `tile` on `split`, as the
+    /// inclusive span `(lo, hi)` (which contains `tile` itself).  Switches
+    /// only join neighbouring tiles, so a connected group is always a
+    /// contiguous span.
+    pub fn connected_span(&self, split: usize, tile: usize) -> (usize, usize) {
         let gaps = &self.closed[split];
+        // Walk down, then up, while switches are closed.
         let mut lo = tile;
         while lo > 0 && gaps[lo - 1] {
             lo -= 1;
-            group.insert(lo);
         }
         let mut hi = tile;
         while hi < gaps.len() && gaps[hi] {
             hi += 1;
-            group.insert(hi);
         }
-        group
+        (lo, hi)
     }
 }
 
@@ -276,32 +273,25 @@ impl SegmentedBus {
     }
 
     /// Validate and account one cycle of transfers under a segment
-    /// configuration.  On success returns, for each op, the set of
-    /// consumers that latched the producer's word.
+    /// configuration.  Every consumer of a valid op latches its producer's
+    /// word, so a successful cycle delivers exactly each op's `consumers`.
+    ///
+    /// Allocation-free: the simulator calls this on every DOU cycle.
     ///
     /// # Errors
     ///
     /// Returns a [`BusError`] when indices are out of range, two producers
     /// drive the same connected segment group of one split, or a consumer
-    /// is not reachable from its producer.
-    pub fn cycle(
-        &mut self,
-        config: &SegmentConfig,
-        ops: &[BusOp],
-    ) -> Result<Vec<Vec<usize>>, BusError> {
+    /// is not reachable from its producer.  Ops are checked in order, and
+    /// each op's checks run in that order too.
+    pub fn cycle(&mut self, config: &SegmentConfig, ops: &[BusOp]) -> Result<(), BusError> {
         // Every invoked cycle is a scheduled one: the DOU reserved all
-        // splits for this bus cycle even when none carries a word.  Idle
-        // cycles take this allocation-free early exit — they sit on the
-        // simulator's per-column-cycle hot path.
+        // splits for this bus cycle even when none carries a word.
         self.stats.scheduled_slots += self.splits as u64;
         if ops.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        // Per split, remember which (producer, group) pairs already drive.
-        let mut drivers: Vec<Vec<(usize, BTreeSet<usize>)>> = vec![Vec::new(); self.splits];
-        let mut delivered = Vec::with_capacity(ops.len());
-
-        for op in ops {
+        for (i, op) in ops.iter().enumerate() {
             if op.split >= self.splits {
                 return Err(BusError::IndexOutOfRange {
                     what: "split",
@@ -325,18 +315,22 @@ impl SegmentedBus {
                     });
                 }
             }
-            let group = config.connected_group(op.split, op.producer);
-            for (other, other_group) in &drivers[op.split] {
-                if !group.is_disjoint(other_group) {
+            let (lo, hi) = config.connected_span(op.split, op.producer);
+            // Groups are spans, so two drivers conflict exactly when their
+            // spans overlap.  The earlier ops of this cycle all passed
+            // these checks, so their spans are well-defined.
+            for earlier in ops[..i].iter().filter(|o| o.split == op.split) {
+                let (other_lo, other_hi) = config.connected_span(earlier.split, earlier.producer);
+                if lo <= other_hi && other_lo <= hi {
                     return Err(BusError::DriverConflict {
                         split: op.split,
-                        first_driver: *other,
+                        first_driver: earlier.producer,
                         second_driver: op.producer,
                     });
                 }
             }
             for &c in &op.consumers {
-                if !group.contains(&c) {
+                if c < lo || c > hi {
                     return Err(BusError::Unreachable {
                         split: op.split,
                         producer: op.producer,
@@ -344,15 +338,13 @@ impl SegmentedBus {
                     });
                 }
             }
-            drivers[op.split].push((op.producer, group));
-            delivered.push(op.consumers.clone());
         }
 
         self.stats.occupied_slots += ops.len() as u64;
         self.stats.active_cycles += 1;
         self.stats.word_transfers += ops.len() as u64;
         self.stats.deliveries += ops.iter().map(|o| o.consumers.len() as u64).sum::<u64>();
-        Ok(delivered)
+        Ok(())
     }
 }
 
@@ -459,6 +451,7 @@ impl HorizontalBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn default_configuration_matches_paper() {
@@ -467,35 +460,176 @@ mod tests {
         assert_eq!(bus.tiles(), 4);
     }
 
+    /// The validation `SegmentedBus::cycle` replaced, kept as a
+    /// differential oracle: connected groups as explicit tile sets and
+    /// driver conflicts as set intersections.
+    fn connected_group_oracle(
+        config: &SegmentConfig,
+        split: usize,
+        tile: usize,
+    ) -> BTreeSet<usize> {
+        let mut group = BTreeSet::new();
+        group.insert(tile);
+        let gaps = &config.closed[split];
+        let mut lo = tile;
+        while lo > 0 && gaps[lo - 1] {
+            lo -= 1;
+            group.insert(lo);
+        }
+        let mut hi = tile;
+        while hi < gaps.len() && gaps[hi] {
+            hi += 1;
+            group.insert(hi);
+        }
+        group
+    }
+
+    fn cycle_oracle(
+        splits: usize,
+        tiles: usize,
+        config: &SegmentConfig,
+        ops: &[BusOp],
+    ) -> Result<(), BusError> {
+        let mut drivers: Vec<Vec<(usize, BTreeSet<usize>)>> = vec![Vec::new(); splits];
+        for op in ops {
+            if op.split >= splits {
+                return Err(BusError::IndexOutOfRange {
+                    what: "split",
+                    index: op.split,
+                    limit: splits,
+                });
+            }
+            if op.producer >= tiles {
+                return Err(BusError::IndexOutOfRange {
+                    what: "tile",
+                    index: op.producer,
+                    limit: tiles,
+                });
+            }
+            for &c in &op.consumers {
+                if c >= tiles {
+                    return Err(BusError::IndexOutOfRange {
+                        what: "tile",
+                        index: c,
+                        limit: tiles,
+                    });
+                }
+            }
+            let group = connected_group_oracle(config, op.split, op.producer);
+            for (other, other_group) in &drivers[op.split] {
+                if !group.is_disjoint(other_group) {
+                    return Err(BusError::DriverConflict {
+                        split: op.split,
+                        first_driver: *other,
+                        second_driver: op.producer,
+                    });
+                }
+            }
+            for &c in &op.consumers {
+                if !group.contains(&c) {
+                    return Err(BusError::Unreachable {
+                        split: op.split,
+                        producer: op.producer,
+                        consumer: c,
+                    });
+                }
+            }
+            drivers[op.split].push((op.producer, group));
+        }
+        Ok(())
+    }
+
+    /// Every gap pattern of a 4-tile split.
+    fn gap_patterns() -> impl Iterator<Item = SegmentConfig> {
+        (0u32..8).map(|mask| {
+            let mut cfg = SegmentConfig::all_open(1, 4);
+            for gap in 0..3 {
+                cfg.set(0, gap, mask & (1 << gap) != 0);
+            }
+            cfg
+        })
+    }
+
+    #[test]
+    fn connected_span_is_the_oracle_group() {
+        for cfg in gap_patterns() {
+            for tile in 0..4 {
+                let group = connected_group_oracle(&cfg, 0, tile);
+                let (lo, hi) = cfg.connected_span(0, tile);
+                assert_eq!(
+                    group,
+                    (lo..=hi).collect::<BTreeSet<_>>(),
+                    "{cfg:?} tile {tile}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cycle_matches_the_set_oracle_exhaustively() {
+        // Every op with split in 0..=1 (one past a 1-split bus), producer
+        // in 0..=4 (one past 4 tiles) and no consumer or one in 0..=4, so
+        // every out-of-range error is reachable; then every ordered pair
+        // of such ops under every gap pattern.
+        let mut singles = Vec::new();
+        for split in 0..=1 {
+            for producer in 0..=4 {
+                singles.push(BusOp {
+                    split,
+                    producer,
+                    consumers: Vec::new(),
+                });
+                for consumer in 0..=4 {
+                    singles.push(BusOp {
+                        split,
+                        producer,
+                        consumers: vec![consumer],
+                    });
+                }
+            }
+        }
+        let (mut cases, mut failures) = (0, 0);
+        for cfg in gap_patterns() {
+            for first in &singles {
+                for second in &singles {
+                    let ops = [first.clone(), second.clone()];
+                    let mut bus = SegmentedBus::new(1, 4);
+                    let got = bus.cycle(&cfg, &ops);
+                    assert_eq!(got, cycle_oracle(1, 4, &cfg, &ops), "{cfg:?} {ops:?}");
+                    cases += 1;
+                    failures += usize::from(got.is_err());
+                }
+            }
+        }
+        assert_eq!(cases, 8 * singles.len() * singles.len());
+        assert!(failures > 0 && failures < cases, "both outcomes covered");
+    }
+
     #[test]
     fn all_closed_is_a_broadcast_bus() {
         let cfg = SegmentConfig::all_closed(8, 4);
-        let group = cfg.connected_group(0, 0);
-        assert_eq!(group.into_iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        assert_eq!(cfg.connected_span(0, 0), (0, 3));
     }
 
     #[test]
     fn all_open_isolates_tiles() {
         let cfg = SegmentConfig::all_open(8, 4);
-        let group = cfg.connected_group(3, 2);
-        assert_eq!(group.into_iter().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(cfg.connected_span(3, 2), (2, 2));
     }
 
     #[test]
     fn broadcast_reaches_all_tiles() {
         let mut bus = SegmentedBus::isca2004();
         let cfg = SegmentConfig::all_closed(8, 4);
-        let delivered = bus
-            .cycle(
-                &cfg,
-                &[BusOp {
-                    split: 0,
-                    producer: 0,
-                    consumers: vec![1, 2, 3],
-                }],
-            )
-            .unwrap();
-        assert_eq!(delivered, vec![vec![1, 2, 3]]);
+        bus.cycle(
+            &cfg,
+            &[BusOp {
+                split: 0,
+                producer: 0,
+                consumers: vec![1, 2, 3],
+            }],
+        )
+        .unwrap();
         assert_eq!(bus.stats().word_transfers, 1);
         assert_eq!(bus.stats().deliveries, 3);
     }
@@ -520,8 +654,9 @@ mod tests {
                 consumers: vec![2],
             },
         ];
-        let delivered = bus.cycle(&cfg, &ops).unwrap();
-        assert_eq!(delivered.len(), 2);
+        bus.cycle(&cfg, &ops).unwrap();
+        assert_eq!(bus.stats().word_transfers, 2);
+        assert_eq!(bus.stats().deliveries, 2);
     }
 
     #[test]

@@ -205,15 +205,19 @@ impl Dou {
     }
 
     /// Advance one bus cycle: emit the current state's outputs, then move
-    /// to the next state according to the tested counter.
-    pub fn step(&mut self) -> DouOutput {
+    /// to the next state according to the tested counter.  The outputs are
+    /// borrowed from the state table, so a step allocates nothing.
+    pub fn step(&mut self) -> &DouOutput {
+        static IDLE: DouOutput = DouOutput {
+            segments: None,
+            ops: Vec::new(),
+        };
         if self.program.is_empty() {
-            return DouOutput::default();
+            return &IDLE;
         }
         self.cycles += 1;
         let s = &self.program.states()[self.state];
-        let output = s.output.clone();
-        self.transfers += output.ops.len() as u64;
+        self.transfers += s.output.ops.len() as u64;
         let c = s.counter;
         if self.counters[c] == 0 {
             self.counters[c] = self.program.counter_init()[c];
@@ -222,7 +226,7 @@ impl Dou {
             self.counters[c] -= 1;
             self.state = s.next_if_nonzero;
         }
-        output
+        &s.output
     }
 }
 

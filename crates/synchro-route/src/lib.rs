@@ -659,9 +659,7 @@ pub(crate) fn compile_flows_inner(
     for (split, split_lanes) in lane_of.iter_mut().enumerate() {
         let mut column = 0;
         while column < spec.columns {
-            let group = spec.segments.connected_group(split, column);
-            let start = *group.first().expect("group contains its own column");
-            let end = *group.last().expect("group contains its own column");
+            let (start, end) = spec.segments.connected_span(split, column);
             let lane = lanes.len();
             lanes.push(GroupLane {
                 split,

@@ -84,6 +84,12 @@ pub enum SdfError {
     },
     /// The graph has no actors.
     Empty,
+    /// A rate quantity does not fit in 64 bits: the graph may be
+    /// consistent, but its repetition vector cannot be represented.
+    Overflow {
+        /// Description of the quantity that overflowed.
+        quantity: &'static str,
+    },
 }
 
 impl fmt::Display for SdfError {
@@ -98,6 +104,7 @@ impl fmt::Display for SdfError {
                 write!(f, "graph deadlocks with {} actors blocked", blocked.len())
             }
             SdfError::Empty => write!(f, "graph has no actors"),
+            SdfError::Overflow { quantity } => write!(f, "{quantity} overflows 64 bits"),
         }
     }
 }
@@ -119,8 +126,35 @@ fn gcd(a: u64, b: u64) -> u64 {
     }
 }
 
-fn lcm(a: u64, b: u64) -> u64 {
-    a / gcd(a, b) * b
+fn checked_lcm(a: u64, b: u64) -> Option<u64> {
+    (a / gcd(a, b)).checked_mul(b)
+}
+
+/// `a * b`, or [`SdfError::Overflow`] naming `quantity`.
+fn mul(a: u64, b: u64, quantity: &'static str) -> Result<u64, SdfError> {
+    a.checked_mul(b).ok_or(SdfError::Overflow { quantity })
+}
+
+/// The rate `num/den · p/c` in lowest terms, given `num/den` and `p/c`
+/// each in lowest terms.  Cancelling the cross factors before multiplying
+/// leaves a result already in lowest terms, and each part is a product of
+/// two `u64`s, so it always fits in `u128`.
+fn scale_rate(num: u64, den: u64, p: u64, c: u64) -> (u128, u128) {
+    let (g_num, g_den) = (gcd(num, c), gcd(p, den));
+    (
+        u128::from(num / g_num) * u128::from(p / g_den),
+        u128::from(den / g_den) * u128::from(c / g_num),
+    )
+}
+
+/// A reduced rate narrowed to `u64` parts, or [`SdfError::Overflow`].
+fn narrow_rate((num, den): (u128, u128)) -> Result<(u64, u64), SdfError> {
+    match (u64::try_from(num), u64::try_from(den)) {
+        (Ok(num), Ok(den)) => Ok((num, den)),
+        _ => Err(SdfError::Overflow {
+            quantity: "actor rate",
+        }),
+    }
 }
 
 impl SdfGraph {
@@ -202,8 +236,10 @@ impl SdfGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`SdfError::Empty`] for an empty graph or
-    /// [`SdfError::Inconsistent`] when no solution exists.
+    /// Returns [`SdfError::Empty`] for an empty graph,
+    /// [`SdfError::Inconsistent`] when no solution exists, or
+    /// [`SdfError::Overflow`] when a rate or the solution does not fit in
+    /// 64 bits.
     pub fn repetition_vector(&self) -> Result<Vec<u64>, SdfError> {
         if self.actors.is_empty() {
             return Err(SdfError::Empty);
@@ -229,28 +265,21 @@ impl SdfGraph {
                     let (a, b) = (e.from.0, e.to.0);
                     let known_a = num[a] != 0;
                     let known_b = num[b] != 0;
+                    let g = gcd(e.produce, e.consume);
+                    let (p, c) = (e.produce / g, e.consume / g);
                     if known_a && !known_b {
                         // r_b = r_a * produce / consume
-                        let g = gcd(e.produce, e.consume);
-                        num[b] = num[a] * (e.produce / g);
-                        den[b] = den[a] * (e.consume / g);
-                        let g2 = gcd(num[b], den[b]);
-                        num[b] /= g2;
-                        den[b] /= g2;
+                        (num[b], den[b]) = narrow_rate(scale_rate(num[a], den[a], p, c))?;
                         changed = true;
                     } else if known_b && !known_a {
-                        let g = gcd(e.produce, e.consume);
-                        num[a] = num[b] * (e.consume / g);
-                        den[a] = den[b] * (e.produce / g);
-                        let g2 = gcd(num[a], den[a]);
-                        num[a] /= g2;
-                        den[a] /= g2;
+                        (num[a], den[a]) = narrow_rate(scale_rate(num[b], den[b], c, p))?;
                         changed = true;
                     } else if known_a && known_b {
                         // Consistency check: r_a * produce == r_b * consume.
-                        let lhs = num[a] as u128 * e.produce as u128 * den[b] as u128;
-                        let rhs = num[b] as u128 * e.consume as u128 * den[a] as u128;
-                        if lhs != rhs {
+                        // Both rates are in lowest terms, so they are equal
+                        // exactly when their parts are.
+                        let implied = scale_rate(num[a], den[a], p, c);
+                        if implied != (u128::from(num[b]), u128::from(den[b])) {
                             return Err(SdfError::Inconsistent { edge: ei });
                         }
                     }
@@ -259,12 +288,17 @@ impl SdfGraph {
         }
 
         // Scale to the smallest integer vector.
-        let common_den = den.iter().fold(1u64, |acc, &d| lcm(acc, d));
-        let mut reps: Vec<u64> = num
+        let common_den = den
+            .iter()
+            .try_fold(1u64, |acc, &d| checked_lcm(acc, d))
+            .ok_or(SdfError::Overflow {
+                quantity: "rate denominator lcm",
+            })?;
+        let mut reps = num
             .iter()
             .zip(&den)
-            .map(|(&n_i, &d_i)| n_i * (common_den / d_i))
-            .collect();
+            .map(|(&n_i, &d_i)| mul(n_i, common_den / d_i, "repetition vector"))
+            .collect::<Result<Vec<u64>, SdfError>>()?;
         let common_gcd = reps.iter().fold(0u64, |acc, &r| gcd(acc, r));
         if common_gcd > 1 {
             for r in &mut reps {
@@ -1006,6 +1040,52 @@ mod tests {
         g.add_edge(a, b, 6, 4, 0).unwrap();
         // 6p = 4c → minimal (2, 3).
         assert_eq!(g.repetition_vector().unwrap(), vec![2, 3]);
+    }
+
+    #[test]
+    fn rate_overflow_is_reported_not_wrapped() {
+        // A consistent 12-actor chain whose edges each produce 1 token and
+        // consume 1000: the first actor fires 1000^11 times per iteration,
+        // which no u64 holds.  That is an overflow, not an inconsistency,
+        // in debug and release builds alike.
+        let mut g = SdfGraph::new();
+        let actors: Vec<ActorId> = (0..12)
+            .map(|i| g.add_actor(format!("a{i}"), 1, 1))
+            .collect();
+        for pair in actors.windows(2) {
+            g.add_edge(pair[0], pair[1], 1, 1000, 0).unwrap();
+        }
+        let err = g.repetition_vector().unwrap_err();
+        assert!(matches!(err, SdfError::Overflow { .. }), "{err:?}");
+        assert!(err.to_string().contains("overflows"));
+        // Six such edges still fit: 1000^6 < 2^64.
+        let mut short = SdfGraph::new();
+        let actors: Vec<ActorId> = (0..7)
+            .map(|i| short.add_actor(format!("a{i}"), 1, 1))
+            .collect();
+        for pair in actors.windows(2) {
+            short.add_edge(pair[0], pair[1], 1, 1000, 0).unwrap();
+        }
+        assert_eq!(short.repetition_vector().unwrap()[0], 1000u64.pow(6));
+        // Every reduced rate fits even where an unreduced product would
+        // not: r = [1, x/5, 1/5], so den[2] must not be formed as 5 · x.
+        let x = (1u64 << 62) + 3;
+        let mut wide = SdfGraph::new();
+        let actors: Vec<ActorId> = (0..3)
+            .map(|i| wide.add_actor(format!("a{i}"), 1, 1))
+            .collect();
+        wide.add_edge(actors[0], actors[1], x, 5, 0).unwrap();
+        wide.add_edge(actors[1], actors[2], 1, x, 0).unwrap();
+        assert_eq!(wide.repetition_vector().unwrap(), vec![5, x, 1]);
+        // The balance check compares those rates without overflowing.
+        let mut closed = wide.clone();
+        closed.add_edge(actors[2], actors[1], x, 1, 0).unwrap();
+        assert_eq!(closed.repetition_vector().unwrap(), vec![5, x, 1]);
+        wide.add_edge(actors[2], actors[1], x, 3, 0).unwrap();
+        assert_eq!(
+            wide.repetition_vector(),
+            Err(SdfError::Inconsistent { edge: 2 })
+        );
     }
 
     #[test]

@@ -439,7 +439,7 @@ impl Board {
 
     /// Co-advance the fleet by up to `max_ticks` board reference ticks:
     /// every chip runs to the common absolute reference target (each with
-    /// its own event-driven driver, so the per-chip statistics are
+    /// its own [`Chip::run`], so the per-chip statistics are
     /// bit-identical to running it alone), then the board clock moves to
     /// the fleet's frontier and the bridge schedule replays up to it.
     /// Returns the board reference ticks consumed.

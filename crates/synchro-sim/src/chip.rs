@@ -118,7 +118,6 @@ pub struct Chip {
     horizontal: Option<HorizontalBus>,
     bus_program: Option<BusProgramState>,
     stats: ChipStats,
-    run_loop_iterations: u64,
     trace: Trace,
     chip_id: u32,
 }
@@ -213,18 +212,7 @@ impl Chip {
         to: &[usize],
         words: u64,
     ) -> Result<(), synchro_bus::BusError> {
-        // `horizontal` is `Some` exactly when at least one column exists; a
-        // zero-column chip has no bus to transfer on.
-        let Some(bus) = self.horizontal.as_mut() else {
-            return Err(synchro_bus::BusError::IndexOutOfRange {
-                what: "column",
-                index: from,
-                limit: 0,
-            });
-        };
-        bus.transfer_words(from, to, words)?;
-        self.stats.horizontal_transfers += words;
-        Ok(())
+        transfer_words(&mut self.horizontal, &mut self.stats, from, to, words)
     }
 
     /// Horizontal bus statistics, if any column exists.
@@ -269,55 +257,49 @@ impl Chip {
     /// program purely by reference time, so the two paths stay
     /// bit-identical.
     fn drive_bus_through(&mut self, end: u64) -> Result<(), ColumnError> {
-        let Some(state) = &self.bus_program else {
+        let Some(state) = self.bus_program.as_mut() else {
             return Ok(());
         };
-        if state.iteration >= state.program.iterations {
-            return Ok(());
-        }
-        loop {
-            let Some(state) = &self.bus_program else {
-                unreachable!("program checked above and never unloaded");
-            };
-            if state.iteration >= state.program.iterations {
-                return Ok(());
-            }
+        let program = &state.program;
+        while state.iteration < program.iterations {
             let base = state
                 .origin
-                .saturating_add(state.iteration.saturating_mul(state.program.period));
-            if state.next_slot < state.program.slots.len() {
-                let slot = &state.program.slots[state.next_slot];
-                if base.saturating_add(slot.tick) >= end {
+                .saturating_add(state.iteration.saturating_mul(program.period));
+            if let Some(slot) = program.slots.get(state.next_slot) {
+                let at = base.saturating_add(slot.tick);
+                if at >= end {
                     return Ok(());
                 }
-                let at = base.saturating_add(slot.tick);
-                let (from, to, words) = (slot.from, slot.to.clone(), slot.words);
-                self.horizontal_transfer_words(from, &to, words)
-                    .map_err(ColumnError::Bus)?;
+                transfer_words(
+                    &mut self.horizontal,
+                    &mut self.stats,
+                    slot.from,
+                    &slot.to,
+                    slot.words,
+                )
+                .map_err(ColumnError::Bus)?;
                 self.trace.emit(|| TraceEvent::BusSlot {
                     chip: self.chip_id,
                     tick: at,
-                    from: from as u32,
-                    to: to.iter().map(|&c| c as u32).collect(),
-                    words,
+                    from: slot.from as u32,
+                    to: slot.to.iter().map(|&c| c as u32).collect(),
+                    words: slot.words,
                     count: 1,
                 });
-                let state = self.bus_program.as_mut().expect("still loaded");
                 state.next_slot += 1;
-            } else if base.saturating_add(state.program.period) <= end {
+            } else if base.saturating_add(program.period) <= end {
                 // The period's window has fully elapsed: account its
                 // scheduled (occupied + idle) TDM slots and roll over.
-                let scheduled = state.program.scheduled_slots_per_period;
                 if let Some(bus) = self.horizontal.as_mut() {
-                    bus.account_scheduled_slots(scheduled);
+                    bus.account_scheduled_slots(program.scheduled_slots_per_period);
                 }
-                let state = self.bus_program.as_mut().expect("still loaded");
                 state.iteration += 1;
                 state.next_slot = 0;
             } else {
                 return Ok(());
             }
         }
+        Ok(())
     }
 
     /// Drive the loaded bus program to completion regardless of how far
@@ -488,10 +470,10 @@ impl Chip {
         let tick_index = self.stats.reference_cycles;
         self.stats.reference_cycles += 1;
         // The statically scheduled bus fires first: every program slot due
-        // up to and including this tick is issued before the columns step,
-        // and catching up here keeps the event-driven fast path (which
-        // jumps the reference clock over empty ticks) bit-identical to the
-        // naive loop.
+        // up to and including this tick is issued before the columns step.
+        // The program reads no column state, so this order cannot change
+        // what [`Chip::run`] (which drives the bus once per window)
+        // produces.
         self.drive_bus_through(tick_index + 1)?;
         for column in &mut self.columns {
             // `Column::new` guarantees `clock_divider >= 1`.
@@ -507,64 +489,86 @@ impl Chip {
     }
 
     /// Run the reference clock until every column halts or `max_ticks`
-    /// elapse, skipping ahead over reference ticks on which no column's
-    /// clock divider fires.  Returns the number of reference ticks
-    /// consumed.
+    /// elapse.  Returns the number of reference ticks consumed.
     ///
-    /// This is an event-driven fast path: with large or co-prime dividers
-    /// most reference ticks select no column at all, and walking them one
-    /// by one costs O(ticks × columns).  The produced [`ChipStats`] are
-    /// bit-identical to the naive loop ([`Chip::run_ticked`]), which is
-    /// kept as the differential-testing reference.
+    /// Each live column is advanced through the whole window on its own,
+    /// in one loop over the ticks its divider selects: `start.div_ceil(d)
+    /// · d`, then every `d` ticks while the tick is below the window's
+    /// end, stopping at the step that observes its HALT.  This is exact
+    /// because within a window the columns are independent:
+    /// [`Column::step`] reads and writes only its own controller, tiles,
+    /// DOU and vertical bus, and the horizontal [`BusProgram`] issues its
+    /// slots by reference time alone, never reading column state.  So
+    /// every column, then the bus program, can run to the window's end in
+    /// turn.  If every column has halted, the clock stops one tick after
+    /// the latest halt-observing step, otherwise at the window's end.
+    ///
+    /// The produced [`ChipStats`], per-column, vertical- and
+    /// horizontal-bus statistics and tick count are bit-identical to the
+    /// tick-by-tick loop ([`Chip::run_ticked`]), which is kept as the
+    /// differential-testing reference, for any split of a run into
+    /// windows.  Trace events carry the same ticks, but one window's
+    /// events arrive grouped by column (then the bus slots) rather than
+    /// interleaved by tick; [`synchro_trace::normalize`], trace analysis
+    /// and the Chrome exporter key on each event's own tick, so only a
+    /// truncating ring buffer keeps a different tail.  After an error the
+    /// trace may also hold events past the error tick, from columns that
+    /// ran through the window before the failing one; the tick-by-tick
+    /// loop stops at the error and never emits them.
     ///
     /// # Errors
     ///
-    /// Propagates the first column error encountered.
+    /// Returns the column error at the earliest reference tick, ties
+    /// going to the lowest column — the error the tick-by-tick loop
+    /// meets first.  Chip state after an error is unspecified.
     pub fn run(&mut self, max_ticks: u64) -> Result<u64, ColumnError> {
         let start = self.stats.reference_cycles;
         let end = start.saturating_add(max_ticks);
-        while self.stats.reference_cycles < end {
-            self.run_loop_iterations += 1;
-            if self.all_halted() {
-                break;
+        if end == start || self.all_halted() {
+            return Ok(0);
+        }
+        let mut first_error: Option<(u64, ColumnError)> = None;
+        let mut last_halt: Option<u64> = None;
+        for column in &mut self.columns {
+            if column.is_halted() || column.is_failed() {
+                continue;
             }
-            let now = self.stats.reference_cycles;
-            // The earliest tick >= now at which a live column fires.
-            // Failed columns never fire (their steps are unbilled no-ops),
-            // so skipping them keeps `run` and `run_ticked` bit-identical
-            // while avoiding empty scheduler iterations.
-            let next_event = self
-                .columns
-                .iter()
-                .filter(|c| !c.is_halted() && !c.is_failed())
-                .map(|c| {
-                    let divider = u64::from(c.config().clock_divider);
-                    now.div_ceil(divider) * divider
-                })
-                .min();
-            match next_event {
-                Some(at) if at < end => {
-                    // Ticks in (now, at) select nobody; account them in bulk.
-                    self.stats.reference_cycles = at;
-                    self.tick()?;
-                }
-                // No live column fires inside the window: the remaining
-                // ticks are all empty for the columns, but scheduled bus
-                // slots inside them must still fire (as the naive loop
-                // would have done tick by tick).
-                _ => {
-                    self.stats.reference_cycles = end;
-                    self.drive_bus_through(end)?;
+            // A later column only matters before the earliest error so far:
+            // at that tick an earlier column has already failed.
+            let cap = first_error.as_ref().map_or(end, |&(tick, _)| tick);
+            // `Column::new` guarantees `clock_divider >= 1`.
+            let divider = u64::from(column.config().clock_divider);
+            let before = column.stats().cycles;
+            let mut tick = start.div_ceil(divider).saturating_mul(divider);
+            while tick < cap {
+                if let Err(error) = column.step() {
+                    first_error = Some((tick, error));
                     break;
                 }
+                if column.is_halted() {
+                    last_halt = last_halt.max(Some(tick));
+                    break;
+                }
+                tick = tick.saturating_add(divider);
             }
+            self.stats.column_cycles += column.stats().cycles - before;
         }
-        Ok(self.stats.reference_cycles - start)
+        if let Some((tick, error)) = first_error {
+            self.stats.reference_cycles = tick + 1;
+            self.drive_bus_through(tick + 1)?;
+            return Err(error);
+        }
+        let stop = match last_halt {
+            Some(tick) if self.all_halted() => tick + 1,
+            _ => end,
+        };
+        self.stats.reference_cycles = stop;
+        self.drive_bus_through(stop)?;
+        Ok(stop - start)
     }
 
     /// The naive tick-by-tick equivalent of [`Chip::run`], kept as the
-    /// differential-testing and benchmarking reference for the
-    /// event-driven fast path.
+    /// differential-testing and benchmarking reference.
     ///
     /// # Errors
     ///
@@ -572,7 +576,6 @@ impl Chip {
     pub fn run_ticked(&mut self, max_ticks: u64) -> Result<u64, ColumnError> {
         let start = self.stats.reference_cycles;
         for _ in 0..max_ticks {
-            self.run_loop_iterations += 1;
             if self.all_halted() {
                 break;
             }
@@ -580,14 +583,31 @@ impl Chip {
         }
         Ok(self.stats.reference_cycles - start)
     }
+}
 
-    /// Total scheduler-loop iterations executed by [`Chip::run`] and
-    /// [`Chip::run_ticked`] so far — the work metric the event-driven fast
-    /// path reduces (it is *not* part of [`ChipStats`], which both paths
-    /// produce identically).
-    pub fn run_loop_iterations(&self) -> u64 {
-        self.run_loop_iterations
-    }
+/// Account `words` transfers on a chip's horizontal bus and in its
+/// statistics — the body of [`Chip::horizontal_transfer_words`], over the
+/// two fields it touches so the bus-program driver can call it while
+/// borrowing the program.
+fn transfer_words(
+    horizontal: &mut Option<HorizontalBus>,
+    stats: &mut ChipStats,
+    from: usize,
+    to: &[usize],
+    words: u64,
+) -> Result<(), synchro_bus::BusError> {
+    // `horizontal` is `Some` exactly when at least one column exists; a
+    // zero-column chip has no bus to transfer on.
+    let Some(bus) = horizontal.as_mut() else {
+        return Err(synchro_bus::BusError::IndexOutOfRange {
+            what: "column",
+            index: from,
+            limit: 0,
+        });
+    };
+    bus.transfer_words(from, to, words)?;
+    stats.horizontal_transfers += words;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -741,14 +761,44 @@ mod tests {
         assert_eq!(fast.stats(), slow.stats());
         assert_eq!(fast.column_stats(), slow.column_stats());
         assert!(fast.all_halted() && slow.all_halted());
-        // The fast path touches far fewer scheduler iterations on a
-        // divider-heavy mix.
-        assert!(
-            fast.run_loop_iterations() < slow.run_loop_iterations() / 2,
-            "fast {} vs ticked {}",
-            fast.run_loop_iterations(),
-            slow.run_loop_iterations()
+    }
+
+    /// A column that faults on a load from `address` after `nops` cycles
+    /// and one `setp`.
+    fn faulting_column(nops: usize, address: u32, divider: u32) -> Column {
+        let src = format!(
+            "{}setp p0, {address}\nld r0, p0, 0\nhalt\n",
+            "nop\n".repeat(nops)
         );
+        Column::new(
+            ColumnConfig::isca2004().with_divider(divider),
+            assemble(&src).unwrap(),
+            None,
+        )
+    }
+
+    #[test]
+    fn run_reports_the_earliest_tick_error_ties_to_the_lowest_column() {
+        // Column 0 faults at tick 11; columns 1 and 2, stepped after it in
+        // a window, both fault earlier, at tick 2 (divider 2 and
+        // divider 1).  Tick 2 wins, and of the tied columns column 1.
+        let build = || {
+            let mut chip = Chip::new();
+            chip.add_column(faulting_column(10, 30000, 1));
+            chip.add_column(faulting_column(0, 20000, 2));
+            chip.add_column(faulting_column(1, 10000, 1));
+            chip
+        };
+        let windowed = build().run(100).unwrap_err();
+        let ticked = build().run_ticked(100).unwrap_err();
+        assert_eq!(format!("{windowed:?}"), format!("{ticked:?}"));
+        match windowed {
+            ColumnError::Tile {
+                source: synchro_tile::ExecError::Memory(fault),
+                ..
+            } => assert_eq!(fault.address, 20000),
+            other => panic!("expected column 1's memory fault, got {other}"),
+        }
     }
 
     #[test]

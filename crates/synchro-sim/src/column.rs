@@ -337,24 +337,22 @@ impl Column {
         // as scheduled-but-idle slots for the power calibration.
         if let Some(dou) = &mut self.dou {
             let output = dou.step();
-            if let Some(segments) = output.segments {
-                self.segment_config = segments;
+            if let Some(segments) = &output.segments {
+                self.segment_config.clone_from(segments);
             }
             self.bus.cycle(&self.segment_config, &output.ops)?;
-            if !output.ops.is_empty() {
-                for op in &output.ops {
-                    let value = self
-                        .tiles
-                        .get(op.producer)
-                        .and_then(Tile::peek_outgoing)
-                        .unwrap_or(0);
-                    for &consumer in &op.consumers {
-                        if let Some(t) = self.tiles.get_mut(consumer) {
-                            t.deliver(value);
-                        }
+            for op in &output.ops {
+                let value = self
+                    .tiles
+                    .get(op.producer)
+                    .and_then(Tile::peek_outgoing)
+                    .unwrap_or(0);
+                for &consumer in &op.consumers {
+                    if let Some(t) = self.tiles.get_mut(consumer) {
+                        t.deliver(value);
                     }
-                    self.stats.bus_word_transfers += 1;
                 }
+                self.stats.bus_word_transfers += 1;
             }
         }
         Ok(())

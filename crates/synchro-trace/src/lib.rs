@@ -1036,7 +1036,7 @@ mod tests {
         assert_eq!(sink.value("sim.fault_stalls"), 2);
 
         // Normalization drops ticks but keeps the fault's identity, so
-        // the ticked and event-driven tiers compare equal while a fault
+        // the ticked and windowed drivers compare equal while a fault
         // on a different column does not.
         let a = vec![TraceEvent::FaultColumnKilled {
             chip: 0,

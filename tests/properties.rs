@@ -4,16 +4,19 @@
 //! the DSP kernels.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use synchro_apps::aes::{decrypt_block, encrypt_block, KeySchedule};
 use synchro_apps::mpeg4::{dct8x8, dequantize, idct8x8, quantize};
 use synchro_apps::wifi::{convolutional_encode, demodulate, modulate, Modulation, ViterbiDecoder};
 use synchro_bus::{BusOp, SegmentConfig, SegmentedBus};
-use synchro_isa::assemble;
+use synchro_dou::ScheduleCompiler;
+use synchro_isa::{assemble, DataReg, ProgramBuilder};
 use synchro_power::{ColumnActivity, ColumnPower, Technology, TilePowerModel, VfCurve};
 use synchro_sdf::{Mapping, SdfGraph};
-use synchro_sim::{Chip, Column, ColumnConfig};
+use synchro_sim::{BusProgram, BusSlot, Chip, Column, ColumnConfig};
 use synchro_simd::RateMatcher;
 use synchroscalar::mapper::{self, MapperOptions};
+use synchroscalar::trace::{normalize, RingBufferSink, Trace, TraceEvent};
 
 proptest! {
     /// The VF curve is monotone and `voltage_for_frequency` always returns a
@@ -183,35 +186,120 @@ proptest! {
         prop_assert_eq!(execution.horizontal_traffic_error(), 0.0);
     }
 
-    /// The event-driven `Chip::run` is bit-identical to the naive
-    /// tick-by-tick loop for any divider mix and any window split.
+    /// `Chip::run`, which advances each column through a whole window in
+    /// one loop, is bit-identical to the naive tick-by-tick loop for any
+    /// divider mix and any cut of the run into windows.  The chip holds
+    /// three counting columns (one of which may end in a tile fault), a
+    /// mapper-shaped firing column with a DOU on 2-4 tiles, a ZORM column
+    /// without a DOU and a random horizontal bus program; one column may
+    /// be killed between the first and second windows.
     #[test]
     fn chip_fast_path_is_bit_identical_to_ticked_run(
         d1 in 1u32..48, d2 in 1u32..48, d3 in 1u32..48,
         iters in 1u32..24,
         first_window in 1u64..1500, second_window in 1u64..1500,
+        third_window in 0u64..1500,
+        nops in 1u32..6,
+        dou_tiles in 2usize..5,
+        zorm_fraction in 0.3f64..0.95,
+        bus_bits in prop::collection::vec(any::<u64>(), 0..4),
+        bus_period in 1u64..64,
+        bus_iterations in 0u64..8,
+        kill in 0usize..10,
+        fault in 0usize..6,
     ) {
-        let build = || {
+        const COLUMNS: usize = 5;
+        let mut slots: Vec<BusSlot> = bus_bits
+            .iter()
+            .map(|&bits| BusSlot {
+                tick: bits % bus_period,
+                from: (bits >> 8) as usize % COLUMNS,
+                to: vec![(bits >> 16) as usize % COLUMNS],
+                words: 1 + (bits >> 24) % 3,
+            })
+            .collect();
+        slots.sort_by_key(|slot| slot.tick);
+        let bus_program = BusProgram::new(bus_period, bus_iterations, 2 * bus_period, slots);
+        // The mapper's firing: tag, send, compute, receive; its DOU
+        // broadcasts tile 0's word one cycle after the send.
+        let mut firing = ProgramBuilder::new();
+        firing.counted_loop(iters, |b| {
+            b.load_imm(DataReg::new(7), 5);
+            b.send();
+            b.counted_loop(nops, |b| {
+                b.nop();
+            });
+            b.recv(DataReg::new(2));
+        });
+        firing.halt();
+        let firing = firing.build().unwrap();
+        let mut schedule = ScheduleCompiler::new();
+        schedule.idle_for(2).push_op(BusOp {
+            split: 0,
+            producer: 0,
+            consumers: (1..dou_tiles).collect(),
+        });
+        schedule.idle_for(nops as usize);
+        let dou = schedule.compile(iters).unwrap();
+
+        let build = |ring: &Arc<RingBufferSink>| {
             let mut chip = Chip::new();
-            for &d in &[d1, d2, d3] {
-                let src = format!("loop {iters}, 2\nli r0, 1\nadd r1, r1, r0\nhalt\n");
+            chip.set_trace(Trace::to(ring.clone()), 0);
+            for (i, &d) in [d1, d2, d3].iter().enumerate() {
+                let tail = if fault == i { "setp p0, 20000\nld r0, p0, 0\n" } else { "" };
+                let src = format!("loop {iters}, 2\nli r0, 1\nadd r1, r1, r0\n{tail}halt\n");
                 chip.add_column(Column::new(
                     ColumnConfig::isca2004().with_divider(d),
                     assemble(&src).unwrap(),
                     None,
                 ));
             }
+            let mut dou_config = ColumnConfig::isca2004().with_divider(d2);
+            dou_config.tiles = dou_tiles;
+            dou_config.enabled_tiles = vec![true; dou_tiles];
+            chip.add_column(Column::new(dou_config, firing.clone(), Some(dou.clone())));
+            let mut zorm_config = ColumnConfig::isca2004().with_divider(d3);
+            zorm_config.rate_matcher = RateMatcher::for_rates(1.0, zorm_fraction);
+            chip.add_column(Column::new(zorm_config, firing.clone(), None));
+            chip.load_bus_program(bus_program.clone()).unwrap();
             chip
         };
-        let mut fast = build();
-        let mut slow = build();
-        // Two windows exercise resuming mid-divider-period.
-        let fast_ticks = fast.run(first_window).unwrap() + fast.run(second_window).unwrap();
-        let slow_ticks =
-            slow.run_ticked(first_window).unwrap() + slow.run_ticked(second_window).unwrap();
-        prop_assert_eq!(fast_ticks, slow_ticks);
-        prop_assert_eq!(fast.stats(), slow.stats());
-        prop_assert_eq!(fast.column_stats(), slow.column_stats());
+        let (fast_ring, slow_ring) = (
+            Arc::new(RingBufferSink::new(1 << 20)),
+            Arc::new(RingBufferSink::new(1 << 20)),
+        );
+        let mut fast = build(&fast_ring);
+        let mut slow = build(&slow_ring);
+        for (index, window) in [first_window, second_window, third_window].into_iter().enumerate() {
+            if index == 1 && kill < COLUMNS {
+                for chip in [&mut fast, &mut slow] {
+                    let now = chip.stats().reference_cycles;
+                    chip.fail_column(kill, now);
+                }
+            }
+            match (fast.run(window), slow.run_ticked(window)) {
+                (Ok(fast_ticks), Ok(slow_ticks)) => prop_assert_eq!(fast_ticks, slow_ticks),
+                // Chip state after an error is unspecified; the error is not.
+                (fast_result, slow_result) => {
+                    prop_assert_eq!(format!("{fast_result:?}"), format!("{slow_result:?}"));
+                    return Ok(());
+                }
+            }
+            prop_assert_eq!(fast.stats(), slow.stats());
+            prop_assert_eq!(fast.column_stats(), slow.column_stats());
+            prop_assert_eq!(fast.column_bus_stats(), slow.column_bus_stats());
+            prop_assert_eq!(fast.horizontal_stats(), slow.horizontal_stats());
+            let (fast_events, slow_events) = (fast_ring.events(), slow_ring.events());
+            prop_assert_eq!(normalize(&fast_events), normalize(&slow_events));
+            // The same events with the same ticks, in any order.
+            let sorted = |events: &[TraceEvent]| {
+                let mut keys: Vec<String> = events.iter().map(|e| format!("{e:?}")).collect();
+                keys.sort();
+                keys
+            };
+            prop_assert_eq!(sorted(&fast_events), sorted(&slow_events));
+        }
+        prop_assert_eq!(fast_ring.dropped() + slow_ring.dropped(), 0);
     }
 
     /// AES encryption followed by decryption is the identity for any block
