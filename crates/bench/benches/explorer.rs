@@ -1,9 +1,10 @@
 //! Criterion benchmarks of the explorer's search core, staged so
 //! per-stage regressions show up, not only end-to-end numbers:
-//! interval-arena build (graph analysis + memoized VF/power evaluation of
-//! every contiguous interval), one prefix-DP pass over a prepared arena
-//! (the relaxation hot loop plus winner reconstruction), and a full
-//! `explore` on the DDC reference graph (arena + DP + realization).
+//! interval-arena build (graph analysis + one VF/power evaluation per
+//! tile option of every contiguous interval), one prefix-DP pass over a
+//! prepared arena (the relaxation hot loop plus winner reconstruction),
+//! and a full `explore` on the DDC reference graph (arena + DP +
+//! realization).
 use bench::synthetic_pipeline;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

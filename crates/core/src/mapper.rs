@@ -3216,6 +3216,10 @@ mod tests {
             MapperError::DuplicatePlacement { actor: ActorId(0) },
             MapperError::InvalidMapping { violations: vec![] },
             MapperError::Explorer(ExplorerError::Sdf(SdfError::Empty)),
+            MapperError::Explorer(ExplorerError::InvalidConfig {
+                field: "iteration_rate_hz",
+                value: f64::NAN,
+            }),
             MapperError::Route(RouteError::Unreachable { from: 0, to: 1 }),
             MapperError::Overflow { what: "test" },
             MapperError::FastTier(FastTierError::NonUniform { firing: 2 }),

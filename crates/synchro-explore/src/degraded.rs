@@ -21,7 +21,7 @@
 //! can).  Because the ladder is walked from the top, a full-rate remap
 //! is found whenever one exists.
 
-use crate::model::{EvalCache, Evaluator, GraphContext};
+use crate::model::{check_rate, Evaluator, GraphContext};
 use crate::{
     explore_board, plan_search, run_search, search, BoardSearch, CommSpec, ExplorerConfig,
     ExplorerError,
@@ -237,24 +237,24 @@ fn point_for(
 /// (so a full-rate remap is found whenever one exists), and return the
 /// per-loss [`DegradationCurve`].
 ///
-/// The graph is analysed once; per ladder rate one [`Evaluator`] and
-/// one shared `EvalCache` price operating points across every loss
-/// still unresolved at that rate (the cache is rate-dependent, so it
-/// cannot be shared across rungs).  Losses that stay infeasible at
-/// every rung produce `feasible: false` points with rate 0 rather than
-/// an error.
+/// The graph is analysed once, and per ladder rate one [`Evaluator`]
+/// prices the operating points of every loss still unresolved at that
+/// rate.  Each loss's arena is built for its own shrunk budget.  Losses
+/// that stay infeasible at every rung produce `feasible: false` points
+/// with rate 0 rather than an error.
 ///
 /// # Errors
 ///
-/// Structural errors (unanalysable graphs, invalid configurations)
-/// propagate; resource-exhaustion errors
-/// ([`ExplorerError::is_resource_exhaustion`]) are what the ladder
-/// walks through and never escape.
+/// Structural errors (unanalysable graphs, invalid configurations such
+/// as [`ExplorerError::InvalidConfig`]) propagate; resource-exhaustion
+/// errors ([`ExplorerError::is_resource_exhaustion`]) are what the
+/// ladder walks through and never escape.
 pub fn explore_degraded(
     graph: &SdfGraph,
     config: &ExplorerConfig,
     losses: &[ResourceLoss],
 ) -> Result<DegradationCurve, ExplorerError> {
+    check_rate(config.iteration_rate_hz, config.efficiency)?;
     let ctx = GraphContext::new(graph)?;
     let mut points: Vec<Option<DegradationPoint>> = vec![None; losses.len()];
     for &(num, den) in RATE_LADDER.iter() {
@@ -262,31 +262,21 @@ pub fn explore_degraded(
             break;
         }
         let rate_hz = config.iteration_rate_hz * num as f64 / den as f64;
-        let evaluator = Evaluator::new(&config.tech, rate_hz, config.efficiency);
-        let mut cache = EvalCache::default();
+        let evaluator = Evaluator::new(&config.tech, rate_hz, config.efficiency)?;
         for (slot, loss) in points.iter_mut().zip(losses) {
             if slot.is_some() {
                 continue;
             }
             let swept = degraded_config(config, loss, (num, den));
             let outcome = plan_search(graph, &ctx, &swept).and_then(|max_group_size| {
-                let arena = search::IntervalArena::build_with_cache(
+                let arena = search::IntervalArena::build(
                     &ctx,
                     &evaluator,
                     swept.candidates,
                     swept.tile_budget,
                     max_group_size,
-                    &mut cache,
                 );
-                run_search(
-                    graph,
-                    &swept,
-                    &ctx,
-                    &evaluator,
-                    &arena,
-                    max_group_size,
-                    swept.comm,
-                )
+                run_search(&swept, &ctx, &evaluator, &arena, max_group_size, swept.comm)
             });
             match outcome {
                 Ok(exploration) if exploration.best.feasible => {
@@ -334,6 +324,7 @@ pub fn explore_degraded_board(
     config: &ExplorerConfig,
     losses: &[ResourceLoss],
 ) -> Result<DegradationCurve, ExplorerError> {
+    check_rate(config.iteration_rate_hz, config.efficiency)?;
     let mut points: Vec<Option<DegradationPoint>> = vec![None; losses.len()];
     for &(num, den) in RATE_LADDER.iter() {
         if points.iter().all(Option::is_some) {

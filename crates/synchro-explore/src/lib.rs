@@ -49,6 +49,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use synchro_power::{AreaModel, Technology};
 use synchro_sdf::{ActorId, Mapping, MappingViolation, SdfError, SdfGraph};
@@ -69,7 +70,7 @@ pub use pareto::dominates;
 pub use search::SearchStats;
 pub use space::{cluster, TileCandidates};
 
-use model::{Evaluator, GraphContext};
+use model::{check_rate, Evaluator, GraphContext};
 
 /// Errors raised by the explorer.
 #[derive(Debug)]
@@ -114,6 +115,15 @@ pub enum ExplorerError {
         /// Candidate splits whose per-chip explorations were attempted.
         splits_tried: usize,
     },
+    /// A configuration value the cost model cannot price: an iteration
+    /// rate that is not finite and positive, or a NaN parallel
+    /// efficiency.
+    InvalidConfig {
+        /// The offending [`ExplorerConfig`] field.
+        field: &'static str,
+        /// The value supplied.
+        value: f64,
+    },
 }
 
 impl fmt::Display for ExplorerError {
@@ -148,6 +158,9 @@ impl fmt::Display for ExplorerError {
                 "no contiguous partition across up to {max_chips} chip(s) was feasible \
                  ({splits_tried} splits tried)"
             ),
+            ExplorerError::InvalidConfig { field, value } => {
+                write!(f, "configuration field `{field}` has invalid value {value}")
+            }
         }
     }
 }
@@ -181,6 +194,7 @@ impl ExplorerError {
             ExplorerError::IncompleteMapping { .. } => "incomplete_mapping",
             ExplorerError::CommInfeasible { .. } => "comm_infeasible",
             ExplorerError::BoardInfeasible { .. } => "board_infeasible",
+            ExplorerError::InvalidConfig { .. } => "invalid_config",
         }
     }
 }
@@ -339,7 +353,8 @@ impl BoardSearch {
 /// Configuration of one exploration.
 #[derive(Debug, Clone)]
 pub struct ExplorerConfig {
-    /// Target graph-iteration rate (iterations per second).
+    /// Target graph-iteration rate (iterations per second); must be
+    /// finite and positive.
     pub iteration_rate_hz: f64,
     /// Maximum total tiles any solution may use.
     pub tile_budget: u32,
@@ -356,7 +371,8 @@ pub struct ExplorerConfig {
     /// backward edges are searched with single-actor columns only.
     pub max_group_size: usize,
     /// Parallel efficiency assumed when splitting work across tiles
-    /// (1.0 = perfect speedup, matching the reference mappings).
+    /// (1.0 = perfect speedup, matching the reference mappings); clamped
+    /// to `[0.01, 1]`, and must not be NaN.
     pub efficiency: f64,
     /// Optional communication-feasibility prune: groupings whose
     /// cross-column traffic cannot fit the TDM frame are rejected before
@@ -458,14 +474,12 @@ impl ExplorerConfig {
 }
 
 /// One column group of a solution: the actors it hosts and its evaluated
-/// operating point.
+/// operating point.  It owns no heap data.
 #[derive(Debug, Clone)]
 pub struct ColumnSolution {
-    /// The actors fused into this column group (one entry for
+    /// The contiguous actor ids fused into this column group (one id for
     /// single-actor columns).
-    pub actors: Vec<ActorId>,
-    /// Human-readable name (member names joined with `+`).
-    pub name: String,
+    pub actors: Range<usize>,
     /// Tiles assigned.
     pub tiles: u32,
     /// Required per-tile frequency (MHz).
@@ -476,6 +490,18 @@ pub struct ColumnSolution {
     pub within_envelope: bool,
     /// Power breakdown.
     pub power: synchro_power::ColumnPower,
+}
+
+impl ColumnSolution {
+    /// Human-readable name: the member actors' names in `graph` (the graph
+    /// the solution was explored on) joined with `+`.
+    pub fn name(&self, graph: &SdfGraph) -> String {
+        graph.actors()[self.actors.clone()]
+            .iter()
+            .map(|a| a.name.as_str())
+            .collect::<Vec<_>>()
+            .join("+")
+    }
 }
 
 /// One point of the design space: a complete mapping with its cost.
@@ -527,10 +553,7 @@ impl ExplorerSolution {
         let groups: Vec<(usize, usize)> = self
             .columns
             .iter()
-            .map(|c| {
-                let start = c.actors.first().expect("column has actors").0;
-                (start, start + c.actors.len())
-            })
+            .map(|c| (c.actors.start, c.actors.end))
             .collect();
         let allocation = self.allocation();
         if self.is_single_actor_columns() {
@@ -576,8 +599,9 @@ impl Exploration {
 ///
 /// # Errors
 ///
-/// Returns [`ExplorerError`] for unanalyzable graphs, impossible budgets,
-/// or an exhausted search space.
+/// Returns [`ExplorerError`] for an invalid rate or efficiency
+/// ([`ExplorerError::InvalidConfig`]), unanalyzable graphs, impossible
+/// budgets, or an exhausted search space.
 pub fn explore(graph: &SdfGraph, config: &ExplorerConfig) -> Result<Exploration, ExplorerError> {
     let result = explore_impl(graph, config);
     reject_on_err(&config.trace, &result);
@@ -599,9 +623,9 @@ fn explore_impl(graph: &SdfGraph, config: &ExplorerConfig) -> Result<Exploration
     let trace = &config.trace;
     let (ctx, max_group_size, evaluator) = {
         let _span = trace.span("explore.plan");
+        let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency)?;
         let ctx = GraphContext::new(graph)?;
         let max_group_size = plan_search(graph, &ctx, config)?;
-        let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency);
         (ctx, max_group_size, evaluator)
     };
     let arena = {
@@ -617,7 +641,6 @@ fn explore_impl(graph: &SdfGraph, config: &ExplorerConfig) -> Result<Exploration
     let result = {
         let _span = trace.span("explore.search");
         run_search(
-            graph,
             config,
             &ctx,
             &evaluator,
@@ -677,7 +700,6 @@ fn plan_search(
 /// `comm` is explicit (rather than read from `config`) so comm sweeps
 /// reuse one arena — interval costs do not depend on the frame.
 fn run_search(
-    graph: &SdfGraph,
     config: &ExplorerConfig,
     ctx: &GraphContext,
     evaluator: &Evaluator,
@@ -700,29 +722,38 @@ fn run_search(
     }
 
     // The search yields one candidate per tile count, tiles ascending.
+    // Each is packaged from the arena's stored evaluations of the options
+    // the DP chose; nothing is evaluated again.
+    let mut evals = Vec::new();
     let curve: Vec<ExplorerSolution> = outcome
         .curve
         .iter()
         .map(|c| {
-            let solution = realize_candidate(
-                graph,
-                ctx,
-                evaluator,
-                &c.groups,
-                &c.allocation,
-                config.voltage_policy,
+            evals.clear();
+            evals.extend(
+                c.groups
+                    .iter()
+                    .zip(&c.allocation)
+                    .map(|(&(start, end), &tiles)| {
+                        *arena
+                            .eval(start, end, tiles)
+                            .expect("the DP only picks options the arena holds")
+                    }),
             );
-            // The search accumulates cost group by group in the same
-            // order realization sums it, so the DP's totals must agree
-            // bit-for-bit with the re-evaluation.  Under
-            // the single-voltage policy the realized cost is deliberately
-            // re-priced at the shared supply, so the identity only holds
-            // for the per-column relaxation the search ran on.
+            let solution = package(ctx, evaluator, &c.groups, &evals, config.voltage_policy);
+            // The DP summed the same stored evaluations group by group, in
+            // the order packaging sums them, so the totals must agree bit
+            // for bit.  This checks the back-pointer walk and the
+            // packaging, not the cost model: `evaluate_mapping`'s
+            // independent re-pricing is pinned by the explorer property
+            // tests.  Under the single-voltage policy the packaged cost is
+            // deliberately re-priced at the shared supply, so the identity
+            // only holds for the per-column relaxation the search ran on.
             if config.voltage_policy == VoltagePolicy::PerColumn {
                 debug_assert_eq!(
                     solution.power_mw.to_bits(),
                     c.power_mw.to_bits(),
-                    "search cost diverged from realized cost"
+                    "search cost diverged from packaged cost"
                 );
                 debug_assert_eq!(solution.feasible, c.feasible);
             }
@@ -770,14 +801,16 @@ fn run_search(
 ///
 /// # Errors
 ///
-/// Returns [`ExplorerError::InvalidMapping`] /
-/// [`ExplorerError::IncompleteMapping`] for ill-formed mappings and
+/// Returns [`ExplorerError::InvalidConfig`] for a rate or efficiency the
+/// cost model cannot price, [`ExplorerError::InvalidMapping`] /
+/// [`ExplorerError::IncompleteMapping`] for ill-formed mappings, and
 /// propagates graph-analysis failures.
 pub fn evaluate_mapping(
     graph: &SdfGraph,
     mapping: &Mapping,
     config: &ExplorerConfig,
 ) -> Result<ExplorerSolution, ExplorerError> {
+    let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency)?;
     let violations = mapping.validate(graph);
     if !violations.is_empty() {
         return Err(ExplorerError::InvalidMapping { violations });
@@ -795,19 +828,28 @@ pub fn evaluate_mapping(
         });
     }
     let ctx = GraphContext::new(graph)?;
-    let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency);
     let groups: Vec<(usize, usize)> = mapping
         .placements()
         .iter()
         .map(|p| (p.actor.0, p.actor.0 + 1))
         .collect();
-    let allocation: Vec<u32> = mapping.placements().iter().map(|p| p.tiles).collect();
-    Ok(realize_candidate(
-        graph,
+    let evals: Vec<ColumnEval> = groups
+        .iter()
+        .zip(mapping.placements())
+        .map(|(&(start, end), p)| {
+            evaluator.evaluate_column(
+                ctx.group_work(start, end),
+                ctx.group_cap(start, end),
+                ctx.boundary_tokens(start, end),
+                p.tiles,
+            )
+        })
+        .collect();
+    Ok(package(
         &ctx,
         &evaluator,
         &groups,
-        &allocation,
+        &evals,
         config.voltage_policy,
     ))
 }
@@ -846,7 +888,8 @@ pub fn explore_bus_widths(
     let shared = (|| {
         let ctx = GraphContext::new(graph).ok()?;
         let max_group_size = plan_search(graph, &ctx, config).ok()?;
-        let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency);
+        let evaluator =
+            Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency).ok()?;
         let arena = search::IntervalArena::build(
             &ctx,
             &evaluator,
@@ -861,17 +904,12 @@ pub fn explore_bus_widths(
         .map(|&splits| {
             let comm = comm_of(splits);
             let outcome = match &shared {
-                Some((ctx, max_group_size, evaluator, arena)) => run_search(
-                    graph,
-                    config,
-                    ctx,
-                    evaluator,
-                    arena,
-                    *max_group_size,
-                    Some(comm),
-                ),
-                // Analysis or planning failed: fall back to the plain
-                // path so every point reports the structured error.
+                Some((ctx, max_group_size, evaluator, arena)) => {
+                    run_search(config, ctx, evaluator, arena, *max_group_size, Some(comm))
+                }
+                // Validation, analysis or planning failed: fall back to
+                // the plain path so every point reports the structured
+                // error.
                 None => explore(graph, &config.clone().with_comm(comm)),
             };
             BusWidthPoint { comm, outcome }
@@ -894,11 +932,9 @@ pub struct BudgetPoint {
 /// Sweep the tile budget as a search dimension: re-explore `graph` under
 /// `config` at each budget in `budgets`.
 ///
-/// The budget changes which tile counts each interval offers, so the
-/// arena is rebuilt per point — but the `(work, cap, tokens, tiles)`
-/// power evaluations behind it are shared through one `EvalCache`, so
-/// repeated operating points across budgets are priced once.  Each point
-/// is bit-identical to an independent [`explore`] call at that budget.
+/// The graph is analysed once.  The budget changes which tile counts each
+/// interval offers, so the arena is rebuilt per point.  Each point is
+/// bit-identical to an independent [`explore`] call at that budget.
 pub fn explore_budget_sweep(
     graph: &SdfGraph,
     config: &ExplorerConfig,
@@ -908,8 +944,12 @@ pub fn explore_budget_sweep(
         tile_budget: budget,
         ..config.clone()
     };
-    let Ok(ctx) = GraphContext::new(graph) else {
-        // Unanalysable graph: every point reports the structured error.
+    let (Ok(evaluator), Ok(ctx)) = (
+        Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency),
+        GraphContext::new(graph),
+    ) else {
+        // Invalid configuration or unanalysable graph: every point
+        // reports the structured error.
         return budgets
             .iter()
             .map(|&budget| BudgetPoint {
@@ -918,30 +958,19 @@ pub fn explore_budget_sweep(
             })
             .collect();
     };
-    let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency);
-    let mut cache = model::EvalCache::default();
     budgets
         .iter()
         .map(|&budget| {
             let swept = at_budget(budget);
             let outcome = plan_search(graph, &ctx, &swept).and_then(|max_group_size| {
-                let arena = search::IntervalArena::build_with_cache(
+                let arena = search::IntervalArena::build(
                     &ctx,
                     &evaluator,
                     swept.candidates,
                     budget,
                     max_group_size,
-                    &mut cache,
                 );
-                run_search(
-                    graph,
-                    &swept,
-                    &ctx,
-                    &evaluator,
-                    &arena,
-                    max_group_size,
-                    swept.comm,
-                )
+                run_search(&swept, &ctx, &evaluator, &arena, max_group_size, swept.comm)
             });
             BudgetPoint { budget, outcome }
         })
@@ -1004,10 +1033,9 @@ impl BoardExploration {
         let mut mapping = Mapping::new();
         for (chip, ce) in self.chips.iter().enumerate() {
             for col in &ce.solution.columns {
-                let local = col.actors.first().expect("column has actors").0;
                 mapping.place_on_chip(
                     chip,
-                    ActorId(ce.start + local),
+                    ActorId(ce.start + col.actors.start),
                     col.tiles,
                     ce.solution.efficiency,
                 );
@@ -1038,7 +1066,9 @@ impl BoardExploration {
 /// # Errors
 ///
 /// [`ExplorerError::BoardInfeasible`] when no attempted split is
-/// feasible on every chip; analysis errors propagate as in [`explore`].
+/// feasible on every chip; [`ExplorerError::InvalidConfig`] (for the
+/// board's rate or a chip's scaled rate) and analysis errors propagate as
+/// in [`explore`].
 pub fn explore_board(
     graph: &SdfGraph,
     config: &ExplorerConfig,
@@ -1052,6 +1082,7 @@ fn explore_board_impl(
     graph: &SdfGraph,
     config: &ExplorerConfig,
 ) -> Result<BoardExploration, ExplorerError> {
+    check_rate(config.iteration_rate_hz, config.efficiency)?;
     let board = config.board.unwrap_or_default();
     let ctx = GraphContext::new(graph)?;
     let reps = graph.repetition_vector()?;
@@ -1085,7 +1116,7 @@ fn explore_board_impl(
                 continue;
             }
             splits_tried += 1;
-            if let Some((chips, stats)) = explore_split(graph, config, &reps, &split) {
+            if let Some((chips, stats)) = explore_split(graph, config, &reps, &split)? {
                 return Ok(BoardExploration {
                     chips,
                     bridge_words_per_iteration: cut,
@@ -1140,29 +1171,40 @@ fn contiguous_splits(n: usize, chips: usize) -> Vec<Vec<(usize, usize)>> {
     result
 }
 
+/// A split's per-chip winners and summed search counters, or `None` when
+/// the split is rejected.
+type SplitOutcome = Option<(Vec<ChipExploration>, SearchStats)>;
+
 /// Attempt one split: explore every chip's subgraph independently and
-/// accept only when every chip's winner is feasible.  Any per-chip
+/// accept only when every chip's winner is feasible.  Any other per-chip
 /// failure (budget, comm, infeasible envelope, inconsistent subgraph)
-/// rejects the split.
+/// rejects the split with `Ok(None)`; an invalid chip configuration (a
+/// scaled rate that overflows) is returned.
 fn explore_split(
     graph: &SdfGraph,
     config: &ExplorerConfig,
     reps: &[u64],
     split: &[(usize, usize)],
-) -> Option<(Vec<ChipExploration>, SearchStats)> {
+) -> Result<SplitOutcome, ExplorerError> {
     let mut chips = Vec::with_capacity(split.len());
     let mut stats = SearchStats::default();
     for &(start, end) in split {
-        let (sub, rate_factor) = chip_subgraph(graph, reps, start, end)?;
+        let Some((sub, rate_factor)) = chip_subgraph(graph, reps, start, end) else {
+            return Ok(None);
+        };
         let sub_config = ExplorerConfig {
             iteration_rate_hz: config.iteration_rate_hz * rate_factor as f64,
             max_group_size: 1,
             board: None,
             ..config.clone()
         };
-        let exploration = explore(&sub, &sub_config).ok()?;
+        let exploration = match explore(&sub, &sub_config) {
+            Ok(exploration) => exploration,
+            Err(e @ ExplorerError::InvalidConfig { .. }) => return Err(e),
+            Err(_) => return Ok(None),
+        };
         if !exploration.best.feasible {
-            return None;
+            return Ok(None);
         }
         stats.mappings_evaluated += exploration.stats.mappings_evaluated;
         stats.groupings_examined += exploration.stats.groupings_examined;
@@ -1176,7 +1218,7 @@ fn explore_split(
             solution: exploration.best,
         });
     }
-    Some((chips, stats))
+    Ok(Some((chips, stats)))
 }
 
 /// Extract the contiguous actor range `start..end` as a standalone graph
@@ -1263,7 +1305,7 @@ pub mod perf {
             let ctx = GraphContext::new(graph)?;
             let max_group_size = plan_search(graph, &ctx, config)?;
             let evaluator =
-                Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency);
+                Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency)?;
             let arena = IntervalArena::build(
                 &ctx,
                 &evaluator,
@@ -1301,56 +1343,39 @@ pub mod perf {
     }
 }
 
-/// Re-evaluate a candidate's columns in full detail and package it as a
-/// public solution.  Under [`VoltagePolicy::SingleVoltage`] every column
-/// is re-priced at the chip-wide maximum required voltage (the same
-/// semantics the analytic pipeline's single-voltage comparison uses).
-fn realize_candidate(
-    graph: &SdfGraph,
+/// Package per-column evaluations (one per group of `groups`, pipeline
+/// order) as a public solution.  Under [`VoltagePolicy::SingleVoltage`]
+/// every column is re-priced at the chip-wide maximum required voltage
+/// (the same semantics the analytic pipeline's single-voltage comparison
+/// uses).
+fn package(
     ctx: &GraphContext,
     evaluator: &Evaluator,
     groups: &[(usize, usize)],
-    allocation: &[u32],
+    evals: &[ColumnEval],
     policy: VoltagePolicy,
 ) -> ExplorerSolution {
-    let mut evals = Vec::with_capacity(groups.len());
-    for (&(start, end), &tiles) in groups.iter().zip(allocation) {
-        evals.push(evaluator.evaluate_column(
-            ctx.group_work(start, end),
-            ctx.group_cap(start, end),
-            ctx.boundary_tokens(start, end),
-            tiles,
-        ));
-    }
-    if policy == VoltagePolicy::SingleVoltage {
-        let shared = evals.iter().map(|e| e.voltage).fold(0.0, f64::max);
-        evals = groups
-            .iter()
-            .zip(&evals)
-            .map(|(&(start, end), base)| {
-                evaluator.reprice_at_voltage(
-                    base,
-                    ctx.group_cap(start, end),
-                    ctx.boundary_tokens(start, end),
-                    shared,
-                )
-            })
-            .collect();
-    }
+    let shared = (policy == VoltagePolicy::SingleVoltage)
+        .then(|| evals.iter().map(|e| e.voltage).fold(0.0, f64::max));
     let mut columns = Vec::with_capacity(groups.len());
+    let mut total_tiles = 0;
     let mut power_mw = 0.0;
     let mut feasible = true;
-    for (&(start, end), eval) in groups.iter().zip(&evals) {
+    for (&(start, end), eval) in groups.iter().zip(evals) {
+        let eval = match shared {
+            Some(voltage) => evaluator.reprice_at_voltage(
+                eval,
+                ctx.group_cap(start, end),
+                ctx.boundary_tokens(start, end),
+                voltage,
+            ),
+            None => *eval,
+        };
+        total_tiles += eval.tiles;
         power_mw += eval.power.total_mw();
         feasible &= eval.within_envelope;
-        let members = &graph.actors()[start..end];
         columns.push(ColumnSolution {
-            actors: (start..end).map(ActorId).collect(),
-            name: members
-                .iter()
-                .map(|a| a.name.as_str())
-                .collect::<Vec<_>>()
-                .join("+"),
+            actors: start..end,
             tiles: eval.tiles,
             frequency_mhz: eval.frequency_mhz,
             voltage: eval.voltage,
@@ -1360,7 +1385,7 @@ fn realize_candidate(
     }
     ExplorerSolution {
         columns,
-        total_tiles: allocation.iter().sum(),
+        total_tiles,
         power_mw,
         feasible,
         efficiency: evaluator.efficiency(),
@@ -1435,7 +1460,7 @@ mod tests {
         let config = ExplorerConfig::new(16e6, 40);
         let dp = explore(&g, &config).unwrap();
         let ctx = GraphContext::new(&g).unwrap();
-        let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, 1.0);
+        let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, 1.0).unwrap();
         let (oracle, _) =
             search::reference::exhaustive(&ctx, &evaluator, config.candidates, 40, 5, None);
         let curve: Vec<(u32, u64)> = dp
@@ -1508,7 +1533,7 @@ mod tests {
                     (req.frequency_mhz - col.frequency_mhz).abs()
                         < 1e-6 * col.frequency_mhz.max(1.0),
                     "{}: {} vs {}",
-                    col.name,
+                    col.name(&g),
                     req.frequency_mhz,
                     col.frequency_mhz
                 );
@@ -1553,6 +1578,122 @@ mod tests {
         assert_eq!(rejects.len(), 1);
         assert_eq!(rejects[0].0, "budget_too_small");
         assert!(rejects[0].1.contains("tile budget 3"));
+    }
+
+    #[test]
+    fn every_error_has_a_code_and_an_exhaustion_class() {
+        let cases = [
+            (ExplorerError::Sdf(SdfError::Empty), "sdf", false),
+            (
+                ExplorerError::BudgetTooSmall {
+                    min_groups: 5,
+                    budget: 3,
+                },
+                "budget_too_small",
+                true,
+            ),
+            (ExplorerError::NoSolutions, "no_solutions", true),
+            (
+                ExplorerError::InvalidMapping { violations: vec![] },
+                "invalid_mapping",
+                false,
+            ),
+            (
+                ExplorerError::IncompleteMapping { actor: ActorId(0) },
+                "incomplete_mapping",
+                false,
+            ),
+            (
+                ExplorerError::CommInfeasible {
+                    capacity: 6,
+                    pruned: 1,
+                },
+                "comm_infeasible",
+                true,
+            ),
+            (
+                ExplorerError::BoardInfeasible {
+                    max_chips: 2,
+                    splits_tried: 3,
+                },
+                "board_infeasible",
+                true,
+            ),
+            (
+                ExplorerError::InvalidConfig {
+                    field: "efficiency",
+                    value: f64::NAN,
+                },
+                "invalid_config",
+                false,
+            ),
+        ];
+        for (err, code, exhaustion) in cases {
+            assert_eq!(err.code(), code);
+            assert_eq!(err.is_resource_exhaustion(), exhaustion, "{err}");
+        }
+    }
+
+    /// A rate that is not finite and positive, or a NaN efficiency, is a
+    /// structured `InvalidConfig` from every public entry point.  Before,
+    /// a NaN or infinite rate panicked while picking the best solution
+    /// and a negative rate returned negative power marked feasible.  The
+    /// degraded ladder and the board search return the error rather than
+    /// walking past it or reporting `BoardInfeasible`.
+    #[test]
+    fn invalid_rates_and_efficiency_are_rejected_at_every_entry_point() {
+        let mut g = SdfGraph::new();
+        let a = g.add_actor("a", 100, 4);
+        let b = g.add_actor("b", 100, 4);
+        g.add_edge(a, b, 1, 1, 0).unwrap();
+        let mut mapping = Mapping::new();
+        mapping.place(a, 2, 1.0);
+        mapping.place(b, 2, 1.0);
+        let losses = [ResourceLoss::column("one tile", 1)];
+        let mut cases: Vec<(ExplorerConfig, &str, f64)> = [f64::NAN, f64::INFINITY, 0.0, -1e6]
+            .into_iter()
+            .map(|rate| (ExplorerConfig::new(rate, 8), "iteration_rate_hz", rate))
+            .collect();
+        let mut nan_efficiency = ExplorerConfig::new(1e6, 8);
+        nan_efficiency.efficiency = f64::NAN;
+        cases.push((nan_efficiency, "efficiency", f64::NAN));
+        for (config, field, value) in cases {
+            let board = config.clone().with_board(BoardSearch::new(2));
+            let check = |entry: &str, result: Result<(), ExplorerError>| match result {
+                Err(ExplorerError::InvalidConfig { field: f, value: v }) => {
+                    assert_eq!((f, v.to_bits()), (field, value.to_bits()), "{entry}");
+                }
+                other => panic!("{entry} with {field} = {value}: {other:?}"),
+            };
+            check("explore", explore(&g, &config).map(drop));
+            check(
+                "evaluate_mapping",
+                evaluate_mapping(&g, &mapping, &config).map(drop),
+            );
+            check("explore_board", explore_board(&g, &board).map(drop));
+            check(
+                "explore_degraded",
+                explore_degraded(&g, &config, &losses).map(drop),
+            );
+            check(
+                "explore_degraded (no losses)",
+                explore_degraded(&g, &config, &[]).map(drop),
+            );
+            check(
+                "explore_degraded_board",
+                explore_degraded_board(&g, &board, &losses).map(drop),
+            );
+            for point in explore_bus_widths(&g, &config, CommSpec::new(1, 8), &[1, 2]) {
+                check("explore_bus_widths", point.outcome.map(drop));
+            }
+            for point in explore_budget_sweep(&g, &config, &[4, 8]) {
+                check("explore_budget_sweep", point.outcome.map(drop));
+            }
+            check(
+                "PreparedSearch::new",
+                perf::PreparedSearch::new(&g, &config).map(drop),
+            );
+        }
     }
 
     #[test]
@@ -1623,7 +1764,7 @@ mod tests {
         // Every column runs at the chip-wide maximum required voltage.
         let shared = pc50.columns.iter().map(|c| c.voltage).fold(0.0, f64::max);
         for col in &sv50.columns {
-            assert!((col.voltage - shared).abs() < 1e-12, "{}", col.name);
+            assert!((col.voltage - shared).abs() < 1e-12, "{}", col.name(&g));
         }
         // Frequencies are unchanged — only the supply moved.
         assert_eq!(pc50.frequencies_mhz(), sv50.frequencies_mhz());
@@ -1736,7 +1877,7 @@ mod tests {
             .best
             .columns
             .iter()
-            .map(|c| (c.actors[0].0, c.actors[0].0 + c.actors.len()))
+            .map(|c| (c.actors.start, c.actors.end))
             .collect();
         let ctx = GraphContext::new(&g).unwrap();
         assert!(ctx.grouping_cross_words(&groups) <= 25);
@@ -1893,7 +2034,7 @@ mod tests {
         let reps = [4.0f64, 4.0, 1.0, 1.0, 1.0];
         for chip in &board.chips {
             for col in &chip.solution.columns {
-                let global = chip.start + col.actors[0].0;
+                let global = chip.start + col.actors.start;
                 let want = cycles[global] * reps[global] * 16.0 / col.tiles as f64;
                 assert!(
                     (col.frequency_mhz - want).abs() < 1e-6 * want,

@@ -10,13 +10,13 @@
 //! roll dynamic tile power, column-bus interconnect power and leakage
 //! into a per-column total.
 
-use std::collections::HashMap;
-
 use synchro_power::{
     ColumnActivity, ColumnPower, InterconnectModel, LeakageModel, Technology, TilePowerModel,
     VfCurve,
 };
 use synchro_sdf::{SdfError, SdfGraph};
+
+use crate::ExplorerError;
 
 /// Static per-graph analysis shared by every candidate evaluation: the
 /// repetition vector, per-actor work, parallelism caps, and per-edge
@@ -156,9 +156,32 @@ pub(crate) struct Evaluator {
     efficiency: f64,
 }
 
+/// Reject an iteration rate that is not finite and positive, or a NaN
+/// parallel efficiency: either would price every column as NaN or
+/// negative power.  Efficiency is otherwise clamped to `[0.01, 1]`.
+pub(crate) fn check_rate(rate_hz: f64, efficiency: f64) -> Result<(), ExplorerError> {
+    if !(rate_hz.is_finite() && rate_hz > 0.0) {
+        return Err(ExplorerError::InvalidConfig {
+            field: "iteration_rate_hz",
+            value: rate_hz,
+        });
+    }
+    if efficiency.is_nan() {
+        return Err(ExplorerError::InvalidConfig {
+            field: "efficiency",
+            value: efficiency,
+        });
+    }
+    Ok(())
+}
+
 impl Evaluator {
-    pub fn new(tech: &Technology, rate_hz: f64, efficiency: f64) -> Self {
-        Evaluator {
+    /// # Errors
+    ///
+    /// [`ExplorerError::InvalidConfig`] as [`check_rate`] decides.
+    pub fn new(tech: &Technology, rate_hz: f64, efficiency: f64) -> Result<Self, ExplorerError> {
+        check_rate(rate_hz, efficiency)?;
+        Ok(Evaluator {
             curve: VfCurve::fo4_20(tech),
             tile_model: TilePowerModel::new(tech),
             bus_model: InterconnectModel::new(tech),
@@ -166,7 +189,7 @@ impl Evaluator {
             tech: tech.clone(),
             rate_hz,
             efficiency: efficiency.clamp(0.01, 1.0),
-        }
+        })
     }
 
     /// Evaluate a group with `work` cycles per iteration, parallelism cap
@@ -264,55 +287,6 @@ impl Evaluator {
     }
 }
 
-/// Memoizes the `(total power, within envelope)` outcome of
-/// [`Evaluator::evaluate_column`] per `(work, cap, tokens, tiles)` key.
-///
-/// Distinct intervals of one graph frequently share a key (repeated
-/// actors, symmetric caps, zero-traffic boundaries), and the VF lookup
-/// plus the three power models dominate the interval-table build; one
-/// hash probe replaces them for every repeat.
-#[derive(Debug, Default)]
-pub(crate) struct EvalCache {
-    map: HashMap<(u64, u32, u64, u32), (f64, bool)>,
-    hits: u64,
-}
-
-impl EvalCache {
-    /// The `(total power mW, within envelope)` of one candidate column,
-    /// evaluating at most once per distinct key.
-    pub fn power_of(
-        &mut self,
-        evaluator: &Evaluator,
-        work: u64,
-        cap: u32,
-        tokens: u64,
-        tiles: u32,
-    ) -> (f64, bool) {
-        match self.map.entry((work, cap, tokens, tiles)) {
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                self.hits += 1;
-                *slot.get()
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                let col = evaluator.evaluate_column(work, cap, tokens, tiles);
-                *slot.insert((col.power.total_mw(), col.within_envelope))
-            }
-        }
-    }
-
-    /// Lookups answered from the cache instead of the power models.
-    #[cfg(test)]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Distinct `(work, cap, tokens, tiles)` keys evaluated so far.
-    #[cfg(test)]
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,7 +327,7 @@ mod tests {
     fn column_eval_reproduces_a_table4_operating_point() {
         // DDC digital mixer: 60 cycles/iter × 16 MHz / 8 tiles = 120 MHz
         // at 0.8 V.
-        let eval = Evaluator::new(&Technology::isca2004(), 16e6, 1.0);
+        let eval = Evaluator::new(&Technology::isca2004(), 16e6, 1.0).unwrap();
         let col = eval.evaluate_column(60, 16, 4, 8);
         assert!((col.frequency_mhz - 120.0).abs() < 1e-9);
         assert!((col.voltage - 0.8).abs() < 1e-9);
@@ -363,7 +337,7 @@ mod tests {
 
     #[test]
     fn idle_tiles_beyond_the_cap_leak_but_do_not_speed_up() {
-        let eval = Evaluator::new(&Technology::isca2004(), 1e6, 1.0);
+        let eval = Evaluator::new(&Technology::isca2004(), 1e6, 1.0).unwrap();
         let at_cap = eval.evaluate_column(4000, 4, 10, 4);
         let beyond = eval.evaluate_column(4000, 4, 10, 8);
         assert!((at_cap.frequency_mhz - beyond.frequency_mhz).abs() < 1e-9);
@@ -373,7 +347,7 @@ mod tests {
 
     #[test]
     fn unreachable_frequencies_are_flagged_infeasible() {
-        let eval = Evaluator::new(&Technology::isca2004(), 1e6, 1.0);
+        let eval = Evaluator::new(&Technology::isca2004(), 1e6, 1.0).unwrap();
         let col = eval.evaluate_column(5_000, 1, 0, 1);
         assert!(!col.within_envelope);
         assert!(col.voltage > 1.7);
@@ -397,20 +371,6 @@ mod tests {
                 ctx.grouping_cross_words(&groups),
                 "delta sum must equal the whole-grouping cross words for {groups:?}"
             );
-        }
-    }
-
-    #[test]
-    fn eval_cache_is_bit_identical_to_direct_evaluation() {
-        let eval = Evaluator::new(&Technology::isca2004(), 16e6, 1.0);
-        let mut cache = EvalCache::default();
-        for (work, cap, tokens, tiles) in
-            [(60u64, 16u32, 4u64, 8u32), (100, 16, 8, 8), (60, 16, 4, 8)]
-        {
-            let direct = eval.evaluate_column(work, cap, tokens, tiles);
-            let (power, feasible) = cache.power_of(&eval, work, cap, tokens, tiles);
-            assert_eq!(power.to_bits(), direct.power.total_mw().to_bits());
-            assert_eq!(feasible, direct.within_envelope);
         }
     }
 }

@@ -33,7 +33,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use crate::model::{EvalCache, Evaluator, GraphContext};
+use crate::model::{ColumnEval, Evaluator, GraphContext};
 use crate::space::{Grouping, TileCandidates};
 use crate::CommSpec;
 
@@ -95,10 +95,12 @@ pub(crate) struct IntervalOption {
 /// as one column group, stored as one contiguous arena with a parallel
 /// offsets array indexed by `(start, end)`.
 ///
-/// Interval costs are independent of the surrounding grouping, so the
-/// arena is computed once per search (and shared across sweep points);
-/// the flat layout keeps the DP's option scans on sequential cache lines
-/// instead of chasing `Vec<Vec<Option<Vec<_>>>>` indirections.
+/// Interval costs are independent of the surrounding grouping, so each
+/// operating point is evaluated exactly once per search (and an arena is
+/// shared across the points of a bus-width sweep).  The DP scans the
+/// compact `options` array on sequential cache lines; the full
+/// [`ColumnEval`] of each option sits in the parallel `evals` array, from
+/// which the winners are packaged without evaluating anything again.
 pub(crate) struct IntervalArena {
     /// Row stride of the offsets table (`n + 1` end slots per start).
     stride: usize,
@@ -108,13 +110,13 @@ pub(crate) struct IntervalArena {
     offsets: Vec<u32>,
     /// All interval options, grouped by interval, tiles ascending.
     options: Vec<IntervalOption>,
+    /// `evals[i]` is the full evaluation behind `options[i]`.
+    evals: Vec<ColumnEval>,
 }
 
 impl IntervalArena {
     /// Evaluate every usable interval of `ctx` once.  Candidate tile
-    /// counts are produced into one reusable scratch buffer and the
-    /// VF/power model lookups are memoized across intervals sharing the
-    /// same `(work, cap, tokens, tiles)` key.
+    /// counts are produced into one reusable scratch buffer.
     pub fn build(
         ctx: &GraphContext,
         evaluator: &Evaluator,
@@ -122,36 +124,11 @@ impl IntervalArena {
         budget: u32,
         max_group_size: usize,
     ) -> Self {
-        let mut cache = EvalCache::default();
-        Self::build_with_cache(
-            ctx,
-            evaluator,
-            candidates,
-            budget,
-            max_group_size,
-            &mut cache,
-        )
-    }
-
-    /// [`IntervalArena::build`] with an externally owned memo cache, so
-    /// sweeps that rebuild the arena under a different tile budget (the
-    /// budget changes which tile counts each interval offers, not what
-    /// any `(work, cap, tokens, tiles)` point costs) reuse every power
-    /// evaluation from earlier builds.  The caller must keep one cache
-    /// per `(graph, technology, rate, efficiency)` combination — the key
-    /// does not cover those.
-    pub fn build_with_cache(
-        ctx: &GraphContext,
-        evaluator: &Evaluator,
-        candidates: TileCandidates,
-        budget: u32,
-        max_group_size: usize,
-        cache: &mut EvalCache,
-    ) -> Self {
         let n = ctx.n;
         let stride = n + 1;
         let mut offsets = Vec::with_capacity(n * stride + 1);
         let mut options = Vec::new();
+        let mut evals = Vec::new();
         let mut tile_scratch = Vec::new();
         offsets.push(0u32);
         for start in 0..n {
@@ -163,12 +140,13 @@ impl IntervalArena {
                     let tokens = ctx.boundary_tokens(start, end);
                     candidates.for_group_into(cap, budget, &mut tile_scratch);
                     for &tiles in &tile_scratch {
-                        let (power, feasible) = cache.power_of(evaluator, work, cap, tokens, tiles);
+                        let eval = evaluator.evaluate_column(work, cap, tokens, tiles);
                         options.push(IntervalOption {
                             tiles,
-                            feasible,
-                            power,
+                            feasible: eval.within_envelope,
+                            power: eval.power.total_mw(),
                         });
+                        evals.push(eval);
                     }
                 }
                 offsets.push(options.len() as u32);
@@ -178,14 +156,32 @@ impl IntervalArena {
             stride,
             offsets,
             options,
+            evals,
         }
+    }
+
+    /// The arena range of interval `start..end`'s options.
+    #[inline]
+    fn range(&self, start: usize, end: usize) -> std::ops::Range<usize> {
+        let idx = start * self.stride + end;
+        self.offsets[idx] as usize..self.offsets[idx + 1] as usize
     }
 
     /// The options of interval `start..end`, tiles ascending.
     #[inline]
     pub fn options(&self, start: usize, end: usize) -> &[IntervalOption] {
-        let idx = start * self.stride + end;
-        &self.options[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
+        &self.options[self.range(start, end)]
+    }
+
+    /// The stored evaluation of interval `start..end` on `tiles` tiles,
+    /// or `None` when the interval does not offer that tile count.
+    pub fn eval(&self, start: usize, end: usize, tiles: u32) -> Option<&ColumnEval> {
+        let range = self.range(start, end);
+        let evals = &self.evals[range];
+        evals
+            .binary_search_by_key(&tiles, |eval| eval.tiles)
+            .ok()
+            .map(|i| &evals[i])
     }
 
     /// Total options stored across all intervals.
@@ -574,7 +570,7 @@ mod tests {
 
     fn context_and_evaluator(graph: &SdfGraph) -> (GraphContext, Evaluator) {
         let ctx = GraphContext::new(graph).unwrap();
-        let evaluator = Evaluator::new(&synchro_power::Technology::isca2004(), 1e6, 1.0);
+        let evaluator = Evaluator::new(&synchro_power::Technology::isca2004(), 1e6, 1.0).unwrap();
         (ctx, evaluator)
     }
 
@@ -610,7 +606,17 @@ mod tests {
                                     assert_eq!(a.tiles, tiles);
                                     assert_eq!(a.power.to_bits(), power.to_bits());
                                     assert_eq!(a.feasible, feasible);
+                                    // The stored evaluation is the one the
+                                    // option was summarised from.
+                                    let direct = evaluator.evaluate_column(
+                                        ctx.group_work(start, end),
+                                        ctx.group_cap(start, end),
+                                        ctx.boundary_tokens(start, end),
+                                        tiles,
+                                    );
+                                    assert_eq!(arena.eval(start, end, tiles), Some(&direct));
                                 }
+                                assert_eq!(arena.eval(start, end, 0), None);
                             }
                         }
                     }
@@ -720,7 +726,7 @@ mod tests {
                 let groups: Grouping = solution
                     .columns
                     .iter()
-                    .map(|c| (c.actors[0].0, c.actors[0].0 + c.actors.len()))
+                    .map(|c| (c.actors.start, c.actors.end))
                     .collect();
                 let mut covered = 0usize;
                 for &(start, end) in &groups {
@@ -799,63 +805,6 @@ mod tests {
         assert!(none.stats.groupings_comm_pruned > 0);
         assert_eq!(none.stats.groupings_examined, 5);
         assert_eq!(comm_rejected_groupings(&ctx, 2, 0), 5);
-    }
-
-    #[test]
-    fn shared_eval_cache_serves_repeat_arena_builds() {
-        let graph = chain(&[60, 100, 5, 380], &[16, 16, 4, 32]);
-        let (ctx, evaluator) = context_and_evaluator(&graph);
-        let mut cache = EvalCache::default();
-        let first = IntervalArena::build_with_cache(
-            &ctx,
-            &evaluator,
-            TileCandidates::PowersOfTwo,
-            24,
-            4,
-            &mut cache,
-        );
-        let hits_after_first = cache.hits();
-        let keys_after_first = cache.distinct_keys();
-        let second = IntervalArena::build_with_cache(
-            &ctx,
-            &evaluator,
-            TileCandidates::PowersOfTwo,
-            24,
-            4,
-            &mut cache,
-        );
-        // A rebuild answers every option from the cache and evaluates
-        // nothing new.
-        assert_eq!(
-            cache.hits(),
-            hits_after_first + second.option_count() as u64
-        );
-        assert_eq!(cache.distinct_keys(), keys_after_first);
-        for start in 0..ctx.n {
-            for end in 0..=ctx.n {
-                let a = first.options(start, end);
-                let b = second.options(start, end);
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.tiles, y.tiles);
-                    assert_eq!(x.power.to_bits(), y.power.to_bits());
-                    assert_eq!(x.feasible, y.feasible);
-                }
-            }
-        }
-        // A power-of-two budget offers fewer tile counts per interval but
-        // every one of them is a key the cache already holds.
-        let before = cache.hits();
-        let smaller = IntervalArena::build_with_cache(
-            &ctx,
-            &evaluator,
-            TileCandidates::PowersOfTwo,
-            8,
-            4,
-            &mut cache,
-        );
-        assert_eq!(cache.hits(), before + smaller.option_count() as u64);
-        assert_eq!(cache.distinct_keys(), keys_after_first);
     }
 
     #[test]

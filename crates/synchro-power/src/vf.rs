@@ -62,14 +62,52 @@ const FO4_20_ANCHORS: &[(f64, f64)] = &[
     (2.10, 860.0),
 ];
 
+/// Most rungs either voltage ladder of a [`VfCurve`] holds.  Enough for a
+/// 1 mV step across a 4 V span; a finer walk stops here (see
+/// [`VfCurve::voltage_for_frequency`]).
+const MAX_RUNGS: usize = 4096;
+
+/// Supply voltage at which the extrapolated walk stops climbing.
+const EXTRAPOLATION_CEILING_V: f64 = 5.0;
+
+/// One rung of the in-range ladder: the quantised supply (rounded to
+/// 1 µV) answers every frequency up to `reach_mhz`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Rung {
+    /// `interpolate(v) + 1e-9`, the slack the lookup has always allowed.
+    reach_mhz: f64,
+    voltage: f64,
+}
+
+/// One rung of the extrapolated ladder, which climbs from the maximum
+/// supply towards [`EXTRAPOLATION_CEILING_V`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ExtrapolatedRung {
+    /// `interpolate(v)`, with no slack.
+    max_mhz: f64,
+    /// `v < EXTRAPOLATION_CEILING_V`: the walk may climb past this rung.
+    below_ceiling: bool,
+    voltage: f64,
+}
+
 /// A monotone look-up table mapping supply voltage to the maximum operating
 /// frequency of the column's critical path (and back).
+///
+/// The quantised supply ladder is walked once, when the curve is built,
+/// so a frequency → voltage lookup is a short scan of precomputed rungs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VfCurve {
     anchors: Vec<(f64, f64)>,
     min_voltage: f64,
     max_voltage: f64,
     voltage_step: f64,
+    /// `interpolate(max_voltage)`: the fastest in-envelope frequency.
+    max_frequency_mhz: f64,
+    /// `min_voltage`, `+ step`, … while within `max_voltage + 1e-9`.
+    ladder: Vec<Rung>,
+    /// `max_voltage`, `+ step`, … up to the first rung at or above the
+    /// extrapolation ceiling.
+    extrapolated: Vec<ExtrapolatedRung>,
 }
 
 impl VfCurve {
@@ -91,12 +129,7 @@ impl VfCurve {
             .iter()
             .map(|&(v, f)| (v, f * speedup))
             .collect();
-        VfCurve {
-            anchors,
-            min_voltage: tech.min_voltage,
-            max_voltage: tech.max_voltage,
-            voltage_step: tech.voltage_step,
-        }
+        Self::build(anchors, tech)
     }
 
     /// Build a curve from explicit `(voltage, frequency)` anchor points.
@@ -124,12 +157,58 @@ impl VfCurve {
                 });
             }
         }
-        Ok(VfCurve {
+        Ok(Self::build(anchors, tech))
+    }
+
+    /// Walk both quantised voltage ladders once.  Each walk performs the
+    /// float operations of the step-by-step search it replaces, in the
+    /// same order (`v += step` from the start voltage), so every lookup
+    /// answers bit for bit as that search did.
+    ///
+    /// A walk ends early, after its current rung, when the next voltage
+    /// does not exceed the current one (a zero, negative or NaN step, or a
+    /// sum that no longer moves) or after [`MAX_RUNGS`] rungs.
+    /// Construction therefore terminates for any [`Technology`].
+    fn build(anchors: Vec<(f64, f64)>, tech: &Technology) -> Self {
+        let mut curve = VfCurve {
             anchors,
             min_voltage: tech.min_voltage,
             max_voltage: tech.max_voltage,
             voltage_step: tech.voltage_step,
-        })
+            max_frequency_mhz: 0.0,
+            ladder: Vec::new(),
+            extrapolated: Vec::new(),
+        };
+        curve.max_frequency_mhz = curve.interpolate(curve.max_voltage);
+        let mut voltage = curve.min_voltage;
+        loop {
+            curve.ladder.push(Rung {
+                reach_mhz: curve.interpolate(voltage) + 1e-9,
+                voltage: round_to_microvolt(voltage),
+            });
+            let next = voltage + curve.voltage_step;
+            let climbs = next > voltage;
+            if next > curve.max_voltage + 1e-9 || !climbs || curve.ladder.len() == MAX_RUNGS {
+                break;
+            }
+            voltage = next;
+        }
+        let mut voltage = curve.max_voltage;
+        loop {
+            let below_ceiling = voltage < EXTRAPOLATION_CEILING_V;
+            curve.extrapolated.push(ExtrapolatedRung {
+                max_mhz: curve.interpolate(voltage),
+                below_ceiling,
+                voltage: round_to_microvolt(voltage),
+            });
+            let next = voltage + curve.voltage_step;
+            let climbs = next > voltage;
+            if !below_ceiling || !climbs || curve.extrapolated.len() == MAX_RUNGS {
+                break;
+            }
+            voltage = next;
+        }
+        curve
     }
 
     /// Maximum operating frequency (MHz) at the given supply voltage, by
@@ -138,9 +217,9 @@ impl VfCurve {
     /// # Errors
     ///
     /// Returns [`PowerModelError::VoltageOutOfRange`] if the voltage lies
-    /// outside the technology's supported supply range.
+    /// outside the technology's supported supply range or is NaN.
     pub fn max_frequency_at(&self, voltage: f64) -> Result<f64, PowerModelError> {
-        if voltage < self.min_voltage - 1e-9 || voltage > self.max_voltage + 1e-9 {
+        if !(voltage >= self.min_voltage - 1e-9 && voltage <= self.max_voltage + 1e-9) {
             return Err(PowerModelError::VoltageOutOfRange {
                 requested: voltage,
                 min: self.min_voltage,
@@ -152,7 +231,7 @@ impl VfCurve {
 
     /// Interpolate the curve at `voltage` without range-checking against the
     /// technology limits (used to plot the full Figure 5 sweep, which spans
-    /// 0.62 V – 2.12 V).
+    /// 0.62 V – 2.12 V).  A NaN voltage gives NaN.
     pub fn interpolate(&self, voltage: f64) -> f64 {
         let first = self.anchors[0];
         let last = *self.anchors.last().expect("curve has anchors");
@@ -173,7 +252,8 @@ impl VfCurve {
                 return f0 + t * (f1 - f0);
             }
         }
-        unreachable!("anchor scan covers the interior range");
+        // Only a NaN voltage (or anchor) escapes every comparison above.
+        f64::NAN
     }
 
     /// The minimum quantised supply voltage able to sustain `frequency_mhz`,
@@ -181,29 +261,34 @@ impl VfCurve {
     ///
     /// This is the operation the paper performs when assigning a column's
     /// supply from its computed frequency requirement (methodology step 8).
+    /// The answer is the first rung of the ladder `min_voltage`,
+    /// `min_voltage + step`, … whose interpolated frequency (plus 1e-9 MHz
+    /// of slack) reaches `frequency_mhz`, rounded to 1 µV.  When no rung
+    /// does, the answer is `max_voltage`, which sustains every frequency
+    /// that passes the reachability check.  That is also the answer for a
+    /// NaN frequency, for every frequency beyond the first rung when the
+    /// step is zero, negative or NaN, and past the last rung of a ladder
+    /// cut at its 4,096-rung bound (a step finer than about 1 mV).
     ///
     /// # Errors
     ///
     /// Returns [`PowerModelError::FrequencyUnreachable`] if the frequency
     /// exceeds what the maximum supply voltage can sustain.
     pub fn voltage_for_frequency(&self, frequency_mhz: f64) -> Result<f64, PowerModelError> {
-        let max_f = self.interpolate(self.max_voltage);
-        if frequency_mhz > max_f {
+        if frequency_mhz > self.max_frequency_mhz {
             return Err(PowerModelError::FrequencyUnreachable {
                 requested_mhz: frequency_mhz,
-                max_mhz: max_f,
+                max_mhz: self.max_frequency_mhz,
             });
         }
-        let mut voltage = self.min_voltage;
-        loop {
-            if self.interpolate(voltage) + 1e-9 >= frequency_mhz {
-                return Ok((voltage * 1e6).round() / 1e6);
-            }
-            voltage += self.voltage_step;
-            if voltage > self.max_voltage + 1e-9 {
-                return Ok(self.max_voltage);
-            }
-        }
+        // A linear scan, not a binary search: interpolation is monotone
+        // only up to rounding at the anchor joins, and the answer must be
+        // the *first* rung that reaches the frequency.
+        Ok(self
+            .ladder
+            .iter()
+            .find(|rung| rung.reach_mhz >= frequency_mhz)
+            .map_or(self.max_voltage, |rung| rung.voltage))
     }
 
     /// Like [`VfCurve::voltage_for_frequency`] but allowed to extrapolate
@@ -213,15 +298,22 @@ impl VfCurve {
     /// supply envelope; the paper plots their (large) power rather than
     /// dropping the point, so we extrapolate the voltage and flag it via
     /// the boolean in the return value (`true` = within the envelope).
+    ///
+    /// An unreachable frequency gets the first rung of `max_voltage`,
+    /// `max_voltage + step`, … that sustains it or reaches 5 V, rounded
+    /// to 1 µV.  A ladder cut short (a zero, negative or NaN step, or the
+    /// 4,096-rung bound) answers with its last rung.
     pub fn voltage_for_frequency_extrapolated(&self, frequency_mhz: f64) -> (f64, bool) {
         match self.voltage_for_frequency(frequency_mhz) {
             Ok(v) => (v, true),
             Err(_) => {
-                let mut voltage = self.max_voltage;
-                while self.interpolate(voltage) < frequency_mhz && voltage < 5.0 {
-                    voltage += self.voltage_step;
-                }
-                ((voltage * 1e6).round() / 1e6, false)
+                let stop = self
+                    .extrapolated
+                    .iter()
+                    .find(|rung| !(rung.max_mhz < frequency_mhz && rung.below_ceiling))
+                    .or(self.extrapolated.last())
+                    .expect("the extrapolated ladder has a rung");
+                (stop.voltage, false)
             }
         }
     }
@@ -242,6 +334,11 @@ impl VfCurve {
     pub fn anchors(&self) -> &[(f64, f64)] {
         &self.anchors
     }
+}
+
+/// Round a supply voltage to 1 µV, as every ladder rung is reported.
+fn round_to_microvolt(voltage: f64) -> f64 {
+    (voltage * 1e6).round() / 1e6
 }
 
 /// The alpha-power-law MOSFET delay model: `f(V) = k · (V − V_th)^α / V`.
@@ -368,6 +465,7 @@ mod tests {
         let c = curve();
         assert!(c.max_frequency_at(2.5).is_err());
         assert!(c.max_frequency_at(0.3).is_err());
+        assert!(c.max_frequency_at(f64::NAN).is_err());
         assert!(c.max_frequency_at(1.0).is_ok());
     }
 
@@ -402,6 +500,173 @@ mod tests {
         // MPEG-4 motion estimation at 70 MHz still gets the 0.7 V floor.
         let c = curve();
         assert!((c.voltage_for_frequency(10.0).unwrap() - 0.7).abs() < 1e-9);
+    }
+
+    /// The step-by-step search the ladders replace, kept as the oracle:
+    /// walk `min_voltage`, `+ step`, … and stop at the first voltage that
+    /// sustains the frequency.
+    fn step_walk(curve: &VfCurve, frequency_mhz: f64) -> Result<f64, PowerModelError> {
+        let max_f = curve.interpolate(curve.max_voltage);
+        if frequency_mhz > max_f {
+            return Err(PowerModelError::FrequencyUnreachable {
+                requested_mhz: frequency_mhz,
+                max_mhz: max_f,
+            });
+        }
+        let mut voltage = curve.min_voltage;
+        loop {
+            if curve.interpolate(voltage) + 1e-9 >= frequency_mhz {
+                return Ok((voltage * 1e6).round() / 1e6);
+            }
+            voltage += curve.voltage_step;
+            if voltage > curve.max_voltage + 1e-9 {
+                return Ok(curve.max_voltage);
+            }
+        }
+    }
+
+    /// The extrapolating step walk: past the envelope, climb from
+    /// `max_voltage` until the frequency is sustained or 5 V is reached.
+    fn step_walk_extrapolated(curve: &VfCurve, frequency_mhz: f64) -> (f64, bool) {
+        match step_walk(curve, frequency_mhz) {
+            Ok(v) => (v, true),
+            Err(_) => {
+                let mut voltage = curve.max_voltage;
+                while curve.interpolate(voltage) < frequency_mhz && voltage < 5.0 {
+                    voltage += curve.voltage_step;
+                }
+                ((voltage * 1e6).round() / 1e6, false)
+            }
+        }
+    }
+
+    /// `Ok` voltage bits, or the bits of an unreachable error's fields.
+    fn lookup_bits(result: Result<f64, PowerModelError>) -> Result<u64, (u64, u64)> {
+        match result {
+            Ok(v) => Ok(v.to_bits()),
+            Err(PowerModelError::FrequencyUnreachable {
+                requested_mhz,
+                max_mhz,
+            }) => Err((requested_mhz.to_bits(), max_mhz.to_bits())),
+            Err(other) => panic!("unexpected error {other}"),
+        }
+    }
+
+    fn tech_with(min_voltage: f64, max_voltage: f64, voltage_step: f64) -> Technology {
+        Technology {
+            min_voltage,
+            max_voltage,
+            voltage_step,
+            ..Technology::isca2004()
+        }
+    }
+
+    /// The ladders answer exactly as the step walk on every probe: a dense
+    /// sweep up to past the 5 V extrapolation ceiling, every anchor and
+    /// rung frequency nudged by 1e-9, 1e-12 and one ulp, and the special
+    /// values.  Four supply ranges and steps, each on the 20-FO4, 15-FO4
+    /// and a custom anchor set.
+    #[test]
+    fn ladders_match_the_step_walk_bit_for_bit() {
+        let techs = [
+            Technology::isca2004(),
+            tech_with(0.6, 2.1, 0.05),
+            tech_with(0.65, 1.65, 0.025),
+            tech_with(0.5, 2.4, 0.3),
+        ];
+        for tech in &techs {
+            let custom = vec![(0.55, 20.0), (0.9, 150.0), (1.3, 400.0), (1.9, 610.0)];
+            let curves = [
+                VfCurve::fo4_20(tech),
+                VfCurve::fo4_15(tech),
+                VfCurve::from_anchors(custom, tech).unwrap(),
+            ];
+            for curve in &curves {
+                let top = curve.interpolate(5.5);
+                let mut probes: Vec<f64> =
+                    (0..=100_000).map(|i| top * i as f64 / 100_000.0).collect();
+                probes.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, -1.0]);
+                let rung_frequencies = curve
+                    .ladder
+                    .iter()
+                    .map(|r| r.reach_mhz)
+                    .chain(curve.extrapolated.iter().map(|r| r.max_mhz));
+                for f in curve.anchors.iter().map(|a| a.1).chain(rung_frequencies) {
+                    for delta in [0.0, 1e-9, -1e-9, 1e-12, -1e-12] {
+                        probes.push(f + delta);
+                    }
+                    probes.push(f.next_up());
+                    probes.push(f.next_down());
+                }
+                for &f in &probes {
+                    assert_eq!(
+                        lookup_bits(curve.voltage_for_frequency(f)),
+                        lookup_bits(step_walk(curve, f)),
+                        "voltage_for_frequency({f}) on {tech:?}"
+                    );
+                    let (v, within) = curve.voltage_for_frequency_extrapolated(f);
+                    let (want, want_within) = step_walk_extrapolated(curve, f);
+                    assert_eq!(
+                        (v.to_bits(), within),
+                        (want.to_bits(), want_within),
+                        "voltage_for_frequency_extrapolated({f}) on {tech:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A zero, negative or NaN step used to make the walk loop forever.
+    /// Such a curve builds, holds one rung per ladder, and answers: the minimum supply for what it sustains, the maximum
+    /// supply for any other reachable frequency, and the maximum supply
+    /// (flagged outside the envelope) for an unreachable one.  A NaN
+    /// supply bound builds too.
+    #[test]
+    fn degenerate_steps_build_bounded_ladders() {
+        for step in [0.0, -0.1, f64::NAN, f64::NEG_INFINITY] {
+            let c = VfCurve::fo4_20(&tech_with(0.7, 1.7, step));
+            assert_eq!(c.ladder.len(), 1, "step {step}");
+            assert_eq!(c.extrapolated.len(), 1, "step {step}");
+            assert_eq!(c.voltage_for_frequency(30.0), Ok(0.7), "step {step}");
+            assert_eq!(c.voltage_for_frequency(300.0), Ok(1.7), "step {step}");
+            assert_eq!(
+                c.voltage_for_frequency_extrapolated(5_000.0),
+                (1.7, false),
+                "step {step}"
+            );
+        }
+        // An infinite step leaves the envelope in one rung, as the step
+        // walk does, and extrapolates to +inf.
+        let leap = VfCurve::fo4_20(&tech_with(0.7, 1.7, f64::INFINITY));
+        assert_eq!(leap.ladder.len(), 1);
+        assert_eq!(leap.voltage_for_frequency(300.0), Ok(1.7));
+        assert_eq!(
+            leap.voltage_for_frequency_extrapolated(5_000.0),
+            (f64::INFINITY, false)
+        );
+        assert_eq!(
+            leap.voltage_for_frequency_extrapolated(5_000.0),
+            step_walk_extrapolated(&leap, 5_000.0)
+        );
+        let nan_floor = VfCurve::fo4_20(&tech_with(f64::NAN, 1.7, 0.1));
+        assert_eq!(nan_floor.voltage_for_frequency(100.0), Ok(1.7));
+        assert!(VfCurve::fo4_20(&tech_with(0.7, f64::NAN, 0.1)).ladder.len() <= MAX_RUNGS);
+        // A 1 nV step stops after MAX_RUNGS rungs; below them the answer
+        // is still the step walk's.
+        let fine = VfCurve::fo4_20(&tech_with(0.7, 1.7, 1e-9));
+        assert_eq!(fine.ladder.len(), MAX_RUNGS);
+        assert_eq!(fine.extrapolated.len(), MAX_RUNGS);
+        let reach = fine.ladder[MAX_RUNGS / 2].reach_mhz;
+        assert_eq!(
+            lookup_bits(fine.voltage_for_frequency(reach)),
+            lookup_bits(step_walk(&fine, reach))
+        );
+        assert_eq!(fine.voltage_for_frequency(300.0), Ok(1.7));
+    }
+
+    #[test]
+    fn interpolating_nan_returns_nan() {
+        assert!(curve().interpolate(f64::NAN).is_nan());
     }
 
     #[test]

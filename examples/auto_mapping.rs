@@ -63,7 +63,10 @@ fn main() {
     for col in &winner.columns {
         println!(
             "  {:<16} {:>5} {:>8.0} {:>6.1}",
-            col.name, col.tiles, col.frequency_mhz, col.voltage
+            col.name(&graph),
+            col.tiles,
+            col.frequency_mhz,
+            col.voltage
         );
     }
     println!(
@@ -101,7 +104,10 @@ fn main() {
     for col in &fused.best.columns {
         println!(
             "  {:<28} {:>5} tiles {:>8.0} MHz {:>6.1} V",
-            col.name, col.tiles, col.frequency_mhz, col.voltage
+            col.name(&graph),
+            col.tiles,
+            col.frequency_mhz,
+            col.voltage
         );
     }
     println!(

@@ -44,7 +44,8 @@ proptest! {
         let rate = 1e6;
         let tech = Technology::isca2004();
         let curve_model = VfCurve::fo4_20(&tech);
-        let exploration = explore(&graph, &ExplorerConfig::new(rate, budget)).unwrap();
+        let config = ExplorerConfig::new(rate, budget);
+        let exploration = explore(&graph, &config).unwrap();
 
         prop_assert!(exploration.best.total_tiles <= budget);
         for solution in &exploration.curve {
@@ -62,6 +63,12 @@ proptest! {
                 let tolerance = 1e-9 * col.frequency_mhz.max(1.0);
                 prop_assert!((req.frequency_mhz - col.frequency_mhz).abs() <= tolerance);
             }
+            // The search prices each point from its stored interval
+            // evaluations; an independent re-evaluation of the realized
+            // mapping agrees bit for bit.
+            let evaluated = evaluate_mapping(&realized, &mapping, &config).unwrap();
+            prop_assert_eq!(evaluated.power_mw.to_bits(), solution.power_mw.to_bits());
+            prop_assert_eq!(evaluated.feasible, solution.feasible);
             // Feasible solutions fit the supply envelope and their
             // voltage actually sustains the required frequency.
             for col in &solution.columns {

@@ -445,7 +445,7 @@ proptest! {
 }
 
 /// Execute `(graph, mapping, options)` under `plan` on all three chip
-/// drivers — event-driven interpreted, naive ticked, and the fast tier
+/// drivers — windowed interpreted, naive ticked, and the fast tier
 /// (which falls back to the interpreted driver whenever an event could
 /// fire) — and require bit-identical `FaultedRun`s and chip statistics.
 /// The structured outcome must also match the machine state: `fault:
@@ -489,7 +489,7 @@ fn check_faulted_tiers(
     prop_assert_eq!(
         format!("{a:?}"),
         format!("{c:?}"),
-        "event-driven vs ticked faulted runs diverge"
+        "windowed vs ticked faulted runs diverge"
     );
     if let Ok(run) = a {
         match &run.fault {
@@ -522,7 +522,7 @@ fn check_faulted_tiers(
 
 proptest! {
     /// Fault-injected chains: killing any column at any tick produces
-    /// bit-identical runs on the event-driven, ticked and fast drivers —
+    /// bit-identical runs on the windowed, ticked and fast drivers —
     /// identical statistics up to the injection point and the same
     /// structured post-fault outcome (clean drain or watchdog stall).
     #[test]
