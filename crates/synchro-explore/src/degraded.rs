@@ -21,7 +21,7 @@
 //! can).  Because the ladder is walked from the top, a full-rate remap
 //! is found whenever one exists.
 
-use crate::model::{check_rate, Evaluator, GraphContext};
+use crate::model::{check_inputs, Evaluator, GraphContext};
 use crate::{
     explore_board, plan_search, run_search, search, BoardSearch, CommSpec, ExplorerConfig,
     ExplorerError,
@@ -254,7 +254,7 @@ pub fn explore_degraded(
     config: &ExplorerConfig,
     losses: &[ResourceLoss],
 ) -> Result<DegradationCurve, ExplorerError> {
-    check_rate(config.iteration_rate_hz, config.efficiency)?;
+    check_inputs(&config.tech, config.iteration_rate_hz, config.efficiency)?;
     let ctx = GraphContext::new(graph)?;
     let mut points: Vec<Option<DegradationPoint>> = vec![None; losses.len()];
     for &(num, den) in RATE_LADDER.iter() {
@@ -324,7 +324,7 @@ pub fn explore_degraded_board(
     config: &ExplorerConfig,
     losses: &[ResourceLoss],
 ) -> Result<DegradationCurve, ExplorerError> {
-    check_rate(config.iteration_rate_hz, config.efficiency)?;
+    check_inputs(&config.tech, config.iteration_rate_hz, config.efficiency)?;
     let mut points: Vec<Option<DegradationPoint>> = vec![None; losses.len()];
     for &(num, den) in RATE_LADDER.iter() {
         if points.iter().all(Option::is_some) {

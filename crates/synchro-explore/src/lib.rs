@@ -70,7 +70,7 @@ pub use pareto::dominates;
 pub use search::SearchStats;
 pub use space::{cluster, TileCandidates};
 
-use model::{check_rate, Evaluator, GraphContext};
+use model::{check_inputs, Evaluator, GraphContext};
 
 /// Errors raised by the explorer.
 #[derive(Debug)]
@@ -116,10 +116,11 @@ pub enum ExplorerError {
         splits_tried: usize,
     },
     /// A configuration value the cost model cannot price: an iteration
-    /// rate that is not finite and positive, or a NaN parallel
-    /// efficiency.
+    /// rate that is not finite and positive, a NaN parallel efficiency,
+    /// or a [`Technology`] parameter that `Technology::validate` rejects.
     InvalidConfig {
-        /// The offending [`ExplorerConfig`] field.
+        /// The offending [`ExplorerConfig`] field, or the offending field
+        /// of its `tech`.
         field: &'static str,
         /// The value supplied.
         value: f64,
@@ -1082,7 +1083,7 @@ fn explore_board_impl(
     graph: &SdfGraph,
     config: &ExplorerConfig,
 ) -> Result<BoardExploration, ExplorerError> {
-    check_rate(config.iteration_rate_hz, config.efficiency)?;
+    check_inputs(&config.tech, config.iteration_rate_hz, config.efficiency)?;
     let board = config.board.unwrap_or_default();
     let ctx = GraphContext::new(graph)?;
     let reps = graph.repetition_vector()?;
@@ -1634,7 +1635,8 @@ mod tests {
         }
     }
 
-    /// A rate that is not finite and positive, or a NaN efficiency, is a
+    /// A rate that is not finite and positive, a NaN efficiency, or a
+    /// technology parameter `Technology::validate` rejects is a
     /// structured `InvalidConfig` from every public entry point.  Before,
     /// a NaN or infinite rate panicked while picking the best solution
     /// and a negative rate returned negative power marked feasible.  The
@@ -1657,6 +1659,56 @@ mod tests {
         let mut nan_efficiency = ExplorerConfig::new(1e6, 8);
         nan_efficiency.efficiency = f64::NAN;
         cases.push((nan_efficiency, "efficiency", f64::NAN));
+        // Technology parameters `Technology::validate` rejects.  A NaN
+        // power parameter or column-bus length, or an infinite floor
+        // voltage, used to panic on the best-solution pick; a NaN voltage
+        // or feature size returned a finite power marked feasible.
+        type Setter = fn(&mut Technology, f64);
+        let tech_cases: [(&str, Setter, f64); 10] = [
+            (
+                "tile_power_mw_per_mhz",
+                |t, v| t.tile_power_mw_per_mhz = v,
+                f64::NAN,
+            ),
+            (
+                "leakage_ma_per_tile",
+                |t, v| t.leakage_ma_per_tile = v,
+                f64::NAN,
+            ),
+            (
+                "wire_cap_ff_per_mm",
+                |t, v| t.wire_cap_ff_per_mm = v,
+                f64::NAN,
+            ),
+            (
+                "column_bus_length_mm",
+                |t, v| t.column_bus_length_mm = v,
+                f64::NAN,
+            ),
+            (
+                "chip_bus_length_mm",
+                |t, v| t.chip_bus_length_mm = v,
+                f64::NAN,
+            ),
+            ("min_voltage", |t, v| t.min_voltage = v, f64::INFINITY),
+            ("max_voltage", |t, v| t.max_voltage = v, f64::NAN),
+            (
+                "threshold_voltage",
+                |t, v| t.threshold_voltage = v,
+                f64::NAN,
+            ),
+            ("feature_nm", |t, v| t.feature_nm = v, f64::NAN),
+            (
+                "column_bus_length_mm",
+                |t, v| t.column_bus_length_mm = v,
+                -1.0,
+            ),
+        ];
+        for (field, set, value) in tech_cases {
+            let mut tech = Technology::isca2004();
+            set(&mut tech, value);
+            cases.push((ExplorerConfig::new(1e6, 8).with_tech(tech), field, value));
+        }
         for (config, field, value) in cases {
             let board = config.clone().with_board(BoardSearch::new(2));
             let check = |entry: &str, result: Result<(), ExplorerError>| match result {

@@ -11,8 +11,8 @@
 //! into a per-column total.
 
 use synchro_power::{
-    ColumnActivity, ColumnPower, InterconnectModel, LeakageModel, Technology, TilePowerModel,
-    VfCurve,
+    ColumnActivity, ColumnPower, InterconnectModel, LeakageModel, PowerModelError, Technology,
+    TilePowerModel, VfCurve,
 };
 use synchro_sdf::{SdfError, SdfGraph};
 
@@ -156,10 +156,15 @@ pub(crate) struct Evaluator {
     efficiency: f64,
 }
 
-/// Reject an iteration rate that is not finite and positive, or a NaN
-/// parallel efficiency: either would price every column as NaN or
-/// negative power.  Efficiency is otherwise clamped to `[0.01, 1]`.
-pub(crate) fn check_rate(rate_hz: f64, efficiency: f64) -> Result<(), ExplorerError> {
+/// Reject an iteration rate that is not finite and positive, a NaN
+/// parallel efficiency, or a technology [`Technology::validate`]
+/// rejects: any of them would price columns as NaN or negative power.
+/// Efficiency is otherwise clamped to `[0.01, 1]`.
+pub(crate) fn check_inputs(
+    tech: &Technology,
+    rate_hz: f64,
+    efficiency: f64,
+) -> Result<(), ExplorerError> {
     if !(rate_hz.is_finite() && rate_hz > 0.0) {
         return Err(ExplorerError::InvalidConfig {
             field: "iteration_rate_hz",
@@ -172,15 +177,18 @@ pub(crate) fn check_rate(rate_hz: f64, efficiency: f64) -> Result<(), ExplorerEr
             value: efficiency,
         });
     }
+    if let Err(PowerModelError::InvalidParameter { name, value }) = tech.validate() {
+        return Err(ExplorerError::InvalidConfig { field: name, value });
+    }
     Ok(())
 }
 
 impl Evaluator {
     /// # Errors
     ///
-    /// [`ExplorerError::InvalidConfig`] as [`check_rate`] decides.
+    /// [`ExplorerError::InvalidConfig`] as [`check_inputs`] decides.
     pub fn new(tech: &Technology, rate_hz: f64, efficiency: f64) -> Result<Self, ExplorerError> {
-        check_rate(rate_hz, efficiency)?;
+        check_inputs(tech, rate_hz, efficiency)?;
         Ok(Evaluator {
             curve: VfCurve::fo4_20(tech),
             tile_model: TilePowerModel::new(tech),

@@ -9,8 +9,10 @@
 //! kept set is the union of two Pareto fronts over `(power, cross
 //! words)`: one over all partials and one over feasible partials only,
 //! so a cheaper infeasible prefix never hides a feasible one.  Without a
-//! [`CommSpec`] every cross-word count is 0 and a cell keeps at most two
-//! entries.
+//! [`CommSpec`] every cross-word count is 0, so a cell keeps at most one
+//! feasible partial and one cheaper infeasible one, and is held inline as
+//! a fixed two-slot [`Pair`]; with one, a cell is a growable front.  One
+//! relaxation loop, generic over the [`Cell`] type, serves both.
 //!
 //! Cells are relaxed in boundary order from the pre-evaluated
 //! [`IntervalArena`]: every kept partial of boundary `start` is extended
@@ -211,6 +213,17 @@ struct Entry {
 }
 
 impl Entry {
+    /// The empty mapping of boundary 0: no actors, no tiles, no power.
+    const ROOT: Entry = Entry {
+        power: 0.0,
+        cross: 0,
+        tiles: 0,
+        parent: ROOT,
+        start: 0,
+        group_tiles: 0,
+        feasible: true,
+    };
+
     /// Does `self` make `other` redundant?  Every completion of `other`
     /// is then matched by the same completion of `self`: no more power,
     /// no more cross words, and feasible whenever `other`'s is.
@@ -219,17 +232,89 @@ impl Entry {
     }
 }
 
-/// Offer `entry` to a cell: drop it if a kept entry covers it (the
-/// incumbent wins exact ties), otherwise keep it and evict every entry it
-/// covers.  Returns the number of entries discarded.
-fn offer(cell: &mut Vec<Entry>, entry: Entry) -> u64 {
-    if cell.iter().any(|kept| kept.covers(&entry)) {
-        return 1;
+/// One DP cell: the partials of one boundary and exact tile count that
+/// no other partial of the cell covers.
+trait Cell: Default {
+    /// Offer `entry`: drop it if a kept entry covers it (the incumbent
+    /// wins exact ties), otherwise evict every kept entry it covers and
+    /// keep it last, after the survivors in their order.  Returns the
+    /// number of entries discarded.
+    fn offer(&mut self, entry: Entry) -> u64;
+
+    /// Append the kept entries, in order, to `kept` and empty the cell.
+    fn drain_into(&mut self, kept: &mut Vec<Entry>);
+}
+
+/// A cell under a [`CommSpec`]: partials trade power against committed
+/// cross words, so the front has no fixed size.
+impl Cell for Vec<Entry> {
+    fn offer(&mut self, entry: Entry) -> u64 {
+        if self.iter().any(|kept| kept.covers(&entry)) {
+            return 1;
+        }
+        let before = self.len();
+        self.retain(|kept| !entry.covers(kept));
+        self.push(entry);
+        (before + 1 - self.len()) as u64
     }
-    let before = cell.len();
-    cell.retain(|kept| !entry.covers(kept));
-    cell.push(entry);
-    (before + 1 - cell.len()) as u64
+
+    fn drain_into(&mut self, kept: &mut Vec<Entry>) {
+        kept.append(self);
+    }
+}
+
+/// A cell without a [`CommSpec`], held inline.  Every cross count is
+/// then 0, so of two feasible (or two infeasible) partials one covers
+/// the other: a cell keeps at most one feasible partial and one strictly
+/// cheaper infeasible one.
+#[derive(Debug, Clone)]
+struct Pair {
+    len: u8,
+    slots: [Entry; 2],
+}
+
+impl Default for Pair {
+    fn default() -> Self {
+        Pair {
+            len: 0,
+            slots: [Entry::ROOT; 2],
+        }
+    }
+}
+
+impl Cell for Pair {
+    /// Same return and order as the growable front's `offer`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` covers neither of two kept entries and neither
+    /// covers it.  With every cross count 0 that is unreachable: it
+    /// means an entry carried cross words or a NaN power.
+    fn offer(&mut self, entry: Entry) -> u64 {
+        let len = usize::from(self.len);
+        if self.slots[..len].iter().any(|kept| kept.covers(&entry)) {
+            return 1;
+        }
+        let mut survivors = 0;
+        for i in 0..len {
+            if !entry.covers(&self.slots[i]) {
+                self.slots[survivors] = self.slots[i];
+                survivors += 1;
+            }
+        }
+        assert!(
+            survivors < 2,
+            "a frameless DP cell keeps at most two partials"
+        );
+        self.slots[survivors] = entry;
+        self.len = survivors as u8 + 1;
+        (len - survivors) as u64
+    }
+
+    fn drain_into(&mut self, kept: &mut Vec<Entry>) {
+        kept.extend_from_slice(&self.slots[..usize::from(self.len)]);
+        self.len = 0;
+    }
 }
 
 /// Run the prefix DP over `arena` and return the best candidate at every
@@ -237,6 +322,8 @@ fn offer(cell: &mut Vec<Entry>, entry: Entry) -> u64 {
 /// overall when none is feasible.  Under `comm`, extensions whose
 /// committed cross-column words overflow the frame are dropped as they
 /// form (cross words only grow), so every candidate fits the frame.
+/// Without `comm` the cells are inline [`Pair`]s; with it, growable
+/// fronts.
 ///
 /// `arena` must have been built for `ctx` with the same `budget` and
 /// `max_group_size` (see [`IntervalArena::build`]).
@@ -247,28 +334,36 @@ pub(crate) fn prefix_dp(
     max_group_size: usize,
     comm: Option<CommSpec>,
 ) -> SearchOutcome {
+    match comm {
+        None => relax::<Pair>(ctx, arena, budget, max_group_size, None),
+        Some(comm) => {
+            relax::<Vec<Entry>>(ctx, arena, budget, max_group_size, Some(comm.capacity()))
+        }
+    }
+}
+
+/// The relaxation loop of [`prefix_dp`] over cells of type `C`, with
+/// the frame `capacity` in cross words when a `CommSpec` is set.
+fn relax<C: Cell>(
+    ctx: &GraphContext,
+    arena: &IntervalArena,
+    budget: u32,
+    max_group_size: usize,
+    capacity: Option<u64>,
+) -> SearchOutcome {
     let started = Instant::now();
     let n = ctx.n;
-    let capacity = comm.map(|c| c.capacity());
     let mut stats = SearchStats {
         threads_used: 1,
         ..SearchStats::default()
     };
     // `kept[bounds[i]..bounds[i + 1]]` is boundary i, tiles ascending.
-    let mut kept = vec![Entry {
-        power: 0.0,
-        cross: 0,
-        tiles: 0,
-        parent: ROOT,
-        start: 0,
-        group_tiles: 0,
-        feasible: true,
-    }];
+    let mut kept = vec![Entry::ROOT];
     let mut bounds = vec![0usize, 1];
     let mut paths = vec![0u64; n + 1];
     paths[0] = 1;
     // The cells of the boundary being built, one per exact tile count.
-    let mut cells: Vec<Vec<Entry>> = vec![Vec::new(); budget as usize + 1];
+    let mut cells: Vec<C> = (0..=budget).map(|_| C::default()).collect();
     for end in 1..=n {
         for start in end.saturating_sub(max_group_size)..end {
             paths[end] = paths[end].saturating_add(paths[start]);
@@ -299,12 +394,12 @@ pub(crate) fn prefix_dp(
                         group_tiles: opt.tiles,
                         feasible: source.feasible && opt.feasible,
                     };
-                    stats.states_pruned += offer(&mut cells[tiles as usize], entry);
+                    stats.states_pruned += cells[tiles as usize].offer(entry);
                 }
             }
         }
         for cell in &mut cells {
-            kept.append(cell);
+            cell.drain_into(&mut kept);
         }
         bounds.push(kept.len());
     }
@@ -634,9 +729,9 @@ mod tests {
         /// The prefix DP, through `explore`, against the exhaustive
         /// oracle on random 2–8-actor chains with 1:1, 2:1 and 1:2
         /// edges, max group sizes {1, 2, n}, both tile-candidate sets,
-        /// random budgets, and no frame or a 0–7-slot one.  The curve
-        /// matches tile count by tile count (power bits and
-        /// feasibility), and so do the best solution and the frontier.
+        /// random budgets, and (about evenly) no frame or a 0–7-slot
+        /// one.  The curve matches tile count by tile count (power bits
+        /// and feasibility), and so do the best solution and the frontier.
         /// Every winner is a contiguous grouping that fits the group
         /// size and the frame.  When nothing fits, the error matches:
         /// `BudgetTooSmall`, or `CommInfeasible` counting exactly the
@@ -650,7 +745,7 @@ mod tests {
             group_pick in 0usize..3,
             all_candidates in any::<bool>(),
             budget in 1u32..40,
-            capacity_pick in 0u64..9,
+            capacity_pick in 0u64..16,
         ) {
             let caps: Vec<u32> = cap_picks[..n].iter().map(|&i| CAP_CHOICES[i]).collect();
             let rates: Vec<(u64, u64)> = rate_picks.iter().map(|&i| RATE_CHOICES[i]).collect();
@@ -662,7 +757,8 @@ mod tests {
             } else {
                 TileCandidates::PowersOfTwo
             };
-            // 8 stands for "no frame".
+            // 8 and above stand for "no frame": half the cases run the
+            // two-slot cells.
             let capacity = (capacity_pick < 8).then_some(capacity_pick);
             let mut config = ExplorerConfig::new(1e6, budget).with_candidates(candidates);
             config.max_group_size = max_group;
@@ -751,25 +847,69 @@ mod tests {
             group_tiles: 4,
             feasible,
         };
-        let mut cell = Vec::new();
-        assert_eq!(offer(&mut cell, partial(10.0, 2, true)), 0);
+        let mut cell: Vec<Entry> = Vec::new();
+        assert_eq!(cell.offer(partial(10.0, 2, true)), 0);
         // A cheaper infeasible partial joins the cell without evicting
         // the feasible one, and so does a pricier one with fewer cross
         // words.
-        assert_eq!(offer(&mut cell, partial(8.0, 2, false)), 0);
-        assert_eq!(offer(&mut cell, partial(12.0, 1, true)), 0);
+        assert_eq!(cell.offer(partial(8.0, 2, false)), 0);
+        assert_eq!(cell.offer(partial(12.0, 1, true)), 0);
         assert_eq!(cell.len(), 3);
         assert_eq!(winner(&cell).power, 10.0, "feasible first, then power");
         // Covered offers are dropped; on an exact tie the incumbent stays.
-        assert_eq!(offer(&mut cell, partial(9.0, 2, false)), 1);
-        assert_eq!(offer(&mut cell, partial(10.0, 2, true)), 1);
+        assert_eq!(cell.offer(partial(9.0, 2, false)), 1);
+        assert_eq!(cell.offer(partial(10.0, 2, true)), 1);
         // At equal power and cross words, feasible covers infeasible.
-        assert_eq!(offer(&mut cell, partial(8.0, 2, true)), 2);
+        assert_eq!(cell.offer(partial(8.0, 2, true)), 2);
         let kept: Vec<(f64, u64, bool)> = cell
             .iter()
             .map(|e| (e.power, e.cross, e.feasible))
             .collect();
         assert_eq!(kept, vec![(12.0, 1, true), (8.0, 2, true)]);
+    }
+
+    /// The entries a cell keeps, in order, as `(power bits, feasible,
+    /// parent)`; `parent` tags each offer with its position.
+    fn drained<C: Cell + Clone>(cell: &C) -> Vec<(u64, bool, u32)> {
+        let mut kept = Vec::new();
+        cell.clone().drain_into(&mut kept);
+        kept.iter()
+            .map(|e| (e.power.to_bits(), e.feasible, e.parent))
+            .collect()
+    }
+
+    proptest! {
+        /// Without cross words, the two-slot cell and the growable front
+        /// agree offer by offer: the same discard count and the same
+        /// kept entries in the same order.  Powers come from a set of
+        /// four, so exact ties occur, with random feasibility.
+        #[test]
+        fn pair_cells_match_growable_fronts_without_cross_words(
+            powers in prop::collection::vec(0usize..4, 1..40),
+            feasible in prop::collection::vec(any::<bool>(), 40),
+            drain_at in 0usize..40,
+        ) {
+            let mut pair = Pair::default();
+            let mut front: Vec<Entry> = Vec::new();
+            for (i, &p) in powers.iter().enumerate() {
+                let entry = Entry {
+                    power: [1.0, 2.0, 2.5, 4.0][p],
+                    feasible: feasible[i],
+                    parent: i as u32,
+                    ..Entry::ROOT
+                };
+                prop_assert_eq!(pair.offer(entry), front.offer(entry), "offer {}", i);
+                prop_assert_eq!(drained(&pair), drained(&front), "after offer {}", i);
+                prop_assert!(front.len() <= 2);
+                if i == drain_at {
+                    // A drained cell starts over empty, like a new one.
+                    let mut kept = Vec::new();
+                    pair.drain_into(&mut kept);
+                    front.drain_into(&mut kept);
+                    prop_assert!(drained(&pair).is_empty() && front.is_empty());
+                }
+            }
+        }
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl Technology {
     /// Returns [`PowerModelError::InvalidParameter`] naming the first
     /// offending field.
     pub fn validate(&self) -> Result<(), PowerModelError> {
-        let checks: [(&'static str, f64); 10] = [
+        let checks: [(&'static str, f64); 12] = [
             ("feature_nm", self.feature_nm),
             ("min_voltage", self.min_voltage),
             ("max_voltage", self.max_voltage),
@@ -108,6 +108,8 @@ impl Technology {
             ("reference_voltage", self.reference_voltage),
             ("tile_area_mm2", self.tile_area_mm2),
             ("wire_cap_ff_per_mm", self.wire_cap_ff_per_mm),
+            ("column_bus_length_mm", self.column_bus_length_mm),
+            ("chip_bus_length_mm", self.chip_bus_length_mm),
             ("leakage_ma_per_tile", self.leakage_ma_per_tile),
             ("voltage_step", self.voltage_step),
         ];
@@ -220,6 +222,26 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn validation_rejects_bus_lengths_that_are_not_finite_and_positive() {
+        for name in ["column_bus_length_mm", "chip_bus_length_mm"] {
+            for bad in [f64::NAN, f64::INFINITY, 0.0, -5.4] {
+                let mut t = Technology::isca2004();
+                if name == "column_bus_length_mm" {
+                    t.column_bus_length_mm = bad;
+                } else {
+                    t.chip_bus_length_mm = bad;
+                }
+                match t.validate() {
+                    Err(PowerModelError::InvalidParameter { name: n, value }) => {
+                        assert_eq!((n, value.to_bits()), (name, bad.to_bits()));
+                    }
+                    other => panic!("{name} = {bad}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

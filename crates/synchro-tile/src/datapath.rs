@@ -83,7 +83,9 @@ pub struct Tile {
 }
 
 impl Tile {
-    /// A new tile with the default 32 KB local memory, enabled.
+    /// A new tile with the default 32 KB local memory, enabled.  The
+    /// memory reads as zeros and allocates its backing store on the
+    /// tile's first store (see [`LocalMemory`]).
     pub fn new() -> Self {
         Tile {
             regs: [0; 8],
