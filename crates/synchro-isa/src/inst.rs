@@ -190,7 +190,10 @@ pub enum Instruction {
         /// Absolute word address.
         addr: u32,
     },
-    /// Add a (possibly negative) word offset to a pointer register.
+    /// Add a (possibly negative) word offset to a pointer register.  The
+    /// sum saturates to `0..=u32::MAX` rather than wrapping, so a pointer
+    /// pushed past either end stays out of range for every later access
+    /// (at the top, the next load or store is a memory fault).
     AddPtr {
         /// Pointer register to modify.
         ptr: PtrReg,

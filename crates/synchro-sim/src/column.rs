@@ -7,7 +7,7 @@ use synchro_bus::{BusError, SegmentConfig, SegmentedBus};
 use synchro_dou::{Dou, DouProgram};
 use synchro_isa::Program;
 use synchro_simd::{Issue, RateMatcher, SimdController, StallReason};
-use synchro_tile::{ExecError, Tile, TileEvent};
+use synchro_tile::{ExecError, Tile};
 use synchro_trace::{Trace, TraceEvent};
 
 /// Errors surfaced while simulating a column.
@@ -149,14 +149,18 @@ impl Column {
     ///
     /// A `clock_divider` of zero (possible when a [`ColumnConfig`] is built
     /// by hand rather than through [`ColumnConfig::with_divider`]) is
-    /// normalised to 1 here, so every later consumer can rely on the
-    /// invariant `clock_divider >= 1`.
+    /// normalised to 1 here, and so is a rate matcher's `period`, so every
+    /// later consumer can rely on the invariants `clock_divider >= 1` and
+    /// `period >= 1`.
     pub fn new(
         mut config: ColumnConfig,
         program: Program,
         dou_program: Option<DouProgram>,
     ) -> Self {
         config.clock_divider = config.clock_divider.max(1);
+        if let Some(rate) = &mut config.rate_matcher {
+            rate.period = rate.period.max(1);
+        }
         let mut controller = SimdController::new(program);
         if let Some(rate) = config.rate_matcher {
             controller.set_rate_matcher(rate);
@@ -287,7 +291,7 @@ impl Column {
             let slot = self.stats.cycles - 1;
             let tick = slot * u64::from(self.config.clock_divider);
             if let Some(rate) = self.config.rate_matcher {
-                if slot.is_multiple_of(u64::from(rate.period.max(1))) {
+                if slot.is_multiple_of(u64::from(rate.period)) {
                     self.trace.emit(|| TraceEvent::RateMatcherRelock {
                         chip: self.chip_id,
                         column: self.column_id,
@@ -314,16 +318,11 @@ impl Column {
         match issue {
             Issue::Broadcast(inst) => {
                 self.stats.broadcasts += 1;
-                for (i, tile) in self.tiles.iter_mut().enumerate() {
-                    let event = tile
-                        .execute(inst)
-                        .map_err(|source| ColumnError::Tile { tile: i, source })?;
-                    if let TileEvent::Condition(v) = event {
-                        // Tile 0 of the column drives data-dependent control.
-                        if i == 0 {
-                            self.controller.set_condition(v);
-                        }
-                    }
+                // Tile 0 of the column drives data-dependent control.
+                let condition = Tile::execute_broadcast(&mut self.tiles, inst)
+                    .map_err(|(tile, source)| ColumnError::Tile { tile, source })?;
+                if let Some(v) = condition {
+                    self.controller.set_condition(v);
                 }
             }
             Issue::Stall(StallReason::Branch) => self.stats.branch_stalls += 1,
@@ -503,6 +502,66 @@ mod tests {
             ColumnError::Tile { tile, .. } => assert_eq!(tile, 0),
             other => panic!("expected tile error, got {other}"),
         }
+    }
+
+    #[test]
+    fn fault_on_a_later_tile_is_reported_with_its_index() {
+        // Tile 0 is disabled, so tile 1 is the first to fault.
+        let p = assemble("setp p0, 9000\nld r0, p0, 0\nhalt\n").unwrap();
+        let mut config = ColumnConfig::isca2004();
+        config.enabled_tiles = vec![false, true, true, true];
+        let mut col = Column::new(config, p, None);
+        match col.run(10).unwrap_err() {
+            ColumnError::Tile { tile, .. } => assert_eq!(tile, 1),
+            other => panic!("expected tile error, got {other}"),
+        }
+    }
+
+    /// Run a program that sets the condition from `r0 = value` on every
+    /// tile and branches on it, and return tile 1's `r1`: 2 if the branch
+    /// was taken, 1 if not.
+    fn branch_outcome(value: i32, enabled_tiles: Vec<bool>) -> i32 {
+        let src = format!(
+            "li r0, {value}\nsetcond r0\nbrnz taken\nli r1, 1\nhalt\ntaken:\nli r1, 2\nhalt\n"
+        );
+        let config = ColumnConfig {
+            enabled_tiles,
+            ..ColumnConfig::isca2004()
+        };
+        let mut col = Column::new(config, assemble(&src).unwrap(), None);
+        col.run(20).unwrap();
+        assert!(col.is_halted());
+        col.tile(1).unwrap().reg(DataReg::new(1))
+    }
+
+    #[test]
+    fn set_cond_on_tile_zero_steers_the_branch() {
+        assert_eq!(branch_outcome(5, vec![true; 4]), 2);
+        assert_eq!(branch_outcome(0, vec![true; 4]), 1);
+    }
+
+    #[test]
+    fn disabled_tile_zero_leaves_the_condition_at_zero() {
+        assert_eq!(branch_outcome(5, vec![false, true, true, true]), 1);
+    }
+
+    #[test]
+    fn hand_built_zero_period_rate_matcher_stalls_instead_of_panicking() {
+        // A period of 0 used to divide by zero on the first step; it is
+        // normalised to 1, which saturates the matcher: every slot stalls.
+        let config = ColumnConfig {
+            rate_matcher: Some(RateMatcher {
+                period: 0,
+                stalls: 1,
+            }),
+            ..ColumnConfig::isca2004()
+        };
+        let mut col = Column::new(config, assemble("li r0, 1\nhalt\n").unwrap(), None);
+        assert_eq!(col.config().rate_matcher.unwrap().period, 1);
+        assert_eq!(col.run(50).unwrap(), 50);
+        assert!(!col.is_halted());
+        assert_eq!(col.stats().rate_match_stalls, 50);
+        assert_eq!(col.stats().broadcasts, 0);
     }
 
     #[test]

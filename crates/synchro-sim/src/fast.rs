@@ -355,7 +355,8 @@ impl FastTier {
                 let divider = u64::from(column.config().clock_divider.max(1));
                 let last_tick = (plan.billed_cycles - 1) * divider;
                 if let Some(rate) = column.config().rate_matcher {
-                    let relocks = plan.billed_cycles.div_ceil(u64::from(rate.period.max(1)));
+                    // `Column::new` guarantees `period >= 1`.
+                    let relocks = plan.billed_cycles.div_ceil(u64::from(rate.period));
                     trace.emit(|| TraceEvent::RateMatcherRelock {
                         chip: chip_id,
                         column: plan.column as u32,
@@ -799,25 +800,25 @@ mod tests {
             Err(FastTierError::RateMatchedDou { column: 0 })
         ));
 
-        // A saturated matcher can never halt.
-        let mut saturated = ColumnConfig::isca2004();
-        saturated.rate_matcher = Some(RateMatcher {
-            period: 4,
-            stalls: 4,
-        });
-        let sat_profile = FiringProfile::measure(&saturated, &program, None, 4, 3).unwrap();
-        let mut chip = Chip::new();
-        chip.add_column(Column::new(saturated, program, None));
-        let mut tier = FastTier::new();
-        tier.push(ColumnBatch {
-            column: 0,
-            firings: 3,
-            profile: sat_profile,
-        });
-        assert!(matches!(
-            tier.run(&mut chip),
-            Err(FastTierError::SaturatedRateMatcher { column: 0 })
-        ));
+        // A saturated matcher can never halt.  A hand-built period of 0
+        // is normalised to 1, so with a stall it is saturated too.
+        for (period, stalls) in [(4, 4), (0, 1)] {
+            let mut saturated = ColumnConfig::isca2004();
+            saturated.rate_matcher = Some(RateMatcher { period, stalls });
+            let sat_profile = FiringProfile::measure(&saturated, &program, None, 4, 3).unwrap();
+            let mut chip = Chip::new();
+            chip.add_column(Column::new(saturated, program.clone(), None));
+            let mut tier = FastTier::new();
+            tier.push(ColumnBatch {
+                column: 0,
+                firings: 3,
+                profile: sat_profile,
+            });
+            assert!(matches!(
+                tier.run(&mut chip),
+                Err(FastTierError::SaturatedRateMatcher { column: 0 })
+            ));
+        }
     }
 
     #[test]

@@ -144,8 +144,15 @@ impl SimdController {
     }
 
     /// Enable Zero-Overhead Rate Matching with the given configuration.
+    ///
+    /// A `period` of zero is normalised to 1, so a hand-built matcher
+    /// with stalls is saturated (every slot stalls) rather than a
+    /// division by zero on the next step.
     pub fn set_rate_matcher(&mut self, rate: RateMatcher) {
-        self.rate = rate;
+        self.rate = RateMatcher {
+            period: rate.period.max(1),
+            ..rate
+        };
         self.slot_in_period = 0;
     }
 
@@ -465,6 +472,29 @@ mod tests {
         let r = RateMatcher::for_rates(120.0, 113.0).unwrap();
         let want = 1.0 - 113.0 / 120.0;
         assert!((r.stall_fraction() - want).abs() < 1.0 / 1024.0 + 1e-9);
+    }
+
+    #[test]
+    fn zero_period_matcher_saturates_instead_of_dividing_by_zero() {
+        // A hand-built period of 0 is normalised to 1: every slot stalls.
+        let p = assemble("li r0, 1\nhalt\n").unwrap();
+        let mut c = SimdController::new(p);
+        c.set_rate_matcher(RateMatcher {
+            period: 0,
+            stalls: 1,
+        });
+        let issues = c.run(10);
+        assert_eq!(issues, vec![Issue::Stall(StallReason::RateMatch); 10]);
+        assert!(!c.is_halted());
+
+        // Without stalls a zero period throttles nothing.
+        let mut c = SimdController::new(assemble("li r0, 1\nhalt\n").unwrap());
+        c.set_rate_matcher(RateMatcher {
+            period: 0,
+            stalls: 0,
+        });
+        assert_eq!(broadcasts(&c.run(10)).len(), 1);
+        assert!(c.is_halted());
     }
 
     #[test]

@@ -240,7 +240,7 @@ impl Tile {
             }
             Instruction::AddPtr { ptr, offset } => {
                 let cur = i64::from(self.ptrs[ptr.index()]) + i64::from(offset);
-                self.ptrs[ptr.index()] = cur.max(0) as u32;
+                self.ptrs[ptr.index()] = cur.clamp(0, i64::from(u32::MAX)) as u32;
                 TileEvent::None
             }
             Instruction::CommSend => {
@@ -263,6 +263,56 @@ impl Tile {
             | Instruction::Halt => unreachable!("control instructions rejected earlier"),
         };
         Ok(event)
+    }
+
+    /// Execute one SIMD broadcast on every tile of a column, in tile
+    /// order, with the same effect as calling [`Tile::execute`] on each.
+    ///
+    /// The instruction is decoded once.  A `Nop`, which is almost every
+    /// cycle of a counted compute loop, bills each enabled tile in one
+    /// loop; every other instruction runs the per-tile
+    /// [`Tile::execute`] loop.  Returns the value of tile 0's `SetCond`
+    /// (`None` for any other instruction, or when tile 0 is disabled):
+    /// tile 0 drives the column's data-dependent control.
+    ///
+    /// # Errors
+    ///
+    /// Returns the index and error of the first tile that fails.  The
+    /// tiles before it have executed the instruction; the tiles after it
+    /// are untouched.
+    #[inline]
+    pub fn execute_broadcast(
+        tiles: &mut [Tile],
+        inst: Instruction,
+    ) -> Result<Option<i32>, (usize, ExecError)> {
+        if matches!(inst, Instruction::Nop) {
+            for tile in tiles.iter_mut() {
+                // Branch-free: a disabled tile is billed nothing.
+                let billed = u64::from(tile.enabled);
+                tile.stats.instructions += billed;
+                tile.stats.nops += billed;
+            }
+            return Ok(None);
+        }
+        Self::execute_each(tiles, inst)
+    }
+
+    /// The per-tile loop behind [`Tile::execute_broadcast`], kept out of
+    /// line so the column step inlines only the `Nop` loop.
+    #[inline(never)]
+    fn execute_each(
+        tiles: &mut [Tile],
+        inst: Instruction,
+    ) -> Result<Option<i32>, (usize, ExecError)> {
+        let mut condition = None;
+        for (i, tile) in tiles.iter_mut().enumerate() {
+            match tile.execute(inst) {
+                Ok(TileEvent::Condition(v)) if i == 0 => condition = Some(v),
+                Ok(_) => {}
+                Err(error) => return Err((i, error)),
+            }
+        }
+        Ok(condition)
     }
 }
 
@@ -294,6 +344,8 @@ fn alu(op: AluOp, a: i32, b: i32) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use synchro_isa::CondCode;
 
     fn r(n: u8) -> DataReg {
         DataReg::new(n)
@@ -425,6 +477,39 @@ mod tests {
     }
 
     #[test]
+    fn pointer_saturates_at_the_top_instead_of_wrapping() {
+        // `setp p0, 4294967295; addp p0, 1` used to wrap p0 to 0, so the
+        // store and load after it silently hit word 0.
+        let mut t = Tile::new();
+        let p0 = PtrReg::new(0);
+        t.execute(Instruction::SetPtr {
+            ptr: p0,
+            addr: u32::MAX,
+        })
+        .unwrap();
+        t.execute(Instruction::AddPtr { ptr: p0, offset: 1 })
+            .unwrap();
+        assert_eq!(t.ptr(p0), u32::MAX, "pointer saturates at u32::MAX");
+        let fault = Err(ExecError::Memory(MemoryFault {
+            address: i64::from(u32::MAX),
+            size_words: LocalMemory::DEFAULT_WORDS,
+        }));
+        let store = Instruction::Store {
+            src: r(1),
+            ptr: p0,
+            offset: 0,
+        };
+        assert_eq!(t.execute(store), fault);
+        let load = Instruction::Load {
+            dst: r(2),
+            ptr: p0,
+            offset: 0,
+        };
+        assert_eq!(t.execute(load), fault);
+        assert_eq!(t.memory(), &LocalMemory::new(), "nothing was stored");
+    }
+
+    #[test]
     fn memory_fault_propagates() {
         let mut t = Tile::new();
         t.execute(Instruction::SetPtr {
@@ -499,5 +584,202 @@ mod tests {
         t.execute(Instruction::Nop).unwrap();
         assert_eq!(t.stats().nops, 2);
         assert_eq!(t.stats().instructions, 2);
+    }
+
+    /// The oracle for [`Tile::execute_broadcast`]: the per-tile loop a
+    /// column used to run, calling [`Tile::execute`] on each tile in turn.
+    fn execute_tile_by_tile(
+        tiles: &mut [Tile],
+        inst: Instruction,
+    ) -> Result<Option<i32>, (usize, ExecError)> {
+        let mut condition = None;
+        for (i, tile) in tiles.iter_mut().enumerate() {
+            if let TileEvent::Condition(v) = tile.execute(inst).map_err(|e| (i, e))? {
+                if i == 0 {
+                    condition = Some(v);
+                }
+            }
+        }
+        Ok(condition)
+    }
+
+    /// splitmix64, to expand one drawn seed into a whole tile's state.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A pointer: inside or just past the test memories, anywhere, or
+    /// within 16 of `u32::MAX`.
+    fn pointer(raw: u64) -> u32 {
+        let bits = (raw >> 2) as u32;
+        match raw % 3 {
+            0 => bits % 80,
+            1 => bits,
+            _ => u32::MAX - bits % 16,
+        }
+    }
+
+    /// A word offset: small (either sign), near `i32::MAX` or `i32::MIN`,
+    /// or anywhere.
+    fn offset(raw: u64) -> i32 {
+        let bits = (raw >> 2) as i32;
+        match raw % 4 {
+            0 => bits.rem_euclid(24) - 8,
+            1 => i32::MAX - bits.rem_euclid(4),
+            2 => i32::MIN + bits.rem_euclid(4),
+            _ => bits,
+        }
+    }
+
+    /// A tile whose whole state is drawn from `seed`: registers,
+    /// pointers, accumulators, a 0–63-word memory holding up to three
+    /// stored words, both bus buffers, the enable bit and running
+    /// statistics.
+    fn random_tile(seed: u64) -> Tile {
+        let mut s = seed;
+        let size = (next(&mut s) % 64) as usize;
+        let mut memory = LocalMemory::with_words(size);
+        for _ in 0..next(&mut s) % 4 {
+            let raw = next(&mut s);
+            if size > 0 {
+                let address = (raw % size as u64) as i64;
+                memory.write(address, (raw >> 32) as i32).unwrap();
+            }
+        }
+        let flags = next(&mut s);
+        let mut count = || next(&mut s) % (1 << 40);
+        let stats = TileStats {
+            instructions: count(),
+            nops: count(),
+            macs: count(),
+            memory_ops: count(),
+            comm_ops: count(),
+        };
+        Tile {
+            regs: std::array::from_fn(|_| next(&mut s) as i32),
+            ptrs: std::array::from_fn(|_| pointer(next(&mut s))),
+            accs: std::array::from_fn(|_| next(&mut s) as i64),
+            memory,
+            write_buffer: (flags & 1 == 1).then_some((flags >> 32) as i32),
+            read_buffer: (flags & 2 == 2).then_some((flags >> 8) as i32),
+            enabled: flags & 4 == 4,
+            stats,
+        }
+    }
+
+    const ALU_OPS: [AluOp; 14] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::Mul,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Shl,
+        AluOp::Shr,
+        AluOp::Asr,
+        AluOp::Min,
+        AluOp::Max,
+        AluOp::Abs,
+        AluOp::CmpEq,
+        AluOp::CmpLt,
+    ];
+
+    /// An instruction of class `class` (0–18) with operands from `raw`:
+    /// every compute class, `Nop` three times as often as the others (the
+    /// mapper's loops are mostly NOPs), accumulator indices 0–2 (2 is
+    /// invalid), and the four control instructions the controller never
+    /// broadcasts.
+    fn instruction(class: u64, raw: u64) -> Instruction {
+        let reg = |shift: u32| DataReg::new((raw >> shift) as u8 % 8);
+        let ptr = PtrReg::new((raw >> 12) as u8 % 6);
+        let acc = (raw >> 16) as u8 % 3;
+        let word = (raw >> 32) as u32;
+        match class {
+            0..=2 => Instruction::Nop,
+            3 => Instruction::Alu {
+                op: ALU_OPS[(raw >> 20) as usize % ALU_OPS.len()],
+                dst: reg(0),
+                a: reg(4),
+                b: reg(8),
+            },
+            4 => Instruction::LoadImm {
+                dst: reg(0),
+                imm: word as i32,
+            },
+            5 => Instruction::Mac {
+                acc,
+                a: reg(4),
+                b: reg(8),
+            },
+            6 => Instruction::ClearAcc { acc },
+            7 => Instruction::MoveAcc { dst: reg(0), acc },
+            8 => Instruction::Load {
+                dst: reg(0),
+                ptr,
+                offset: offset(raw >> 24),
+            },
+            9 => Instruction::Store {
+                src: reg(4),
+                ptr,
+                offset: offset(raw >> 24),
+            },
+            10 => Instruction::SetPtr {
+                ptr,
+                addr: pointer(raw >> 24),
+            },
+            11 => Instruction::AddPtr {
+                ptr,
+                offset: offset(raw >> 24),
+            },
+            12 => Instruction::CommSend,
+            13 => Instruction::CommRecv { dst: reg(0) },
+            14 => Instruction::SetCond { src: reg(4) },
+            15 => Instruction::LoopBegin {
+                count: word,
+                body_len: (raw >> 20) as u32 % 4,
+            },
+            16 => Instruction::Jump { target: word },
+            17 => Instruction::Branch {
+                cond: if raw & 1 == 0 {
+                    CondCode::Zero
+                } else {
+                    CondCode::NotZero
+                },
+                target: word,
+            },
+            _ => Instruction::Halt,
+        }
+    }
+
+    proptest! {
+        /// Broadcasting to 1–16 tiles with random state and enable bits
+        /// returns the same result as the per-tile `execute` loop (the
+        /// failing tile and its error, or tile 0's condition) and leaves
+        /// every tile equal to it: registers, pointers, accumulators,
+        /// memory, buffers, enable bit and statistics.  Each case runs up
+        /// to eight broadcasts and stops after the first error.
+        #[test]
+        fn broadcast_matches_the_per_tile_oracle(
+            seeds in prop::collection::vec(any::<u64>(), 1..17),
+            classes in prop::collection::vec(0u64..19, 1..9),
+            raws in prop::collection::vec(any::<u64>(), 8),
+        ) {
+            let mut tiles: Vec<Tile> = seeds.iter().map(|&seed| random_tile(seed)).collect();
+            let mut oracle = tiles.clone();
+            for (&class, &raw) in classes.iter().zip(&raws) {
+                let inst = instruction(class, raw);
+                let got = Tile::execute_broadcast(&mut tiles, inst);
+                let want = execute_tile_by_tile(&mut oracle, inst);
+                prop_assert_eq!(&got, &want, "result of `{}`", inst);
+                prop_assert_eq!(&tiles, &oracle, "tiles after `{}`", inst);
+                if got.is_err() {
+                    break;
+                }
+            }
+        }
     }
 }
