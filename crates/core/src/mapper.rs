@@ -249,7 +249,8 @@ impl From<FastTierError> for MapperError {
     }
 }
 
-/// Which execution strategy [`CompiledChip::execute`] uses.
+/// Which execution strategy every run of a [`CompiledChip`] or
+/// [`CompiledBoard`] uses, set once by [`MapperOptions::tier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionTier {
     /// Interpret every column cycle — the reference semantics.
@@ -305,7 +306,9 @@ pub struct MapperOptions {
     /// narrowed in) the board spec before routing.  The default
     /// [`FaultSpec::none`] compiles for healthy silicon.
     pub faults: FaultSpec,
-    /// Execution strategy [`CompiledChip::execute`] uses.
+    /// Execution strategy every `execute*` run of the compiled chip or
+    /// board uses — the only tier selector.  (The ticked reference
+    /// driver, `execute_faulted_ticked`, ignores it.)
     pub tier: ExecutionTier,
     /// Trace handle compilation and execution events flow through.  The
     /// default [`Trace::off`] is zero-cost; install a sink (e.g. a
@@ -597,19 +600,13 @@ fn column_report_energy(
     (compute_j, leakage_j)
 }
 
-/// A compiled, runnable chip plus everything needed to interpret it.
+/// A compiled, runnable chip: a view of a board of one.  [`compile`]
+/// builds every chip through [`compile_board`], and each method here
+/// projects the board's chip 0, so chips and boards share one run loop
+/// and one fast path.
 #[derive(Debug)]
 pub struct CompiledChip {
-    chip: Chip,
-    plans: Vec<ColumnPlan>,
-    blueprints: Vec<ColumnBlueprint>,
-    cross_edges: Vec<CrossEdge>,
-    route: RouteSchedule,
-    hyperperiod: u64,
-    iterations: u64,
-    iteration_rate_hz: f64,
-    drain_budget: u64,
-    tier: ExecutionTier,
+    board: CompiledBoard,
 }
 
 /// The pieces one column was built from, kept so the fast tier can
@@ -621,8 +618,8 @@ struct ColumnBlueprint {
     dou: Option<DouProgram>,
 }
 
-/// Lifetime counters of a chip at one instant; [`CompiledChip::execute`]
-/// reports the difference of two of these.
+/// Lifetime counters of one chip at one instant; a run reports the
+/// difference of two of these.
 struct StatsSnapshot {
     ticks: u64,
     words: u64,
@@ -654,12 +651,14 @@ pub struct CompiledBoard {
     hyperperiod: u64,
     iterations: u64,
     iteration_rate_hz: f64,
-    drain_budget: u64,
+    /// Reference ticks a run may spend before one more window decides
+    /// between a stall and [`MapperError::Incomplete`].
+    tick_budget: u64,
     tier: ExecutionTier,
 }
 
-/// Lifetime counters of a board at one instant; [`CompiledBoard::execute`]
-/// reports the difference of two of these.
+/// Lifetime counters of a board at one instant; a run reports the
+/// difference of two of these.
 struct BoardSnapshot {
     reference: u64,
     chips: Vec<StatsSnapshot>,
@@ -705,6 +704,12 @@ impl BoardExecutionReport {
     pub fn bridge_traffic_error(&self) -> f64 {
         relative_error(self.bridge_words as f64, self.predicted_bridge_words as f64)
     }
+
+    /// Chip 0's report: what the [`CompiledChip`] view of a board of one
+    /// returns.
+    fn into_chip(mut self) -> ExecutionReport {
+        self.chips.swap_remove(0)
+    }
 }
 
 /// The structured outcome of a fault-injected chip run: the per-run
@@ -732,31 +737,50 @@ pub struct FaultedBoardRun {
     pub fault: Option<SimFault>,
 }
 
-/// Monotone work counters of one chip, deliberately excluding the
-/// reference clock (which advances even on a fully starved chip): the
+impl FaultedBoardRun {
+    fn into_chip(self) -> FaultedRun {
+        FaultedRun {
+            report: self.report.into_chip(),
+            fault: self.fault,
+        }
+    }
+}
+
+/// Monotone work counters of a board, deliberately excluding the
+/// reference clock (which advances even on a fully starved board): the
 /// starvation watchdog declares a stall when one full hyperperiod window
 /// passes with this signature unchanged while columns are still live.
 /// Any live, non-failed column fires at least once per window (its
 /// divider is at most the hyperperiod) and bills cycles when it does —
 /// ZORM stall slots included — so a live machine can never trip it; a
-/// still-playing bus program advances its scheduled-slot counters and
-/// also counts as progress.
-type ChipProgress = (Vec<ColumnStats>, Vec<BusStats>, Option<BusStats>, usize);
+/// still-playing bus or bridge program advances its scheduled-slot
+/// counters and also counts as progress.
+#[derive(Default, PartialEq)]
+struct Progress {
+    /// Per column of every chip: its counters, its vertical bus and
+    /// whether it has halted.
+    columns: Vec<(ColumnStats, BusStats, bool)>,
+    /// Per chip: its horizontal bus.
+    buses: Vec<Option<BusStats>>,
+    bridge: BusStats,
+    lane_words: Vec<u64>,
+}
 
-/// Per-chip signatures plus the bridge counters — the board-wide
-/// watchdog signature.
-type BoardProgress = (Vec<ChipProgress>, BusStats, Vec<u64>);
-
-fn chip_progress(chip: &Chip) -> ChipProgress {
-    let halted = (0..chip.columns())
-        .filter(|&i| chip.column(i).is_some_and(Column::is_halted))
-        .count();
-    (
-        chip.column_stats(),
-        chip.column_bus_stats(),
-        chip.horizontal_stats(),
-        halted,
-    )
+impl Progress {
+    /// Overwrite with `board`'s counters, reusing the buffers.
+    fn capture(&mut self, board: &Board) {
+        self.columns.clear();
+        self.buses.clear();
+        for chip in (0..board.chips()).filter_map(|c| board.chip(c)) {
+            let columns = (0..chip.columns()).filter_map(|i| chip.column(i));
+            self.columns
+                .extend(columns.map(|c| (c.stats(), c.bus_stats(), c.is_halted())));
+            self.buses.push(chip.horizontal_stats());
+        }
+        self.bridge = board.bridge_stats();
+        self.lane_words.clear();
+        self.lane_words.extend_from_slice(board.lane_words());
+    }
 }
 
 /// Build the closed-form batch tier for one chip's compiled columns.
@@ -789,16 +813,8 @@ fn build_fast_tier(
     Ok(tier)
 }
 
-fn board_progress(board: &Board) -> BoardProgress {
-    (
-        (0..board.chips())
-            .map(|c| chip_progress(board.chip(c).expect("index in range")))
-            .collect(),
-        board.bridge_stats(),
-        board.lane_words().to_vec(),
-    )
-}
-
+/// Measured firings per column so far, derived from the broadcast
+/// counters (every issue slot of a firing is a broadcast).
 fn measured_firings_of(chip: &Chip, plans: &[ColumnPlan]) -> Vec<u64> {
     plans
         .iter()
@@ -921,9 +937,10 @@ fn relative_error(measured: f64, predicted: f64) -> f64 {
 /// spanned-column count recorded in its [`ColumnPlan`]).
 ///
 /// This is a thin wrapper over [`compile_board`]: the mapping compiles as
-/// a board of one chip and the single chip is unwrapped, so the legacy
-/// path and the board path share one implementation (the equivalence is
-/// pinned bit for bit by the board property tests).
+/// a board of one chip, and the returned [`CompiledChip`] is a view of
+/// that board, so the single-chip path and the board path share one
+/// implementation, down to the run loop (the equivalence is pinned bit
+/// for bit by the board property tests).
 ///
 /// # Errors
 ///
@@ -942,7 +959,7 @@ pub fn compile(
         });
     }
     compile_board(graph, mapping, options, &BoardConfig::default())
-        .map(CompiledBoard::into_single_chip)
+        .map(|board| CompiledChip { board })
 }
 
 /// Compile a chip-qualified [`SdfGraph`] + [`Mapping`] into a runnable
@@ -962,7 +979,9 @@ pub fn compile(
 ///
 /// As for [`compile`], plus [`MapperError::Route`] with
 /// [`RouteError::BridgeOversubscribed`] when one directed chip pair's
-/// traffic exceeds its bridge capacity.
+/// traffic exceeds its bridge capacity, and
+/// `MapperError::Overflow { what: "tick budget" }` when the reference
+/// ticks a run may need do not fit in a `u64`.
 pub fn compile_board(
     graph: &SdfGraph,
     mapping: &Mapping,
@@ -1067,7 +1086,7 @@ pub fn compile_board(
     // the trace handle and its board-chip identity.
     sim_board.set_trace(trace.clone());
     let mut columns_on_chip = vec![0usize; chips_n];
-    let mut drain_budget: u64 = hyperperiod; // one extra window for halt observation
+    let mut halt_ticks: u64 = 0; // the slowest column's ticks to halt
     for (i, (p, &(slots, w))) in mapping.placements().iter().zip(&work).enumerate() {
         let column = columns_on_chip[p.chip];
         columns_on_chip[p.chip] += 1;
@@ -1155,15 +1174,14 @@ pub fn compile_board(
                 let period = u64::from(m.period);
                 (u64::from(total_firings) * slots)
                     .checked_mul(period)
-                    .map_or(u64::MAX, |s| s.div_ceil(period - u64::from(m.stalls)))
+                    .map(|s| s.div_ceil(period - u64::from(m.stalls)))
             }
-            None => u64::from(total_firings) * slots,
+            None => Some(u64::from(total_firings) * slots),
         };
-        drain_budget = drain_budget.max(
-            slots_needed
-                .saturating_mul(u64::from(divider))
-                .saturating_add(hyperperiod),
-        );
+        let ticks = slots_needed.and_then(|s| s.checked_mul(u64::from(divider)));
+        halt_ticks = halt_ticks.max(ticks.ok_or(MapperError::Overflow {
+            what: "tick budget",
+        })?);
 
         parts[p.chip].plans.push(ColumnPlan {
             actor: p.actor,
@@ -1181,6 +1199,19 @@ pub fn compile_board(
             voltage,
         });
     }
+
+    // A run gives up after its iteration windows or, if longer, the
+    // windows the slowest column needs plus one to observe the halt, then
+    // spends one more window deciding between a stall and `Incomplete`.
+    // A window started just before the budget ends within two windows of
+    // it, so every tick the run loop can reach must fit.
+    let windows = options.iterations.max(halt_ticks.div_ceil(hyperperiod) + 1);
+    let horizon = windows
+        .checked_add(2)
+        .and_then(|w| w.checked_mul(hyperperiod));
+    let tick_budget = horizon.ok_or(MapperError::Overflow {
+        what: "tick budget",
+    })? - 2 * hyperperiod;
 
     // The router owns the flow-derivation invariant (placements number
     // the columns within their chip, cross words per iteration from the
@@ -1340,110 +1371,118 @@ pub fn compile_board(
             .map_err(|e| MapperError::Column(ColumnError::Bus(e)))?;
     }
 
+    // No lanes, no bridge to price: a board of one prices like a chip.
+    let bridge_energy_pj_per_word = if route.spec().lanes().is_empty() {
+        0.0
+    } else {
+        board.bridge_energy_pj_per_word
+    };
     Ok(CompiledBoard {
         board: sim_board,
         parts,
         route,
         bridge_words_per_iteration,
-        bridge_energy_pj_per_word: board.bridge_energy_pj_per_word,
+        bridge_energy_pj_per_word,
         hyperperiod,
         iterations: options.iterations,
         iteration_rate_hz: options.iteration_rate_hz,
-        drain_budget,
+        tick_budget,
         tier: options.tier,
     })
+}
+
+/// [`CompiledChip::utilization`]'s rows for one chip of a run, with
+/// every label under `prefix`.
+fn chip_tracks(
+    plans: &[ColumnPlan],
+    report: &ExecutionReport,
+    prefix: &str,
+    tracks: &mut Vec<TrackUtilization>,
+) {
+    for (i, stats) in report.column_stats.iter().enumerate() {
+        let name = plans.get(i).map_or("?", |p| p.name.as_str());
+        let divider = plans.get(i).map_or(1, |p| p.clock_divider);
+        tracks.push(TrackUtilization {
+            label: format!("{prefix}col{i} {name} (\u{f7}{divider})"),
+            busy: stats.cycles - stats.branch_stalls - stats.rate_match_stalls,
+            total: stats.cycles,
+            unit: "cycles",
+            detail: format!(
+                "{} firings, {} stall cycles",
+                report.firing_counts.get(i).copied().unwrap_or(0),
+                stats.branch_stalls + stats.rate_match_stalls,
+            ),
+        });
+    }
+    tracks.push(TrackUtilization {
+        label: format!("{prefix}horizontal bus"),
+        busy: report.occupied_bus_slots,
+        total: report.scheduled_bus_slots,
+        unit: "slots",
+        detail: format!("{} words", report.simulated_horizontal_words),
+    });
 }
 
 impl CompiledChip {
     /// The underlying simulated chip.
     pub fn chip(&self) -> &Chip {
-        &self.chip
+        self.board.chip(0)
     }
 
     /// Mutable access to the simulated chip (e.g. to stage tile data).
     pub fn chip_mut(&mut self) -> &mut Chip {
-        &mut self.chip
+        self.board.chip_mut(0)
     }
 
     /// Per-column plans in placement order.
     pub fn plans(&self) -> &[ColumnPlan] {
-        &self.plans
+        self.board.chip_plans(0)
     }
 
     /// Edges whose endpoints live on different columns.
     pub fn cross_edges(&self) -> &[CrossEdge] {
-        &self.cross_edges
+        self.board.chip_cross_edges(0)
     }
 
     /// The compiled TDM communication schedule the chip's horizontal bus
     /// is driven from (empty for single-column graphs).
     pub fn route(&self) -> &RouteSchedule {
-        &self.route
+        &self.board.route.chips()[0]
     }
 
     /// Reference ticks per graph iteration.
     pub fn hyperperiod(&self) -> u64 {
-        self.hyperperiod
+        self.board.hyperperiod
     }
 
     /// Graph iterations the compiled programs execute.
     pub fn iterations(&self) -> u64 {
-        self.iterations
+        self.board.iterations
     }
 
     /// Graph-iteration rate the chip was compiled for.
     pub fn iteration_rate_hz(&self) -> f64 {
-        self.iteration_rate_hz
+        self.board.iteration_rate_hz
     }
 
     /// The pricing context [`synchro_trace::analyze::attribute`] bills a
     /// captured event stream of this chip against: per-column operating
     /// points from the compiled plans plus the shared power models under
-    /// `tech`.
+    /// `tech` (a chip has no bridge, so both bridge fields are 0).
     pub fn price_spec(&self, tech: &Technology) -> PriceSpec {
-        PriceSpec {
-            iteration_rate_hz: self.iteration_rate_hz,
-            hyperperiod: self.hyperperiod,
-            tile_power: TilePowerModel::new(tech),
-            leakage: LeakageModel::new(tech),
-            interconnect: InterconnectModel::new(tech),
-            columns: column_pricing_rows(&self.plans),
-            buses: vec![BusPricing {
-                chip: 0,
-                geometry: BusGeometry::horizontal(tech),
-                voltage: bus_voltage(&self.plans),
-                scheduled_slots_per_iteration: self.route.scheduled_slots(),
-            }],
-            bridge_energy_pj_per_word: 0.0,
-            bridge_scheduled_slots_per_iteration: 0,
-        }
+        self.board.price_spec(tech)
     }
 
     /// Aggregate energy of one run derived from the report counters —
     /// the independent cross-check for the event-priced ledger (see
     /// [`ReportEnergy`]).
     pub fn execution_energy(&self, report: &ExecutionReport, tech: &Technology) -> ReportEnergy {
-        let duration_s = if self.hyperperiod == 0 || self.iteration_rate_hz <= 0.0 {
-            0.0
-        } else {
-            report.reference_ticks as f64 / (self.hyperperiod as f64 * self.iteration_rate_hz)
-        };
-        let (compute_j, leakage_j) =
-            column_report_energy(&self.plans, &report.column_stats, tech, duration_s);
-        let word_j = InterconnectModel::new(tech)
-            .word_energy_j(&BusGeometry::horizontal(tech), bus_voltage(&self.plans));
-        ReportEnergy {
-            compute_j,
-            leakage_j,
-            interconnect_j: word_j * report.occupied_bus_slots as f64,
-            duration_s,
-        }
-    }
-
-    /// Measured firings per column so far, derived from the broadcast
-    /// counters (every issue slot of a firing is a broadcast).
-    pub fn measured_firings(&self) -> Vec<u64> {
-        measured_firings_of(&self.chip, &self.plans)
+        self.board.report_energy(
+            std::slice::from_ref(report),
+            report.reference_ticks,
+            0,
+            tech,
+        )
     }
 
     /// Per-track utilization rows of one run's [`ExecutionReport`] — the
@@ -1452,43 +1491,18 @@ impl CompiledChip {
     /// excluded from busy) plus the horizontal bus (occupied over
     /// scheduled TDM slots).
     pub fn utilization(&self, report: &ExecutionReport) -> Vec<TrackUtilization> {
-        let mut tracks: Vec<TrackUtilization> = report
-            .column_stats
-            .iter()
-            .enumerate()
-            .map(|(i, stats)| {
-                let name = self.plans.get(i).map_or("?", |p| p.name.as_str());
-                let divider = self.plans.get(i).map_or(1, |p| p.clock_divider);
-                TrackUtilization {
-                    label: format!("col{i} {name} (\u{f7}{divider})"),
-                    busy: stats.cycles - stats.branch_stalls - stats.rate_match_stalls,
-                    total: stats.cycles,
-                    unit: "cycles",
-                    detail: format!(
-                        "{} firings, {} stall cycles",
-                        report.firing_counts.get(i).copied().unwrap_or(0),
-                        stats.branch_stalls + stats.rate_match_stalls,
-                    ),
-                }
-            })
-            .collect();
-        tracks.push(TrackUtilization {
-            label: "horizontal bus".to_owned(),
-            busy: report.occupied_bus_slots,
-            total: report.scheduled_bus_slots,
-            unit: "slots",
-            detail: format!("{} words", report.simulated_horizontal_words),
-        });
+        let mut tracks = Vec::new();
+        chip_tracks(self.plans(), report, "", &mut tracks);
         tracks
     }
 
-    /// Run the chip to completion.  Horizontal-bus traffic is driven
-    /// cycle-by-cycle from the compiled TDM route schedule (loaded into
-    /// the chip as a [`BusProgram`]) as the reference clock passes each
-    /// slot's time — the statically scheduled communication the paper
-    /// describes, rather than after-the-fact aggregate billing.  For a
-    /// contention-free schedule the per-run word totals are identical to
-    /// the old firing-count accounting, bit for bit.
+    /// Run the chip to completion on the compiled [`ExecutionTier`]:
+    /// [`CompiledBoard::execute`] on the board of one, reporting chip 0.
+    /// Horizontal-bus traffic is driven cycle-by-cycle from the compiled
+    /// TDM route schedule (loaded into the chip as a [`BusProgram`]) as
+    /// the reference clock passes each slot's time — the statically
+    /// scheduled communication the paper describes, rather than
+    /// after-the-fact aggregate billing.
     ///
     /// Every quantity in the returned [`ExecutionReport`] covers *this
     /// call only*: counters are snapshotted on entry and reported as
@@ -1499,303 +1513,43 @@ impl CompiledChip {
     ///
     /// # Errors
     ///
-    /// Propagates simulation faults and reports [`MapperError::Incomplete`]
-    /// if the chip fails to halt within its drain budget.  On error the
-    /// chip state is unspecified (the interpreted tier leaves it partially
-    /// run, the fast tier untouched) — the returned error value itself is
-    /// tier-independent.
+    /// As for [`CompiledBoard::execute`].
     pub fn execute(&mut self) -> Result<ExecutionReport, MapperError> {
-        match self.tier {
-            ExecutionTier::Interpreted => self.execute_interpreted(),
-            ExecutionTier::Fast => self.execute_fast(),
-        }
-    }
-
-    /// [`CompiledChip::execute`] on the interpreted tier, regardless of
-    /// the compiled [`ExecutionTier`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledChip::execute`].
-    pub fn execute_interpreted(&mut self) -> Result<ExecutionReport, MapperError> {
-        let start = self.snapshot();
-
-        for _ in 0..self.iterations {
-            if self.chip.all_halted() {
-                break;
-            }
-            self.chip.run(self.hyperperiod)?;
-        }
-        // Drain: the halt-observing tick of every column (and, for
-        // ZORM-throttled columns, the stall surplus) lies past the last
-        // iteration window.  The watchdog turns a drain that makes no
-        // progress across a full window into a structured stall instead
-        // of spinning the budget down on a wedged chip.
-        let window = self.hyperperiod.max(1);
-        let mut spent = self.chip.stats().reference_cycles - start.ticks;
-        while !self.chip.all_halted() && spent < self.drain_budget {
-            let before = chip_progress(&self.chip);
-            self.chip.run(window)?;
-            spent = self.chip.stats().reference_cycles - start.ticks;
-            if !self.chip.all_halted() && chip_progress(&self.chip) == before {
-                let tick = self.chip.stats().reference_cycles;
-                self.chip
-                    .trace()
-                    .emit(|| TraceEvent::FaultStalled { tick, window });
-                return Err(MapperError::SimFault(SimFault::Stalled {
-                    reference_cycles: spent,
-                    window,
-                }));
-            }
-        }
-        if !self.chip.all_halted() {
-            // Budget exhausted with live columns: one diagnostic window
-            // separates a wedged chip (zero progress — structured stall)
-            // from a merely slow one (Incomplete).  The error value stays
-            // tier-independent; the chip state on error is unspecified.
-            let before = chip_progress(&self.chip);
-            self.chip.run(window)?;
-            if chip_progress(&self.chip) == before {
-                let tick = self.chip.stats().reference_cycles;
-                self.chip
-                    .trace()
-                    .emit(|| TraceEvent::FaultStalled { tick, window });
-                return Err(MapperError::SimFault(SimFault::Stalled {
-                    reference_cycles: tick - start.ticks,
-                    window,
-                }));
-            }
-            return Err(MapperError::Incomplete { ticks: spent });
-        }
-        // The columns can halt before the reference clock crosses the last
-        // slots of the final frame; the DOUs still play their schedule
-        // out, so drive the bus program to completion.
-        self.chip.finish_bus_program()?;
-        Ok(self.report_since(&start))
-    }
-
-    /// [`CompiledChip::execute`] on the fast tier, regardless of the
-    /// compiled [`ExecutionTier`]: profile one firing per column through
-    /// the interpreter, check the run would fit the interpreted tier's
-    /// tick budget, then apply every remaining firing as a closed-form
-    /// counter update and drain the bus program in bulk.  The produced
-    /// report — and the chip's externally visible statistics — are
-    /// bit-identical to [`CompiledChip::execute_interpreted`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledChip::execute`], plus [`MapperError::FastTier`]
-    /// when the compiled programs cannot be batched (e.g. the chip was
-    /// stepped by hand through [`CompiledChip::chip_mut`] first).  The
-    /// budget check reproduces [`MapperError::Incomplete`] *without*
-    /// mutating the chip.
-    pub fn execute_fast(&mut self) -> Result<ExecutionReport, MapperError> {
-        if self.chip.any_failed() {
-            // A failed column has no closed form — it executes nothing,
-            // forever — so delegate to the interpreted driver, whose
-            // watchdog classifies the wedge as a structured stall.
-            return self.execute_interpreted();
-        }
-        let start = self.snapshot();
-
-        if !self.chip.all_halted() {
-            let tier = build_fast_tier(&self.plans, &self.blueprints, self.iterations)?;
-            // The interpreted tier gives up after `iterations` hyperperiod
-            // windows plus drain windows up to its budget; reproduce the
-            // same Incomplete verdict from the predicted halt tick, before
-            // touching the chip.
-            let window = self.hyperperiod.max(1);
-            let budget_windows = self.iterations.max(self.drain_budget.div_ceil(window));
-            let budget_ticks = budget_windows.saturating_mul(window);
-            if let Some(halt_tick) = tier.completion_tick(&self.chip)? {
-                if halt_tick >= budget_ticks {
-                    return Err(MapperError::Incomplete {
-                        ticks: budget_ticks,
-                    });
-                }
-            }
-            tier.run(&mut self.chip)?;
-        } else {
-            // An already-halted chip: the interpreted tier would observe
-            // the halt immediately and still play the bus schedule out.
-            self.chip.finish_bus_program_batched()?;
-        }
-        Ok(self.report_since(&start))
+        self.board.execute().map(BoardExecutionReport::into_chip)
     }
 
     /// Run the chip to completion under a deterministic [`FaultPlan`]:
-    /// each scheduled event fires iff the chip has not fully halted when
-    /// its reference tick is reached (a chip that drains first never sees
-    /// the fault), killing the targeted column mid-run.  A killed column
-    /// executes nothing and bills nothing from its event tick on but
-    /// never reports halted — the paper's static schedules have no
-    /// recovery path — so the run ends either at halt (`fault: None`) or
-    /// when the starvation watchdog observes a full hyperperiod window
-    /// with zero progress (`fault: Some(SimFault::Stalled)`), never by
-    /// wedging.  Bridge-lane events are no-ops on a single chip.
-    ///
-    /// An empty plan delegates to [`CompiledChip::execute`] exactly.  On
-    /// the fast tier, a run whose predicted halt precedes every scheduled
-    /// event keeps the closed-form batch path (no event would ever fire);
-    /// otherwise the run falls back to the interpreted driver, whose
-    /// statistics are bit-identical anyway.
+    /// [`CompiledBoard::execute_faulted`] on the board of one, reporting
+    /// chip 0.  A killed column executes nothing and bills nothing from
+    /// its event tick on but never reports halted — the paper's static
+    /// schedules have no recovery path — so the run ends either at halt
+    /// (`fault: None`) or when the starvation watchdog observes a full
+    /// hyperperiod window with zero progress
+    /// (`fault: Some(SimFault::Stalled)`), never by wedging.  A chip has
+    /// no bridge lanes, so lane events are ignored.
     ///
     /// # Errors
     ///
-    /// As for [`CompiledChip::execute`]; a watchdog stall is *not* an
-    /// error here — it is the structured [`FaultedRun::fault`] outcome.
+    /// As for [`CompiledBoard::execute_faulted`]; a watchdog stall is
+    /// *not* an error here — it is the structured [`FaultedRun::fault`]
+    /// outcome.
     pub fn execute_faulted(&mut self, plan: &FaultPlan) -> Result<FaultedRun, MapperError> {
-        if plan.is_empty() {
-            let report = self.execute()?;
-            return Ok(FaultedRun {
-                report,
-                fault: None,
-            });
-        }
-        match self.tier {
-            ExecutionTier::Interpreted => self.run_faulted(plan, false),
-            ExecutionTier::Fast => self.execute_faulted_fast(plan),
-        }
-    }
-
-    /// [`CompiledChip::execute_faulted`] on the interpreted tier
-    /// ([`Chip::run`]), regardless of the compiled [`ExecutionTier`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledChip::execute_faulted`].
-    pub fn execute_faulted_interpreted(
-        &mut self,
-        plan: &FaultPlan,
-    ) -> Result<FaultedRun, MapperError> {
-        if plan.is_empty() {
-            let report = self.execute_interpreted()?;
-            return Ok(FaultedRun {
-                report,
-                fault: None,
-            });
-        }
-        self.run_faulted(plan, false)
+        self.board
+            .execute_faulted(plan)
+            .map(FaultedBoardRun::into_chip)
     }
 
     /// [`CompiledChip::execute_faulted`] on the naive tick-by-tick
     /// driver ([`Chip::run_ticked`]) — the differential-testing
-    /// reference.  Windows are cut at exactly the same reference ticks as
-    /// [`Chip::run`]'s, so the two produce bit-identical
-    /// statistics and outcomes.
+    /// reference (see [`CompiledBoard::execute_faulted_ticked`]).
     ///
     /// # Errors
     ///
     /// As for [`CompiledChip::execute_faulted`].
     pub fn execute_faulted_ticked(&mut self, plan: &FaultPlan) -> Result<FaultedRun, MapperError> {
-        self.run_faulted(plan, true)
-    }
-
-    fn execute_faulted_fast(&mut self, plan: &FaultPlan) -> Result<FaultedRun, MapperError> {
-        if self.chip.all_halted() {
-            let report = self.execute_fast()?;
-            return Ok(FaultedRun {
-                report,
-                fault: None,
-            });
-        }
-        // Predict the un-faulted halt tick: when it strictly precedes the
-        // first scheduled event, the chip halts before any fault could
-        // fire and the closed-form batch run is exact.  (At equality the
-        // event fires first — the halt-observing tick has not executed
-        // yet — so only a strict inequality keeps the fast path.)
-        let tier = build_fast_tier(&self.plans, &self.blueprints, self.iterations)?;
-        let halt_tick = tier.completion_tick(&self.chip)?;
-        let first = plan.first_tick().expect("plan checked non-empty");
-        if halt_tick.is_some_and(|t| t < first) {
-            let report = self.execute_fast()?;
-            return Ok(FaultedRun {
-                report,
-                fault: None,
-            });
-        }
-        // A fault fires mid-run: closed-form batching has no mid-run
-        // point to inject at, so fall back to the interpreted driver
-        // (statistics stay bit-identical across tiers).
-        self.run_faulted(plan, false)
-    }
-
-    /// The shared faulted driver: run in windows, firing due events at
-    /// their exact reference ticks, with the starvation watchdog armed on
-    /// every full window.
-    fn run_faulted(&mut self, plan: &FaultPlan, ticked: bool) -> Result<FaultedRun, MapperError> {
-        let start = self.snapshot();
-        let origin = self.chip.stats().reference_cycles;
-        let window = self.hyperperiod.max(1);
-        let budget = self
-            .iterations
-            .saturating_mul(window)
-            .saturating_add(self.drain_budget);
-        let events = plan.events();
-        let mut next = 0usize;
-        let fault = loop {
-            if self.chip.all_halted() {
-                break None;
-            }
-            let now = self.chip.stats().reference_cycles - origin;
-            while next < events.len() && events[next].at_tick <= now {
-                if let FaultTarget::Column { chip, column } = events[next].target {
-                    if chip == 0 {
-                        self.chip.fail_column(column, origin + events[next].at_tick);
-                    }
-                }
-                // Bridge lanes do not exist on a single chip.
-                next += 1;
-            }
-            if now >= budget {
-                return Err(MapperError::Incomplete { ticks: now });
-            }
-            // Cut the window at the next unfired event so it fires at its
-            // exact tick; watchdog checks only cover full windows.
-            let mut target = now.saturating_add(window);
-            if next < events.len() {
-                target = target.min(events[next].at_tick);
-            }
-            let full_window = target - now == window;
-            let before = chip_progress(&self.chip);
-            if ticked {
-                self.chip.run_ticked(target - now)?;
-            } else {
-                self.chip.run(target - now)?;
-            }
-            if full_window && !self.chip.all_halted() && chip_progress(&self.chip) == before {
-                let tick = self.chip.stats().reference_cycles;
-                self.chip
-                    .trace()
-                    .emit(|| TraceEvent::FaultStalled { tick, window });
-                break Some(SimFault::Stalled {
-                    reference_cycles: tick - origin,
-                    window,
-                });
-            }
-        };
-        if fault.is_none() {
-            self.chip.finish_bus_program()?;
-        }
-        Ok(FaultedRun {
-            report: self.report_since(&start),
-            fault,
-        })
-    }
-
-    fn snapshot(&self) -> StatsSnapshot {
-        snapshot_of(&self.chip, &self.plans)
-    }
-
-    fn report_since(&self, start: &StatsSnapshot) -> ExecutionReport {
-        report_of(
-            &self.chip,
-            &self.plans,
-            &self.cross_edges,
-            self.hyperperiod,
-            self.iterations,
-            start,
-        )
+        self.board
+            .execute_faulted_ticked(plan)
+            .map(FaultedBoardRun::into_chip)
     }
 }
 
@@ -1849,7 +1603,8 @@ impl CompiledBoard {
     }
 
     /// The per-word bridge energy rating the board was compiled with, in
-    /// pJ — the input to `InterconnectModel::power_mw_bridge_slots`.
+    /// pJ — the input to `InterconnectModel::power_mw_bridge_slots`.  A
+    /// board without bridge lanes (a board of one) rates its bridge at 0.
     pub fn bridge_energy_pj_per_word(&self) -> f64 {
         self.bridge_energy_pj_per_word
     }
@@ -1900,17 +1655,34 @@ impl CompiledBoard {
         report: &BoardExecutionReport,
         tech: &Technology,
     ) -> ReportEnergy {
+        self.report_energy(
+            &report.chips,
+            report.reference_ticks,
+            report.bridge_words,
+            tech,
+        )
+    }
+
+    /// [`CompiledBoard::execution_energy`] from its parts: one report per
+    /// chip, the run's reference ticks and the words its lanes carried.
+    fn report_energy(
+        &self,
+        chips: &[ExecutionReport],
+        reference_ticks: u64,
+        bridge_words: u64,
+        tech: &Technology,
+    ) -> ReportEnergy {
         let duration_s = if self.hyperperiod == 0 || self.iteration_rate_hz <= 0.0 {
             0.0
         } else {
-            report.reference_ticks as f64 / (self.hyperperiod as f64 * self.iteration_rate_hz)
+            reference_ticks as f64 / (self.hyperperiod as f64 * self.iteration_rate_hz)
         };
         let interconnect = InterconnectModel::new(tech);
         let mut compute_j = 0.0;
         let mut leakage_j = 0.0;
-        let mut interconnect_j = interconnect.bridge_word_energy_j(self.bridge_energy_pj_per_word)
-            * report.bridge_words as f64;
-        for (part, chip_report) in self.parts.iter().zip(&report.chips) {
+        let mut interconnect_j =
+            interconnect.bridge_word_energy_j(self.bridge_energy_pj_per_word) * bridge_words as f64;
+        for (part, chip_report) in self.parts.iter().zip(chips) {
             let (c, l) =
                 column_report_energy(&part.plans, &chip_report.column_stats, tech, duration_s);
             compute_j += c;
@@ -1935,28 +1707,12 @@ impl CompiledBoard {
     pub fn utilization(&self, report: &BoardExecutionReport) -> Vec<TrackUtilization> {
         let mut tracks = Vec::new();
         for (chip, (part, chip_report)) in self.parts.iter().zip(&report.chips).enumerate() {
-            for (i, stats) in chip_report.column_stats.iter().enumerate() {
-                let name = part.plans.get(i).map_or("?", |p| p.name.as_str());
-                let divider = part.plans.get(i).map_or(1, |p| p.clock_divider);
-                tracks.push(TrackUtilization {
-                    label: format!("chip{chip}/col{i} {name} (\u{f7}{divider})"),
-                    busy: stats.cycles - stats.branch_stalls - stats.rate_match_stalls,
-                    total: stats.cycles,
-                    unit: "cycles",
-                    detail: format!(
-                        "{} firings, {} stall cycles",
-                        chip_report.firing_counts.get(i).copied().unwrap_or(0),
-                        stats.branch_stalls + stats.rate_match_stalls,
-                    ),
-                });
-            }
-            tracks.push(TrackUtilization {
-                label: format!("chip{chip}/horizontal bus"),
-                busy: chip_report.occupied_bus_slots,
-                total: chip_report.scheduled_bus_slots,
-                unit: "slots",
-                detail: format!("{} words", chip_report.simulated_horizontal_words),
-            });
+            chip_tracks(
+                &part.plans,
+                chip_report,
+                &format!("chip{chip}/"),
+                &mut tracks,
+            );
         }
         let bridge = self.route.bridge();
         let iterations = report
@@ -1982,45 +1738,17 @@ impl CompiledBoard {
         tracks
     }
 
-    /// Unwrap a board of one chip into the legacy [`CompiledChip`] — the
-    /// single-chip [`compile`] path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a board of more than one chip.
-    fn into_single_chip(mut self) -> CompiledChip {
-        assert_eq!(
-            self.parts.len(),
-            1,
-            "into_single_chip requires a board of exactly one chip"
-        );
-        let parts = self.parts.remove(0);
-        let route = self.route.chips()[0].clone();
-        let chip = self
-            .board
-            .into_chips()
-            .pop()
-            .expect("board of one chip has a chip");
-        CompiledChip {
-            chip,
-            plans: parts.plans,
-            blueprints: parts.blueprints,
-            cross_edges: parts.cross_edges,
-            route,
-            hyperperiod: self.hyperperiod,
-            iterations: self.iterations,
-            iteration_rate_hz: self.iteration_rate_hz,
-            drain_budget: self.drain_budget,
-            tier: self.tier,
-        }
-    }
-
-    /// Run the board to completion: the chips co-advance in shared
-    /// reference time (each chip's horizontal bus driven from its own
-    /// TDM schedule exactly as in [`CompiledChip::execute`]) and the
-    /// bridge schedule replays the inter-chip transfers as the board
-    /// clock passes each slot.  On a board of one chip every per-chip
-    /// quantity is bit-identical to the single-chip path.
+    /// Run the board to completion on the compiled [`ExecutionTier`]: the
+    /// chips co-advance in shared reference time (each chip's horizontal
+    /// bus driven from its own TDM schedule) and the bridge schedule
+    /// replays the inter-chip transfers as the board clock passes each
+    /// slot.  This is [`CompiledBoard::execute_faulted`] with an empty
+    /// plan, so both tiers produce bit-identical reports and statistics.
+    /// The fast tier profiles one firing per column through the
+    /// interpreter, applies every remaining firing as a closed-form
+    /// counter update, jumps the board clock to the fleet's frontier and
+    /// drains the bus and bridge programs in bulk; a board with a failed
+    /// column has no closed form and runs interpreted.
     ///
     /// Every quantity in the returned [`BoardExecutionReport`] covers
     /// *this call only* (counters are snapshotted on entry and reported
@@ -2028,296 +1756,213 @@ impl CompiledBoard {
     ///
     /// # Errors
     ///
-    /// As for [`CompiledChip::execute`], against the board-wide drain
-    /// budget.
+    /// Propagates simulation faults.  A board that has not halted once
+    /// its tick budget is spent runs one more hyperperiod window: with no
+    /// progress in it the run is [`MapperError::SimFault`] (a column
+    /// failed through [`CompiledBoard::board_mut`] starves the board the
+    /// same way, and is caught by the watchdog as soon as a full window
+    /// passes without progress), otherwise [`MapperError::Incomplete`];
+    /// the fast tier predicts the same verdict from the halt tick
+    /// *without* mutating any chip, and returns
+    /// [`MapperError::FastTier`] when the compiled programs cannot be
+    /// batched (e.g. a chip was stepped by hand first).  On error the
+    /// board state is unspecified — the returned error value itself is
+    /// tier-independent.
     pub fn execute(&mut self) -> Result<BoardExecutionReport, MapperError> {
-        match self.tier {
-            ExecutionTier::Interpreted => self.execute_interpreted(),
-            ExecutionTier::Fast => self.execute_fast(),
-        }
-    }
-
-    /// [`CompiledBoard::execute`] on the interpreted tier, regardless of
-    /// the compiled [`ExecutionTier`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledBoard::execute`].
-    pub fn execute_interpreted(&mut self) -> Result<BoardExecutionReport, MapperError> {
         let start = self.snapshot();
-
-        for _ in 0..self.iterations {
-            if self.board.all_halted() {
-                break;
-            }
-            self.board.run(self.hyperperiod)?;
+        match self.run(&FaultPlan::none(), false)? {
+            None => Ok(self.report_since(&start)),
+            Some(fault) => Err(MapperError::SimFault(fault)),
         }
-        // Drain: the halt-observing tick of every column of every chip
-        // lies past the last iteration window.  The watchdog turns a
-        // drain that makes no progress across a full window into a
-        // structured stall instead of spinning the budget down on a
-        // wedged board.
-        let window = self.hyperperiod.max(1);
-        let mut spent = self.board.reference_cycles() - start.reference;
-        while !self.board.all_halted() && spent < self.drain_budget {
-            let before = board_progress(&self.board);
-            self.board.run(window)?;
-            spent = self.board.reference_cycles() - start.reference;
-            if !self.board.all_halted() && board_progress(&self.board) == before {
-                let tick = self.board.reference_cycles();
-                self.board
-                    .trace()
-                    .emit(|| TraceEvent::FaultStalled { tick, window });
-                return Err(MapperError::SimFault(SimFault::Stalled {
-                    reference_cycles: spent,
-                    window,
-                }));
-            }
-        }
-        if !self.board.all_halted() {
-            // Budget exhausted with live columns: one diagnostic window
-            // separates a wedged board (zero progress — structured stall)
-            // from a merely slow one (Incomplete).  The error value stays
-            // tier-independent; the board state on error is unspecified.
-            let before = board_progress(&self.board);
-            self.board.run(window)?;
-            if board_progress(&self.board) == before {
-                let tick = self.board.reference_cycles();
-                self.board
-                    .trace()
-                    .emit(|| TraceEvent::FaultStalled { tick, window });
-                return Err(MapperError::SimFault(SimFault::Stalled {
-                    reference_cycles: tick - start.reference,
-                    window,
-                }));
-            }
-            return Err(MapperError::Incomplete { ticks: spent });
-        }
-        // Play out the remaining slots of every schedule: the chips'
-        // bus programs first, then the board's bridge program.
-        for chip in 0..self.parts.len() {
-            self.board
-                .chip_mut(chip)
-                .expect("board sized from the mapping")
-                .finish_bus_program()?;
-        }
-        self.board.finish_bridge_program();
-        Ok(self.report_since(&start))
     }
 
-    /// [`CompiledBoard::execute`] on the fast tier: each chip is
-    /// profiled and batched exactly as in [`CompiledChip::execute_fast`],
-    /// the board clock jumps to the fleet's frontier, and the bridge
-    /// program drains in bulk.  The produced report — and every chip's
-    /// externally visible statistics — are bit-identical to
-    /// [`CompiledBoard::execute_interpreted`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledChip::execute_fast`]; the budget check reproduces
-    /// [`MapperError::Incomplete`] *without* mutating any chip.
-    pub fn execute_fast(&mut self) -> Result<BoardExecutionReport, MapperError> {
-        if (0..self.parts.len()).any(|chip| self.board.chip(chip).is_some_and(Chip::any_failed)) {
-            // A failed column has no closed form — it executes nothing,
-            // forever — so delegate to the interpreted driver, whose
-            // watchdog classifies the wedge as a structured stall.
-            return self.execute_interpreted();
-        }
-        let start = self.snapshot();
-
-        if !self.board.all_halted() {
-            let mut tiers = Vec::with_capacity(self.parts.len());
-            for parts in &self.parts {
-                tiers.push(build_fast_tier(
-                    &parts.plans,
-                    &parts.blueprints,
-                    self.iterations,
-                )?);
-            }
-            // Same budget verdict as the interpreted board driver, from
-            // the predicted per-chip halt ticks, before touching any chip.
-            let window = self.hyperperiod.max(1);
-            let budget_windows = self.iterations.max(self.drain_budget.div_ceil(window));
-            let budget_ticks = budget_windows.saturating_mul(window);
-            for (chip, tier) in tiers.iter().enumerate() {
-                let chip = self.board.chip(chip).expect("board sized from the mapping");
-                if let Some(halt_tick) = tier.completion_tick(chip)? {
-                    if halt_tick >= budget_ticks {
-                        return Err(MapperError::Incomplete {
-                            ticks: budget_ticks,
-                        });
-                    }
-                }
-            }
-            for (chip, tier) in tiers.into_iter().enumerate() {
-                tier.run(
-                    self.board
-                        .chip_mut(chip)
-                        .expect("board sized from the mapping"),
-                )?;
-            }
-            // Publish the fleet's frontier as the board reference clock
-            // (a zero-tick run: every chip is already at or past it).
-            self.board.run(0)?;
-        } else {
-            // An already-halted board: the interpreted driver would
-            // observe the halt immediately and still play the bus
-            // schedules out.
-            for chip in 0..self.parts.len() {
-                self.board
-                    .chip_mut(chip)
-                    .expect("board sized from the mapping")
-                    .finish_bus_program_batched()?;
-            }
-        }
-        self.board.finish_bridge_program_batched();
-        Ok(self.report_since(&start))
-    }
-
-    /// Run the board to completion under a deterministic [`FaultPlan`] —
-    /// the board-wide analogue of [`CompiledChip::execute_faulted`].
+    /// Run the board to completion under a deterministic [`FaultPlan`]:
+    /// each scheduled event fires iff the board has not fully halted when
+    /// its reference tick (relative to the start of the run) is reached.
     /// Column events kill a column of one chip; bridge-lane events kill a
-    /// lane, dropping every slot scheduled on it from the event tick on
-    /// (undelivered and unaccounted).  A lane kill alone never starves a
-    /// column — receives do not block — so such runs complete with
+    /// lane of the compiled spec, dropping every slot scheduled on it from
+    /// the event tick on (undelivered and unaccounted), and are ignored
+    /// for lanes the spec does not have.  A lane kill alone never starves
+    /// a column — receives do not block — so such runs complete with
     /// `fault: None` and reduced bridge traffic; a column kill starves
     /// the board and ends in `fault: Some(SimFault::Stalled)` via the
     /// watchdog.
+    ///
+    /// On the fast tier, a run whose predicted halt precedes every
+    /// scheduled event keeps the closed-form batch path (no event would
+    /// ever fire); otherwise the run falls back to the interpreted
+    /// driver, whose statistics are bit-identical anyway.
     ///
     /// # Errors
     ///
     /// As for [`CompiledBoard::execute`]; a watchdog stall is the
     /// structured [`FaultedBoardRun::fault`] outcome, not an error.
     pub fn execute_faulted(&mut self, plan: &FaultPlan) -> Result<FaultedBoardRun, MapperError> {
-        if plan.is_empty() {
-            let report = self.execute()?;
-            return Ok(FaultedBoardRun {
-                report,
-                fault: None,
-            });
-        }
-        match self.tier {
-            ExecutionTier::Interpreted => self.run_faulted_board(plan),
-            ExecutionTier::Fast => self.execute_faulted_board_fast(plan),
-        }
+        self.faulted(plan, false)
     }
 
-    /// [`CompiledBoard::execute_faulted`] on the interpreted tier,
-    /// regardless of the compiled [`ExecutionTier`].
+    /// [`CompiledBoard::execute_faulted`] on the naive tick-by-tick
+    /// driver ([`Board::run_ticked`]) — the differential-testing
+    /// reference.  Windows are cut at exactly the same reference ticks as
+    /// [`Board::run`]'s, so the two produce bit-identical statistics and
+    /// outcomes.
     ///
     /// # Errors
     ///
     /// As for [`CompiledBoard::execute_faulted`].
-    pub fn execute_faulted_interpreted(
+    pub fn execute_faulted_ticked(
         &mut self,
         plan: &FaultPlan,
     ) -> Result<FaultedBoardRun, MapperError> {
-        if plan.is_empty() {
-            let report = self.execute_interpreted()?;
-            return Ok(FaultedBoardRun {
-                report,
-                fault: None,
-            });
-        }
-        self.run_faulted_board(plan)
+        self.faulted(plan, true)
     }
 
-    fn execute_faulted_board_fast(
-        &mut self,
-        plan: &FaultPlan,
-    ) -> Result<FaultedBoardRun, MapperError> {
-        if self.board.all_halted() {
-            let report = self.execute_fast()?;
-            return Ok(FaultedBoardRun {
-                report,
-                fault: None,
-            });
-        }
-        // Board-wide halt prediction: the latest chip halt tick.  As for
-        // the single chip, only a strictly earlier halt keeps the
-        // closed-form path.
-        let mut latest: Option<u64> = None;
-        for (c, parts) in self.parts.iter().enumerate() {
-            let tier = build_fast_tier(&parts.plans, &parts.blueprints, self.iterations)?;
-            let chip = self.board.chip(c).expect("board sized from the mapping");
-            if let Some(t) = tier.completion_tick(chip)? {
-                latest = Some(latest.map_or(t, |l| l.max(t)));
-            }
-        }
-        let first = plan.first_tick().expect("plan checked non-empty");
-        if latest.is_some_and(|t| t < first) {
-            let report = self.execute_fast()?;
-            return Ok(FaultedBoardRun {
-                report,
-                fault: None,
-            });
-        }
-        self.run_faulted_board(plan)
-    }
-
-    /// The board faulted driver — the same window/event/watchdog loop as
-    /// [`CompiledChip::run_faulted`], over the co-advancing fleet.
-    fn run_faulted_board(&mut self, plan: &FaultPlan) -> Result<FaultedBoardRun, MapperError> {
+    fn faulted(&mut self, plan: &FaultPlan, ticked: bool) -> Result<FaultedBoardRun, MapperError> {
         let start = self.snapshot();
-        let origin = self.board.reference_cycles();
-        let window = self.hyperperiod.max(1);
-        let budget = self
-            .iterations
-            .saturating_mul(window)
-            .saturating_add(self.drain_budget);
-        let events = plan.events();
-        let mut next = 0usize;
-        let fault = loop {
-            if self.board.all_halted() {
-                break None;
-            }
-            let now = self.board.reference_cycles() - origin;
-            while next < events.len() && events[next].at_tick <= now {
-                let at = origin + events[next].at_tick;
-                match events[next].target {
-                    FaultTarget::Column { chip, column } => {
-                        self.board.fail_column(chip, column, at);
-                    }
-                    FaultTarget::BridgeLane { lane } => {
-                        self.board.fail_lane(lane, at);
-                    }
-                }
-                next += 1;
-            }
-            if now >= budget {
-                return Err(MapperError::Incomplete { ticks: now });
-            }
-            let mut target = now.saturating_add(window);
-            if next < events.len() {
-                target = target.min(events[next].at_tick);
-            }
-            let full_window = target - now == window;
-            let before = board_progress(&self.board);
-            self.board.run(target - now)?;
-            if full_window && !self.board.all_halted() && board_progress(&self.board) == before {
-                let tick = self.board.reference_cycles();
-                self.board
-                    .trace()
-                    .emit(|| TraceEvent::FaultStalled { tick, window });
-                break Some(SimFault::Stalled {
-                    reference_cycles: tick - origin,
-                    window,
-                });
-            }
-        };
-        if fault.is_none() {
-            for chip in 0..self.parts.len() {
-                self.board
-                    .chip_mut(chip)
-                    .expect("board sized from the mapping")
-                    .finish_bus_program()?;
-            }
-            self.board.finish_bridge_program();
-        }
+        let fault = self.run(plan, ticked)?;
         Ok(FaultedBoardRun {
             report: self.report_since(&start),
             fault,
         })
+    }
+
+    /// The one run loop: on the fast tier, the closed form when it
+    /// applies; otherwise windows of one hyperperiod, cut at each due
+    /// event so it fires at its exact tick, with the starvation watchdog
+    /// checking every full window once a column has failed or the
+    /// iteration windows are over.  Before either, every live column
+    /// steps at least once per window, so the board cannot stall.  Once
+    /// the tick budget is spent, one more window decides between a stall
+    /// and [`MapperError::Incomplete`].  The bus and bridge programs are
+    /// played out only when the board halts.
+    fn run(&mut self, plan: &FaultPlan, ticked: bool) -> Result<Option<SimFault>, MapperError> {
+        if !ticked && self.tier == ExecutionTier::Fast && self.run_fast(plan)? {
+            return Ok(None);
+        }
+        let advance = if ticked {
+            Board::run_ticked
+        } else {
+            Board::run
+        };
+        let origin = self.board.reference_cycles();
+        let window = self.hyperperiod;
+        let lanes = self.route.spec().lanes().len();
+        let events = plan.events();
+        let mut next = 0usize;
+        let mut failed = self.board.any_failed();
+        // `before` holds the board's signature when `captured` is set:
+        // each watched window's result is the next one's starting point.
+        let (mut before, mut after) = (Progress::default(), Progress::default());
+        let mut captured = false;
+        loop {
+            if self.board.all_halted() {
+                break;
+            }
+            let now = self.board.reference_cycles() - origin;
+            while let Some(event) = events.get(next).filter(|e| e.at_tick <= now) {
+                let at = origin + event.at_tick;
+                match event.target {
+                    FaultTarget::Column { chip, column } => {
+                        failed |= self.board.fail_column(chip, column, at);
+                    }
+                    FaultTarget::BridgeLane { lane } if lane < lanes => {
+                        self.board.fail_lane(lane, at);
+                    }
+                    FaultTarget::BridgeLane { .. } => {}
+                }
+                captured = false;
+                next += 1;
+            }
+            let deciding = now >= self.tick_budget;
+            let mut target = now + window;
+            if let Some(event) = events.get(next).filter(|_| !deciding) {
+                target = target.min(event.at_tick);
+            }
+            let watch =
+                target - now == window && (failed || deciding || now >= self.iterations * window);
+            if watch && !captured {
+                before.capture(&self.board);
+            }
+            advance(&mut self.board, target - now)?;
+            captured = watch;
+            if watch {
+                after.capture(&self.board);
+                if after == before {
+                    let tick = self.board.reference_cycles();
+                    self.board
+                        .trace()
+                        .emit(|| TraceEvent::FaultStalled { tick, window });
+                    return Ok(Some(SimFault::Stalled {
+                        reference_cycles: tick - origin,
+                        window,
+                    }));
+                }
+                if deciding {
+                    return Err(MapperError::Incomplete { ticks: now });
+                }
+                std::mem::swap(&mut before, &mut after);
+            }
+        }
+        for chip in 0..self.parts.len() {
+            self.chip_mut(chip).finish_bus_program()?;
+        }
+        self.board.finish_bridge_program();
+        Ok(None)
+    }
+
+    /// The fast tier's closed form: batch every chip, publish the frontier
+    /// and drain the programs in bulk.  Returns `false`, touching nothing,
+    /// when a column has failed (dead silicon has no closed form) or an
+    /// event fires at or before the predicted halt.
+    fn run_fast(&mut self, plan: &FaultPlan) -> Result<bool, MapperError> {
+        if self.board.any_failed() {
+            return Ok(false);
+        }
+        if !self.board.all_halted() {
+            let mut tiers = Vec::with_capacity(self.parts.len());
+            let mut halt_tick = None;
+            for (chip, parts) in self.parts.iter().enumerate() {
+                let tier = build_fast_tier(&parts.plans, &parts.blueprints, self.iterations)?;
+                halt_tick = halt_tick.max(tier.completion_tick(self.chip(chip))?);
+                tiers.push(tier);
+            }
+            if plan
+                .first_tick()
+                .is_some_and(|first| halt_tick.is_none_or(|t| t >= first))
+            {
+                return Ok(false);
+            }
+            // The windowed loop would still be running when its budget ran
+            // out: predict its verdict before touching any chip.
+            if halt_tick.is_some_and(|t| t >= self.tick_budget) {
+                return Err(MapperError::Incomplete {
+                    ticks: self.tick_budget,
+                });
+            }
+            for (chip, tier) in tiers.iter().enumerate() {
+                tier.run(self.chip_mut(chip))?;
+            }
+            // Publish the fleet's frontier as the board reference clock (a
+            // zero-tick run: every chip is already at or past it).
+            self.board.run(0)?;
+        }
+        // Play the schedules out, as the windowed loop does once the board
+        // halts (a no-op for the buses the batch run already drained).
+        for chip in 0..self.parts.len() {
+            self.chip_mut(chip).finish_bus_program_batched()?;
+        }
+        self.board.finish_bridge_program_batched();
+        Ok(true)
+    }
+
+    fn chip(&self, chip: usize) -> &Chip {
+        self.board.chip(chip).expect("board sized from the mapping")
+    }
+
+    fn chip_mut(&mut self, chip: usize) -> &mut Chip {
+        self.board
+            .chip_mut(chip)
+            .expect("board sized from the mapping")
     }
 
     fn snapshot(&self) -> BoardSnapshot {
@@ -2327,12 +1972,7 @@ impl CompiledBoard {
                 .parts
                 .iter()
                 .enumerate()
-                .map(|(c, parts)| {
-                    snapshot_of(
-                        self.board.chip(c).expect("board sized from the mapping"),
-                        &parts.plans,
-                    )
-                })
+                .map(|(c, parts)| snapshot_of(self.chip(c), &parts.plans))
                 .collect(),
             bridge: self.board.bridge_stats(),
             lane_words: self.board.lane_words().to_vec(),
@@ -2346,7 +1986,7 @@ impl CompiledBoard {
             .enumerate()
             .map(|(c, parts)| {
                 report_of(
-                    self.board.chip(c).expect("board sized from the mapping"),
+                    self.chip(c),
                     &parts.plans,
                     &parts.cross_edges,
                     self.hyperperiod,
@@ -3383,6 +3023,43 @@ mod tests {
             runs.push(run);
         }
         assert_eq!(runs[0], runs[1], "board tiers diverge on the fault");
+    }
+
+    /// A run longer than `u64` reference ticks is rejected at compile
+    /// time, never executed with a wrapped tick count: with a hyperperiod
+    /// of 3,944,622,361,684,253 ticks, 4,000 iterations fit and 8,000 do
+    /// not.
+    #[test]
+    fn tick_budgets_beyond_u64_are_overflow_errors() {
+        let mut g = SdfGraph::new();
+        let a = g.add_actor("a", 124, 1);
+        let b = g.add_actor("b", 110, 1);
+        g.add_edge(a, b, 524_287, 524_269, 0).unwrap();
+        let mut m = Mapping::new();
+        m.place(a, 1, 1.0);
+        m.place(b, 1, 1.0);
+        let options = |iterations, tier| MapperOptions {
+            iterations,
+            compute_cycle_cap: 125,
+            max_divider: u32::MAX,
+            iteration_rate_hz: 1.0,
+            bus_frequency_hz: 1e12,
+            tier,
+            ..MapperOptions::default()
+        };
+        for tier in [ExecutionTier::Interpreted, ExecutionTier::Fast] {
+            match compile(&g, &m, &options(8_000, tier)) {
+                Err(MapperError::Overflow {
+                    what: "tick budget",
+                }) => {}
+                other => panic!("expected a tick-budget overflow, got {:?}", other.err()),
+            }
+        }
+        let mut compiled = compile(&g, &m, &options(4_000, ExecutionTier::Fast)).unwrap();
+        assert_eq!(compiled.hyperperiod(), 3_944_622_361_684_253);
+        let report = compiled.execute().unwrap();
+        assert!(report.firings_exact());
+        assert_eq!(report.reference_ticks, 4_000 * 3_944_622_361_684_253 + 1);
     }
 
     #[test]

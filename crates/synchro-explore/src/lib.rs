@@ -1193,9 +1193,17 @@ fn explore_split(
         let Some((sub, rate_factor)) = chip_subgraph(graph, reps, start, end) else {
             return Ok(None);
         };
+        // The subgraph iterates `rate_factor` times per board iteration and
+        // counts its cross words per its own iteration, so its frame is the
+        // bus cycles of one of those: what `CommSpec::from_clock` gives at
+        // the scaled rate.
         let sub_config = ExplorerConfig {
             iteration_rate_hz: config.iteration_rate_hz * rate_factor as f64,
             max_group_size: 1,
+            comm: config.comm.map(|comm| CommSpec {
+                period: comm.period / rate_factor,
+                ..comm
+            }),
             board: None,
             ..config.clone()
         };

@@ -175,12 +175,6 @@ impl Board {
         self.chips.get_mut(index)
     }
 
-    /// Consume the board and return its chips (the single-chip compile
-    /// path unwraps a board of one through this).
-    pub fn into_chips(self) -> Vec<Chip> {
-        self.chips
-    }
-
     /// The board reference clock: the frontier the fleet has advanced to.
     pub fn reference_cycles(&self) -> u64 {
         self.reference_cycles
@@ -246,6 +240,11 @@ impl Board {
             .copied()
             .flatten()
             .is_some_and(|dead| at >= dead)
+    }
+
+    /// True when any column of any chip has been killed by a fault.
+    pub fn any_failed(&self) -> bool {
+        self.chips.iter().any(Chip::any_failed)
     }
 
     /// True when any bridge lane has been killed by a fault.
@@ -452,12 +451,36 @@ impl Board {
     ///
     /// Propagates the first column error encountered.
     pub fn run(&mut self, max_ticks: u64) -> Result<u64, ColumnError> {
+        self.advance(max_ticks, Chip::run)
+    }
+
+    /// The naive tick-by-tick equivalent of [`Board::run`], kept as the
+    /// differential-testing reference: every chip runs
+    /// [`Chip::run_ticked`] to the common absolute reference target, then
+    /// the board clock and the bridge schedule advance exactly as in
+    /// [`Board::run`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first column error encountered.
+    pub fn run_ticked(&mut self, max_ticks: u64) -> Result<u64, ColumnError> {
+        self.advance(max_ticks, Chip::run_ticked)
+    }
+
+    /// Run every live chip to the common target with `run_chip`, then move
+    /// the board clock to the fleet's frontier and replay the bridge
+    /// schedule up to it.
+    fn advance(
+        &mut self,
+        max_ticks: u64,
+        run_chip: impl Fn(&mut Chip, u64) -> Result<u64, ColumnError>,
+    ) -> Result<u64, ColumnError> {
         let start = self.reference_cycles;
         let end = start.saturating_add(max_ticks);
         for chip in &mut self.chips {
             let now = chip.stats().reference_cycles;
             if now < end && !chip.all_halted() {
-                chip.run(end - now)?;
+                run_chip(chip, end - now)?;
             }
         }
         let frontier = self
@@ -622,10 +645,45 @@ mod tests {
     }
 
     #[test]
+    fn ticked_runs_match_windowed_runs() {
+        // Uneven windows, with a lane killed between them and, in the
+        // second case, a column of chip 1 too (the board then never halts).
+        for kill_column in [false, true] {
+            let drive = |ticked: bool| {
+                let mut board = two_chip_board();
+                board.load_bridge_program(bridge_program(3)).unwrap();
+                for (i, window) in [5, 7, 40].into_iter().enumerate() {
+                    if i == 1 {
+                        board.fail_lane(0, 9);
+                        if kill_column {
+                            board.fail_column(1, 0, 5);
+                        }
+                    }
+                    let ran = if ticked {
+                        board.run_ticked(window)
+                    } else {
+                        board.run(window)
+                    };
+                    ran.unwrap();
+                }
+                (
+                    board.reference_cycles(),
+                    board.bridge_stats(),
+                    board.lane_words().to_vec(),
+                    board.chip(0).unwrap().column_stats(),
+                    board.chip(1).unwrap().column_stats(),
+                )
+            };
+            assert_eq!(drive(true), drive(false), "kill_column: {kill_column}");
+        }
+    }
+
+    #[test]
     fn failed_board_column_prevents_all_halted() {
         let mut board = two_chip_board();
         assert!(board.fail_column(1, 0, 0));
         assert!(!board.fail_column(5, 0, 0));
+        assert!(board.any_failed());
         board.run(1_000).unwrap();
         assert!(!board.all_halted());
         assert!(board.chip(0).unwrap().all_halted());

@@ -3,7 +3,9 @@
 //! Properties: chip-to-chip bridge transport conserves tokens (simulated
 //! bridge words match the analytic per-iteration flows, lane for lane),
 //! compiled bridge schedules replay conflict-free, and a board of one
-//! chip is bit-identical to the legacy single-chip pipeline.
+//! chip is bit-identical to the legacy single-chip pipeline, faulted runs
+//! and pricing included.  A pinned regression checks that explored
+//! boards fit every chip's TDM frame.
 //!
 //! The pinned end-to-end scenario is the issue's tentpole: the 24-stage
 //! deep pipeline is rejected on one chip (46 cross words against the
@@ -15,10 +17,13 @@ use proptest::prelude::*;
 use synchroscalar::apps::{deep_pipeline, DEEP_PIPELINE_RATE_HZ};
 use synchroscalar::experiments;
 use synchroscalar::explorer::{explore, explore_board, BoardSearch, CommSpec, ExplorerConfig};
-use synchroscalar::mapper::{self, BoardConfig, ExecutionTier, MapperError, MapperOptions};
+use synchroscalar::mapper::{
+    self, BoardConfig, ExecutionTier, FaultedRun, MapperError, MapperOptions,
+};
 use synchroscalar::power::Technology;
 use synchroscalar::router::RouteError;
 use synchroscalar::sdf::{Mapping, SdfGraph};
+use synchroscalar::sim::FaultPlan;
 
 const RATE_CHOICES: [(u64, u64); 4] = [(1, 1), (1, 2), (2, 1), (2, 2)];
 
@@ -109,7 +114,9 @@ proptest! {
 
     /// A mapping placed entirely on chip 0 must behave identically
     /// whether compiled through the legacy single-chip entry point or as
-    /// a board of one: same execution report, same chip statistics.
+    /// a board of one: same execution report, same chip statistics, the
+    /// same faulted run under a column kill, and the same pricing
+    /// context.
     #[test]
     fn single_chip_board_matches_the_legacy_path_bit_for_bit(
         cycles in prop::collection::vec(1u64..60, 2..5),
@@ -117,6 +124,8 @@ proptest! {
         rate_picks in prop::collection::vec(0usize..4, 1..4),
         iterations in 1u64..5,
         fast in any::<bool>(),
+        victim in 0usize..4,
+        kill_tick in 0u64..500,
     ) {
         let n = cycles.len().min(cap_picks.len()).min(rate_picks.len() + 1);
         let caps: Vec<u32> = cap_picks[..n].iter().map(|&i| [1u32, 2, 4][i]).collect();
@@ -139,6 +148,11 @@ proptest! {
             }
         };
         prop_assert_eq!(board.chips(), 1);
+        let tech = Technology::isca2004();
+        prop_assert_eq!(
+            format!("{:?}", legacy.price_spec(&tech)),
+            format!("{:?}", board.price_spec(&tech))
+        );
         match (legacy.execute(), board.execute()) {
             (Ok(chip_report), Ok(board_report)) => {
                 prop_assert_eq!(board_report.chips.len(), 1);
@@ -159,6 +173,19 @@ proptest! {
                 prop_assert_eq!(format!("{:?}", l.err()), format!("{:?}", b.err()));
             }
         }
+
+        let mut plan = FaultPlan::none();
+        plan.kill_column(0, victim % n, kill_tick);
+        let mut legacy = mapper::compile(&graph, &mapping, &options).unwrap();
+        let mut board =
+            mapper::compile_board(&graph, &mapping, &options, &BoardConfig::default()).unwrap();
+        let chip_run = legacy.execute_faulted(&plan);
+        let board_run = board.execute_faulted(&plan).map(|run| FaultedRun {
+            report: run.report.chips[0].clone(),
+            fault: run.fault,
+        });
+        prop_assert_eq!(format!("{chip_run:?}"), format!("{board_run:?}"));
+        prop_assert_eq!(legacy.chip().stats(), board.board().chip(0).unwrap().stats());
     }
 }
 
@@ -252,5 +279,63 @@ fn deep_pipeline_is_rejected_on_one_chip_but_boards_feasibly() {
         assert_eq!(row.chips, 2);
         assert!(row.bridge_power_mw > 0.0);
         assert!(row.bridge_utilization > 0.0);
+    }
+}
+
+/// A 12-actor chain of 29-cycle actors with 16-tile caps and `k:k`
+/// edges, except `k:2k` into actors 6 and 9: actors 0–5 fire 4 times per
+/// iteration, 6–8 twice and 9–11 once.  A chip holding a range whose
+/// repetition counts share a factor `g > 1` iterates `g` times per board
+/// iteration.
+fn decimating_chain(k: u64) -> SdfGraph {
+    let mut graph = SdfGraph::new();
+    let mut prev = None;
+    for i in 0..12 {
+        let actor = graph.add_actor(format!("a{i}"), 29, 16);
+        if let Some(p) = prev {
+            let consume = if i == 6 || i == 9 { 2 * k } else { k };
+            graph.add_edge(p, actor, k, consume, 0).unwrap();
+        }
+        prev = Some(actor);
+    }
+    graph
+}
+
+/// The board explorer must check each chip's cross words against the
+/// frame of one chip iteration, as the router does: a chip whose range
+/// iterates `g > 1` times per board iteration and is checked against the
+/// board's frame is admitted at `g` times its capacity, and
+/// `compile_board` rejects the answer (48, 96 and 192 words against 25,
+/// 50 and 100 slots here).
+#[test]
+fn explored_boards_fit_every_chips_frame() {
+    for (k, rate) in [(2u64, 16e6), (4, 8e6), (8, 4e6)] {
+        let graph = decimating_chain(k);
+        let explore_with = |search: BoardSearch| {
+            let config = ExplorerConfig::new(rate, 64)
+                .single_actor_columns()
+                .with_comm(CommSpec::from_clock(1, 400e6, rate))
+                .with_board(search);
+            explore_board(&graph, &config)
+        };
+        let compiles_and_runs = |mapping: &Mapping| {
+            let options = MapperOptions {
+                iterations: 2,
+                iteration_rate_hz: rate,
+                ..MapperOptions::default()
+            };
+            let mut compiled =
+                mapper::compile_board(&graph, mapping, &options, &BoardConfig::default())
+                    .unwrap_or_else(|e| panic!("k = {k}: the explored board must compile: {e}"));
+            assert!(compiled.execute().unwrap().firings_exact(), "k = {k}");
+        };
+        if let Ok(board) = explore_with(BoardSearch::new(4)) {
+            compiles_and_runs(&board.mapping());
+        }
+        let board = explore_with(BoardSearch::new(4).with_splits_per_chip_count(10_000))
+            .unwrap_or_else(|e| panic!("k = {k}: an unlimited split list finds a board: {e}"));
+        let ranges: Vec<(usize, usize)> = board.chips.iter().map(|c| (c.start, c.end)).collect();
+        assert_eq!(ranges, [(0, 3), (3, 7), (7, 12)], "k = {k}");
+        compiles_and_runs(&board.mapping());
     }
 }

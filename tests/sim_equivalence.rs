@@ -591,10 +591,11 @@ proptest! {
 }
 
 /// Board-level fault differential: kill a column of either chip or a
-/// bridge lane mid-run; the interpreted and fast board drivers must
-/// produce bit-identical `FaultedBoardRun`s, per-chip statistics and
-/// bridge counters, and the structured outcome must match the board
-/// state.
+/// bridge lane mid-run; the windowed interpreted, naive ticked and fast
+/// board drivers must produce bit-identical `FaultedBoardRun`s, per-chip
+/// statistics and bridge counters, and the structured outcome must match
+/// the board state.  Once a fault fires the fast tier runs the windowed
+/// interpreter, so the ticked driver is what keeps this differential.
 fn check_faulted_board_tiers(
     graph: &SdfGraph,
     mapping: &Mapping,
@@ -613,22 +614,29 @@ fn check_faulted_board_tiers(
             &board_config,
         )
     };
-    let (mut interpreted, mut fast) = match (
+    let (mut interpreted, mut fast, mut ticked) = match (
         compile_on(ExecutionTier::Interpreted),
         compile_on(ExecutionTier::Fast),
+        compile_on(ExecutionTier::Interpreted),
     ) {
-        (Ok(i), Ok(f)) => (i, f),
-        (i, f) => {
+        (Ok(i), Ok(f), Ok(t)) => (i, f, t),
+        (i, f, _) => {
             prop_assert_eq!(format!("{:?}", i.err()), format!("{:?}", f.err()));
             return Ok(());
         }
     };
     let a = interpreted.execute_faulted(plan);
     let b = fast.execute_faulted(plan);
+    let c = ticked.execute_faulted_ticked(plan);
     prop_assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),
         "board faulted runs diverge"
+    );
+    prop_assert_eq!(
+        format!("{a:?}"),
+        format!("{c:?}"),
+        "windowed vs ticked board faulted runs diverge"
     );
     if let Ok(run) = a {
         match &run.fault {
@@ -641,22 +649,34 @@ fn check_faulted_board_tiers(
             interpreted.board().bridge_stats(),
             fast.board().bridge_stats()
         );
+        prop_assert_eq!(
+            interpreted.board().bridge_stats(),
+            ticked.board().bridge_stats()
+        );
         prop_assert_eq!(interpreted.board().lane_words(), fast.board().lane_words());
+        prop_assert_eq!(
+            interpreted.board().lane_words(),
+            ticked.board().lane_words()
+        );
         for chip in 0..interpreted.board().chips() {
             let ic = interpreted.board().chip(chip).unwrap();
             let fc = fast.board().chip(chip).unwrap();
+            let tc = ticked.board().chip(chip).unwrap();
             prop_assert_eq!(ic.stats(), fc.stats(), "chip {} stats diverge", chip);
+            prop_assert_eq!(ic.stats(), tc.stats(), "chip {} ticked stats diverge", chip);
             prop_assert_eq!(ic.column_stats(), fc.column_stats());
+            prop_assert_eq!(ic.column_stats(), tc.column_stats());
         }
     }
     Ok(())
 }
 
 proptest! {
-    /// Split chains with a mid-run column or bridge-lane kill: the board
-    /// drivers agree bit for bit on statistics and structured outcome,
-    /// and always terminate (lane kills drop traffic but never starve a
-    /// column — `recv` never blocks).
+    /// Split chains with a mid-run column or bridge-lane kill: the
+    /// windowed, ticked and fast board drivers agree bit for bit on
+    /// statistics and structured outcome, and always terminate (lane
+    /// kills drop traffic but never starve a column — `recv` never
+    /// blocks).
     #[test]
     fn faulted_board_runs_are_bit_identical_on_both_tiers(
         cycles in prop::collection::vec(1u64..40, 2..4),
