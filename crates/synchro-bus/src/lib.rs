@@ -272,6 +272,12 @@ impl SegmentedBus {
         self.stats.add_scaled(delta, times);
     }
 
+    /// Account `cycles` scheduled bus cycles that carry no word: the
+    /// statistics of as many [`SegmentedBus::cycle`] calls with no ops.
+    pub fn idle_cycles(&mut self, cycles: u64) {
+        self.stats.scheduled_slots += self.splits as u64 * cycles;
+    }
+
     /// Validate and account one cycle of transfers under a segment
     /// configuration.  Every consumer of a valid op latches its producer's
     /// word, so a successful cycle delivers exactly each op's `consumers`.

@@ -228,6 +228,37 @@ impl Dou {
         }
         &s.output
     }
+
+    /// Step through up to `max` idle states — states that assert no
+    /// transfer and no segment configuration — with exactly the counter
+    /// and state transitions as many [`Dou::step`] calls make, stopping
+    /// at the first state with outputs (which is left unstepped).  Returns
+    /// the states stepped.  An empty program is idle forever.
+    pub fn skip_idle(&mut self, max: u64) -> u64 {
+        if self.program.is_empty() {
+            return max;
+        }
+        let states = self.program.states();
+        let init = self.program.counter_init();
+        let mut stepped = 0;
+        while stepped < max {
+            let s = &states[self.state];
+            if !s.output.ops.is_empty() || s.output.segments.is_some() {
+                break;
+            }
+            let c = s.counter;
+            if self.counters[c] == 0 {
+                self.counters[c] = init[c];
+                self.state = s.next_if_zero;
+            } else {
+                self.counters[c] -= 1;
+                self.state = s.next_if_nonzero;
+            }
+            stepped += 1;
+        }
+        self.cycles += stepped;
+        stepped
+    }
 }
 
 /// One cycle of a periodic communication pattern handed to the compiler.
@@ -351,6 +382,7 @@ impl ScheduleCompiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn op(split: usize, producer: usize, consumer: usize) -> BusOp {
         BusOp {
@@ -540,6 +572,101 @@ mod tests {
         let out = dou.step();
         assert!(out.ops.is_empty());
         assert!(out.segments.is_none());
+    }
+
+    #[test]
+    fn skip_idle_stops_at_the_first_transfer() {
+        // The mapper's pattern: two idle cycles, one transfer, three idle.
+        let mut compiler = ScheduleCompiler::new();
+        compiler.idle_for(2).push_op(op(0, 0, 3)).idle_for(3);
+        let mut dou = Dou::new(compiler.compile(2).unwrap());
+        assert_eq!(dou.skip_idle(10), 2);
+        assert_eq!(dou.state(), 2);
+        assert_eq!(dou.skip_idle(10), 0, "state 2 transfers");
+        assert_eq!(dou.step().ops.len(), 1);
+        assert_eq!(dou.skip_idle(2), 2, "capped by `max`");
+        assert_eq!(dou.skip_idle(10), 3, "the last state wraps to state 0");
+        assert_eq!(dou.cycles(), 8);
+        assert_eq!(
+            dou.counter(1),
+            u32::MAX - 7,
+            "the dummy counter counts down in every state but the last"
+        );
+
+        let mut empty = Dou::new(DouProgram::new(Vec::new(), [0; 4]).unwrap());
+        assert_eq!(empty.skip_idle(7), 7, "an empty program is idle forever");
+        assert_eq!(empty.cycles(), 0, "and its steps bill nothing");
+    }
+
+    /// A counter initial value: 0, 1–3, `u32::MAX` or anything.
+    fn init_value(raw: u64) -> u32 {
+        match raw % 4 {
+            0 => 0,
+            1 => 1 + (raw >> 2) as u32 % 3,
+            2 => u32::MAX,
+            _ => (raw >> 2) as u32,
+        }
+    }
+
+    /// A valid state table of `raws.len()` states drawn from `raws`: any
+    /// counter, any next states, and outputs that are idle (half the
+    /// states), a transfer, or a segment change with no transfer.
+    fn random_program(raws: &[u64], inits: [u64; NUM_COUNTERS]) -> DouProgram {
+        let n = raws.len();
+        let states = raws
+            .iter()
+            .map(|&raw| {
+                let output = match (raw >> 16) % 4 {
+                    0 => DouOutput {
+                        segments: None,
+                        ops: vec![op(0, 0, 1)],
+                    },
+                    1 => DouOutput {
+                        segments: Some(SegmentConfig::all_open(8, 4)),
+                        ops: Vec::new(),
+                    },
+                    _ => DouOutput::default(),
+                };
+                DouState {
+                    counter: (raw % NUM_COUNTERS as u64) as usize,
+                    next_if_zero: (raw >> 2) as usize % n,
+                    next_if_nonzero: (raw >> 8) as usize % n,
+                    output,
+                }
+            })
+            .collect();
+        DouProgram::new(states, inits.map(init_value)).unwrap()
+    }
+
+    proptest! {
+        /// On random state tables and counter values, `skip_idle(max)`
+        /// leaves the whole DOU equal to as many `step` calls, every one
+        /// from an idle state, and stops short of `max` exactly at a state
+        /// with a transfer or a segment change.
+        #[test]
+        fn skip_idle_matches_single_steps(
+            raws in prop::collection::vec(any::<u64>(), 1..10),
+            inits in prop::array::uniform4(any::<u64>()),
+            maxes in prop::collection::vec(0u64..12, 1..24),
+        ) {
+            let program = random_program(&raws, inits);
+            let mut dou = Dou::new(program.clone());
+            for max in maxes {
+                let mut stepped = dou.clone();
+                let skipped = dou.skip_idle(max);
+                prop_assert!(skipped <= max);
+                for _ in 0..skipped {
+                    prop_assert_eq!(&program.states()[stepped.state()].output, &DouOutput::default());
+                    stepped.step();
+                }
+                prop_assert_eq!(&dou, &stepped);
+                if skipped < max {
+                    prop_assert_ne!(&program.states()[dou.state()].output, &DouOutput::default());
+                }
+                // Step once past wherever the skip stopped.
+                dou.step();
+            }
+        }
     }
 
     #[test]

@@ -503,11 +503,20 @@ impl Chip {
     /// turn.  If every column has halted, the clock stops one tick after
     /// the latest halt-observing step, otherwise at the window's end.
     ///
+    /// Within a column's loop, each stretch of a zero-overhead NOP loop
+    /// (the compute phase of a mapped firing) is issued as one batch
+    /// whenever the column can take one: the least of the NOPs left in
+    /// the loop, the DOU's idle states ahead and the column's ticks left
+    /// in the window.  Every other cycle takes [`Column::step`].  A batch
+    /// leaves the state its cycles' steps would, trace events included,
+    /// and never halts or faults the column.
+    ///
     /// The produced [`ChipStats`], per-column, vertical- and
-    /// horizontal-bus statistics and tick count are bit-identical to the
-    /// tick-by-tick loop ([`Chip::run_ticked`]), which is kept as the
-    /// differential-testing reference, for any split of a run into
-    /// windows.  Trace events carry the same ticks, but one window's
+    /// horizontal-bus statistics, tile state and tick count are
+    /// bit-identical to the tick-by-tick loop ([`Chip::run_ticked`]),
+    /// which steps every cycle and is kept as the differential-testing
+    /// reference, for any split of a run into windows.  Trace events
+    /// carry the same ticks, but one window's
     /// events arrive grouped by column (then the bus slots) rather than
     /// interleaved by tick; [`synchro_trace::normalize`], trace analysis
     /// and the Chrome exporter key on each event's own tick, so only a
@@ -539,8 +548,23 @@ impl Chip {
             // `Column::new` guarantees `clock_divider >= 1`.
             let divider = u64::from(column.config().clock_divider);
             let before = column.stats().cycles;
-            let mut tick = start.div_ceil(divider).saturating_mul(divider);
-            while tick < cap {
+            // The column steps on `first`, `first + d`, … below `cap`; the
+            // `done`-th of those ticks is `first + done · d < cap`, so it
+            // never overflows.
+            let first = start.div_ceil(divider).saturating_mul(divider);
+            let steps = if first < cap {
+                (cap - first).div_ceil(divider)
+            } else {
+                0
+            };
+            let mut done = 0;
+            while done < steps {
+                let batched = column.step_nops(steps - done);
+                if batched > 0 {
+                    done += batched;
+                    continue;
+                }
+                let tick = first + done * divider;
                 if let Err(error) = column.step() {
                     first_error = Some((tick, error));
                     break;
@@ -549,7 +573,7 @@ impl Chip {
                     last_halt = last_halt.max(Some(tick));
                     break;
                 }
-                tick = tick.saturating_add(divider);
+                done += 1;
             }
             self.stats.column_cycles += column.stats().cycles - before;
         }
@@ -1020,6 +1044,52 @@ mod tests {
         assert_eq!(fast.stats(), slow.stats());
         assert_eq!(fast.horizontal_stats(), slow.horizontal_stats());
         assert_eq!(fast.stats().horizontal_transfers, 9 * 3);
+    }
+
+    /// A divider-`u32::MAX` column running `loop u32::MAX { nop }`,
+    /// nested in an outer `loop u32::MAX` when `nested`.
+    fn nop_loop_column(nested: bool) -> Column {
+        let mut b = synchro_isa::ProgramBuilder::new();
+        if nested {
+            b.counted_loop(u32::MAX, |b| {
+                b.counted_loop(u32::MAX, |b| {
+                    b.nop();
+                });
+            });
+        } else {
+            b.counted_loop(u32::MAX, |b| {
+                b.nop();
+            });
+        }
+        b.halt();
+        Column::new(
+            ColumnConfig::isca2004().with_divider(u32::MAX),
+            b.build().unwrap(),
+            None,
+        )
+    }
+
+    #[test]
+    fn nop_batches_keep_ticks_exact_near_u64_max() {
+        let d = u64::from(u32::MAX);
+        // A window of u64::MAX ticks holds 2^32 + 1 of the column's ticks,
+        // the last at 2^32 · d = 2^64 - 2^32; one more would pass u64::MAX.
+        let mut chip = Chip::new();
+        chip.add_column(nop_loop_column(true));
+        assert_eq!(chip.run(u64::MAX).unwrap(), u64::MAX);
+        let steps = (1u64 << 32) + 1;
+        assert_eq!(chip.column_stats()[0].cycles, steps);
+        assert_eq!(chip.stats().column_cycles, steps);
+        let tile = chip.column(0).unwrap().tile(3).unwrap().stats();
+        assert_eq!((tile.instructions, tile.nops), (steps, steps));
+
+        // u32::MAX NOPs, then the HALT observed on the column's tick
+        // number u32::MAX, at d · d = 2^64 - 2^33 + 1.
+        let mut chip = Chip::new();
+        chip.add_column(nop_loop_column(false));
+        assert_eq!(chip.run(u64::MAX).unwrap(), d * d + 1);
+        assert!(chip.all_halted());
+        assert_eq!(chip.column_stats()[0].cycles, d);
     }
 
     #[test]

@@ -253,14 +253,13 @@ impl Column {
         &mut self,
         stats_delta: ColumnStats,
         bus_delta: &synchro_bus::BusStats,
-        bus_times: u64,
     ) {
         self.stats.cycles += stats_delta.cycles;
         self.stats.broadcasts += stats_delta.broadcasts;
         self.stats.branch_stalls += stats_delta.branch_stalls;
         self.stats.rate_match_stalls += stats_delta.rate_match_stalls;
         self.stats.bus_word_transfers += stats_delta.bus_word_transfers;
-        self.bus.accumulate(bus_delta, bus_times);
+        self.bus.accumulate(bus_delta, 1);
         self.controller.force_halt();
     }
 
@@ -357,30 +356,95 @@ impl Column {
         Ok(())
     }
 
+    /// Apply up to `max_cycles` cycles of a zero-overhead NOP loop at
+    /// once, with the effect of as many [`Column::step`] calls: `k` is the
+    /// least of the controller's [`SimdController::nop_run`], the DOU's
+    /// idle states ahead ([`Dou::skip_idle`]) and `max_cycles`.  The batch
+    /// advances the controller, bills `k` NOPs to each enabled tile, steps
+    /// the DOU through `k` idle states, schedules `k` empty vertical-bus
+    /// cycles, adds to [`ColumnStats`] and, with tracing on, emits the `k`
+    /// per-cycle [`TraceEvent::DividerTick`]s in order.
+    ///
+    /// Returns `k`: 0 when the next cycle is anything else, or the column
+    /// has a rate matcher (whose steps re-lock on a period boundary), has
+    /// failed or has halted.  A batch never halts the column.
+    #[inline]
+    pub(crate) fn step_nops(&mut self, max_cycles: u64) -> u64 {
+        if self.failed || self.config.rate_matcher.is_some() {
+            return 0;
+        }
+        let run = self.controller.nop_run().min(max_cycles);
+        if run == 0 {
+            return 0;
+        }
+        let k = match &mut self.dou {
+            Some(dou) => {
+                let k = dou.skip_idle(run);
+                self.bus.idle_cycles(k);
+                k
+            }
+            None => run,
+        };
+        if k == 0 {
+            return 0;
+        }
+        self.controller.issue_nops(k);
+        Tile::broadcast_nops(&mut self.tiles, k);
+        let first_slot = self.stats.cycles;
+        self.stats.cycles += k;
+        self.stats.broadcasts += k;
+        if self.trace.enabled() {
+            let divider = u64::from(self.config.clock_divider);
+            for slot in first_slot..self.stats.cycles {
+                self.trace.emit(|| TraceEvent::DividerTick {
+                    chip: self.chip_id,
+                    column: self.column_id,
+                    tick: slot * divider,
+                    count: 1,
+                });
+            }
+        }
+        k
+    }
+
     /// Run the column until it halts or `max_cycles` of its own clock
     /// elapse.  Returns the number of cycles consumed.
+    ///
+    /// The NOPs of a zero-overhead loop whose body is a single `Nop` are
+    /// issued in batches, each as long as the DOU stays idle (columns
+    /// with a rate matcher step every cycle); every other cycle takes
+    /// [`Column::step`].  The result — controller, tiles, DOU, bus,
+    /// statistics and trace — is the state `max_cycles` calls of
+    /// [`Column::step`] leave, which stays the per-cycle reference.
     ///
     /// # Errors
     ///
     /// Propagates the first [`ColumnError`] encountered.
     pub fn run(&mut self, max_cycles: u64) -> Result<u64, ColumnError> {
         let start = self.stats.cycles;
-        for _ in 0..max_cycles {
-            if self.failed || self.controller.is_halted() {
-                break;
+        let mut left = max_cycles;
+        while left > 0 && !self.failed && !self.controller.is_halted() {
+            let k = self.step_nops(left);
+            if k > 0 {
+                left -= k;
+                continue;
             }
             self.step()?;
+            left -= 1;
         }
         Ok(self.stats.cycles - start)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::Arc;
     use synchro_bus::BusOp;
     use synchro_dou::{PatternCycle, ScheduleCompiler};
-    use synchro_isa::{assemble, DataReg};
+    use synchro_isa::{assemble, DataReg, ProgramBuilder};
+    use synchro_trace::RingBufferSink;
 
     #[test]
     fn simd_broadcast_executes_on_all_enabled_tiles() {
@@ -593,5 +657,169 @@ mod tests {
         assert_eq!(c.clock_divider, 5);
         assert!((c.voltage - 0.8).abs() < 1e-12);
         assert_eq!(ColumnConfig::default(), ColumnConfig::isca2004());
+    }
+
+    /// The mapper's firing, `iters` times: tag, send, `nops` compute NOPs
+    /// in a zero-overhead loop, receive.
+    pub(crate) fn firing_program(iters: u32, nops: u32) -> Program {
+        let mut b = ProgramBuilder::new();
+        b.counted_loop(iters, |b| {
+            b.load_imm(DataReg::new(7), 5);
+            b.send();
+            b.counted_loop(nops, |b| {
+                b.nop();
+            });
+            b.recv(DataReg::new(2));
+        });
+        b.halt();
+        b.build().unwrap()
+    }
+
+    /// The mapper's DOU pattern for a `slots`-cycle firing: tile 0's word
+    /// goes to the other tiles one cycle after the send.
+    pub(crate) fn firing_dou(slots: usize, tiles: usize, iters: u32) -> DouProgram {
+        let mut schedule = ScheduleCompiler::new();
+        schedule.idle_for(2).push_op(BusOp {
+            split: 0,
+            producer: 0,
+            consumers: (1..tiles).collect(),
+        });
+        schedule.idle_for(slots.saturating_sub(3));
+        schedule.compile(iters).unwrap()
+    }
+
+    #[test]
+    fn mapper_firing_issues_its_compute_nops_in_one_batch() {
+        let mut col = Column::new(
+            ColumnConfig::isca2004(),
+            firing_program(2, 20),
+            Some(firing_dou(23, 4, 2)),
+        );
+        // li, send, and the first NOP (which the DOU's transfer shares)
+        // step one at a time.
+        for _ in 0..3 {
+            assert_eq!(col.step_nops(100), 0);
+            col.step().unwrap();
+        }
+        assert_eq!(col.step_nops(100), 19, "the other 19 NOPs in one batch");
+        assert_eq!(col.step_nops(100), 0, "then the recv");
+        assert_eq!(col.stats().cycles, 22);
+        assert_eq!(col.tile(3).unwrap().stats().nops, 20);
+        assert_eq!(col.bus_stats().scheduled_slots, 8 * 22);
+        assert_eq!(col.run(100).unwrap(), 24, "the rest of the program");
+        assert!(col.is_halted());
+        // A rate-matched column steps every cycle.
+        let mut throttled = Column::new(
+            ColumnConfig {
+                rate_matcher: Some(RateMatcher {
+                    period: 4,
+                    stalls: 1,
+                }),
+                ..ColumnConfig::isca2004()
+            },
+            firing_program(1, 20),
+            None,
+        );
+        // Stall, li, send, NOP (pushing the loop), stall: three NOPs are
+        // ahead before the next stall.
+        throttled.run(5).unwrap();
+        assert_eq!(throttled.controller.nop_run(), 3);
+        assert_eq!(throttled.step_nops(100), 0);
+    }
+
+    /// Every piece of state a batch touches, plus the segment switches.
+    fn assert_same_column(batched: &Column, stepped: &Column) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&batched.controller, &stepped.controller);
+        prop_assert_eq!(&batched.dou, &stepped.dou);
+        prop_assert_eq!(&batched.tiles, &stepped.tiles);
+        prop_assert_eq!(batched.stats, stepped.stats);
+        prop_assert_eq!(batched.bus.stats(), stepped.bus.stats());
+        prop_assert_eq!(&batched.segment_config, &stepped.segment_config);
+        Ok(())
+    }
+
+    proptest! {
+        /// `Column::run(n)`, which issues NOP loops in batches, leaves the
+        /// controller, DOU, every tile (random enable bits), the column
+        /// and vertical-bus statistics and the trace equal to `n` calls of
+        /// `Column::step`, over a run cut into random windows.  Columns
+        /// run the mapper's firing with no DOU, the mapper's DOU pattern
+        /// or a random one (transfers, segment changes, idle cycles), and
+        /// some have a ZORM rate matcher.
+        #[test]
+        fn batched_run_matches_single_steps(
+            iters in 1u32..6,
+            nops in 0u32..24,
+            tiles in 1usize..5,
+            enabled in any::<u8>(),
+            dou_kind in 0u32..3,
+            pattern in prop::collection::vec(any::<u8>(), 1..12),
+            repetitions in 0u32..4,
+            zorm in 0u32..4,
+            period in 2u32..9,
+            divider in 1u32..4,
+            windows in prop::collection::vec(0u64..40, 1..12),
+        ) {
+            let slots = nops as usize + 3;
+            let dou = match dou_kind {
+                0 => None,
+                1 => Some(firing_dou(slots, tiles, iters)),
+                _ => {
+                    let closed = SegmentConfig::all_closed(8, tiles);
+                    let mut schedule = ScheduleCompiler::new();
+                    for byte in &pattern {
+                        schedule.push(match byte % 4 {
+                            0 => PatternCycle {
+                                segments: Some(closed.clone()),
+                                ops: vec![BusOp {
+                                    split: usize::from(byte >> 5),
+                                    producer: 0,
+                                    consumers: (1..tiles).collect(),
+                                }],
+                            },
+                            1 => PatternCycle {
+                                segments: Some(SegmentConfig::all_open(8, tiles)),
+                                ops: Vec::new(),
+                            },
+                            _ => PatternCycle::default(),
+                        });
+                    }
+                    Some(schedule.compile(repetitions).unwrap())
+                }
+            };
+            let config = ColumnConfig {
+                tiles,
+                clock_divider: divider,
+                enabled_tiles: (0..tiles).map(|i| enabled >> i & 1 == 1).collect(),
+                // One column in four has a ZORM matcher.
+                rate_matcher: (zorm == 0).then_some(RateMatcher {
+                    period,
+                    stalls: 1 + u32::from(enabled) % (period - 1),
+                }),
+                ..ColumnConfig::isca2004()
+            };
+            let build = |ring: &Arc<RingBufferSink>| {
+                let mut col = Column::new(config.clone(), firing_program(iters, nops), dou.clone());
+                col.set_trace(Trace::to(ring.clone()), 0, 3);
+                col
+            };
+            let (batched_ring, stepped_ring) =
+                (Arc::new(RingBufferSink::new(1 << 16)), Arc::new(RingBufferSink::new(1 << 16)));
+            let mut batched = build(&batched_ring);
+            let mut stepped = build(&stepped_ring);
+            for n in windows {
+                let before = stepped.stats.cycles;
+                let reference: Result<u64, ColumnError> =
+                    (0..n).try_for_each(|_| stepped.step()).map(|()| stepped.stats.cycles - before);
+                let result = batched.run(n);
+                prop_assert_eq!(format!("{result:?}"), format!("{reference:?}"));
+                if result.is_err() {
+                    return Ok(());
+                }
+                assert_same_column(&batched, &stepped)?;
+                prop_assert_eq!(batched_ring.events(), stepped_ring.events());
+            }
+            prop_assert_eq!(batched_ring.dropped() + stepped_ring.dropped(), 0);
+        }
     }
 }

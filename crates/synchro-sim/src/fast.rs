@@ -90,6 +90,14 @@ pub enum FastTierError {
     /// The chip has already been stepped; batched replay assumes a chip at
     /// reference tick zero with unstepped columns.
     ChipNotFresh,
+    /// A closed-form count of the batch does not fit in 64 bits: the
+    /// column's cycles, its halt tick or a statistic it would bill.
+    Overflow {
+        /// The offending column index.
+        column: usize,
+        /// Which quantity overflowed.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for FastTierError {
@@ -126,6 +134,9 @@ impl fmt::Display for FastTierError {
             }
             FastTierError::ChipNotFresh => {
                 write!(f, "chip already stepped; batched replay needs a fresh chip")
+            }
+            FastTierError::Overflow { column, what } => {
+                write!(f, "column {column}: {what} overflows 64 bits")
             }
         }
     }
@@ -200,8 +211,8 @@ impl FiringProfile {
                 });
             }
             let delta = (
-                stats_delta(replica.stats(), stats_before),
-                bus_delta(replica.bus_stats(), bus_before),
+                replica.stats().delta(&stats_before),
+                replica.bus_stats().delta(&bus_before),
             );
             match &first {
                 None => first = Some(delta),
@@ -240,26 +251,6 @@ impl FiringProfile {
     }
 }
 
-fn stats_delta(after: ColumnStats, before: ColumnStats) -> ColumnStats {
-    ColumnStats {
-        cycles: after.cycles - before.cycles,
-        broadcasts: after.broadcasts - before.broadcasts,
-        branch_stalls: after.branch_stalls - before.branch_stalls,
-        rate_match_stalls: after.rate_match_stalls - before.rate_match_stalls,
-        bus_word_transfers: after.bus_word_transfers - before.bus_word_transfers,
-    }
-}
-
-fn bus_delta(after: BusStats, before: BusStats) -> BusStats {
-    BusStats {
-        active_cycles: after.active_cycles - before.active_cycles,
-        word_transfers: after.word_transfers - before.word_transfers,
-        deliveries: after.deliveries - before.deliveries,
-        scheduled_slots: after.scheduled_slots - before.scheduled_slots,
-        occupied_slots: after.occupied_slots - before.occupied_slots,
-    }
-}
-
 /// One column's batched workload: replay `firings` firings of `profile`
 /// on column `column`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -272,11 +263,15 @@ pub struct ColumnBatch {
     pub profile: FiringProfile,
 }
 
-/// A validated per-column application plan.
+/// A validated per-column application plan: every count the batch bills,
+/// computed in checked arithmetic before the chip is touched.
 struct BatchPlan {
     column: usize,
-    billed_cycles: u64,
-    rate_match_stalls: u64,
+    /// The column's statistics delta; `cycles` is its billed cycles.
+    stats: ColumnStats,
+    /// The vertical-bus delta of all firings.
+    bus: BusStats,
+    /// The reference tick of the column's halt-observing step.
     halt_tick: u64,
 }
 
@@ -314,7 +309,9 @@ impl FastTier {
     ///
     /// # Errors
     ///
-    /// Any [`FastTierError`] the application itself would raise.
+    /// Any [`FastTierError`] the application itself would raise,
+    /// including [`FastTierError::Overflow`] when the halt tick (or one
+    /// past it) does not fit in 64 bits.
     pub fn completion_tick(&self, chip: &Chip) -> Result<Option<u64>, FastTierError> {
         Ok(self.plan(chip)?.iter().map(|p| p.halt_tick).max())
     }
@@ -328,35 +325,31 @@ impl FastTier {
     ///
     /// # Errors
     ///
-    /// Validation errors ([`FastTierError`]) leave the chip untouched; a
-    /// bus fault during the drain indicates a broken schedule.
+    /// Validation errors ([`FastTierError`], including
+    /// [`FastTierError::Overflow`]) leave the chip untouched; a bus fault
+    /// during the drain indicates a broken schedule.
     pub fn run(&self, chip: &mut Chip) -> Result<u64, FastTierError> {
         let plans = self.plan(chip)?;
         let trace = chip.trace().clone();
         let chip_id = chip.chip_id();
         let mut final_tick = None;
-        for (batch, plan) in self.batches.iter().zip(&plans) {
-            let delta = ColumnStats {
-                cycles: plan.billed_cycles,
-                broadcasts: batch.profile.stats.broadcasts * batch.firings,
-                branch_stalls: batch.profile.stats.branch_stalls * batch.firings,
-                rate_match_stalls: plan.rate_match_stalls,
-                bus_word_transfers: batch.profile.stats.bus_word_transfers * batch.firings,
-            };
+        for plan in &plans {
             let column = chip
                 .column_mut(plan.column)
                 .expect("column validated by plan()");
-            if trace.enabled() && plan.billed_cycles > 0 {
+            let billed_cycles = plan.stats.cycles;
+            if trace.enabled() && billed_cycles > 0 {
                 // One batched event per track, normalizing to the stream
                 // the interpreter emits one event per billed cycle: the
-                // k-th billed cycle lands on tick (k-1) × divider, the
-                // rate matcher re-locks once per started period, and every
+                // k-th billed cycle lands on tick (k-1) × divider (the
+                // last one a divider before the halt tick), the rate
+                // matcher re-locks once per started period, and every
                 // ZORM stall cycle is billed.
-                let divider = u64::from(column.config().clock_divider.max(1));
-                let last_tick = (plan.billed_cycles - 1) * divider;
+                let divider = u64::from(column.config().clock_divider);
+                let last_tick = plan.halt_tick - divider;
                 if let Some(rate) = column.config().rate_matcher {
                     // `Column::new` guarantees `period >= 1`.
-                    let relocks = plan.billed_cycles.div_ceil(u64::from(rate.period));
+                    let relocks = billed_cycles.div_ceil(u64::from(rate.period));
                     trace.emit(|| TraceEvent::RateMatcherRelock {
                         chip: chip_id,
                         column: plan.column as u32,
@@ -368,23 +361,24 @@ impl FastTier {
                     chip: chip_id,
                     column: plan.column as u32,
                     tick: last_tick,
-                    count: plan.billed_cycles,
+                    count: billed_cycles,
                 });
-                if plan.rate_match_stalls > 0 {
+                if plan.stats.rate_match_stalls > 0 {
                     trace.emit(|| TraceEvent::ZormStall {
                         chip: chip_id,
                         column: plan.column as u32,
                         tick: last_tick,
-                        cycles: plan.rate_match_stalls,
+                        cycles: plan.stats.rate_match_stalls,
                     });
                 }
             }
-            column.apply_batched(delta, &batch.profile.bus, batch.firings);
-            chip.add_column_cycles(plan.billed_cycles);
+            column.apply_batched(plan.stats, &plan.bus);
+            chip.add_column_cycles(billed_cycles);
             final_tick = final_tick.max(Some(plan.halt_tick));
         }
         // The interpreted scheduler leaves the reference clock one past
-        // the tick on which the last column observed its HALT.
+        // the tick on which the last column observed its HALT (`plan`
+        // checked that it fits).
         if let Some(tick) = final_tick {
             chip.fast_forward_reference(tick + 1);
         }
@@ -400,6 +394,7 @@ impl FastTier {
         }
         let mut seen = vec![false; chip.columns()];
         let mut plans = Vec::with_capacity(self.batches.len());
+        let mut chip_cycles: u64 = 0;
         for batch in &self.batches {
             let column = chip
                 .column(batch.column)
@@ -417,17 +412,50 @@ impl FastTier {
                     halted: true,
                 });
             }
+            let overflow = |what| FastTierError::Overflow {
+                column: batch.column,
+                what,
+            };
             let config = column.config();
-            let divider = u64::from(config.clock_divider.max(1));
             let (billed_cycles, rate_match_stalls) =
                 closed_form_cycles(config, batch.column, batch.firings, &batch.profile)?;
+            // The halt-observing step is the column's step number
+            // `billed_cycles` (0-indexed), scheduled at this tick; the
+            // chip's clock then stops one tick later.
+            let halt_tick = billed_cycles
+                .checked_mul(u64::from(config.clock_divider))
+                .filter(|&tick| tick < u64::MAX)
+                .ok_or(overflow("halt tick"))?;
+            chip_cycles = chip_cycles
+                .checked_add(billed_cycles)
+                .ok_or(overflow("chip column cycles"))?;
+            // A firing can bill more bus slots or words than cycles, so
+            // each product is checked on its own.
+            let times = |count: u64| {
+                count
+                    .checked_mul(batch.firings)
+                    .ok_or(overflow("billed statistics"))
+            };
+            let (column_delta, bus_delta) = (batch.profile.stats, batch.profile.bus);
+            let stats = ColumnStats {
+                cycles: billed_cycles,
+                broadcasts: times(column_delta.broadcasts)?,
+                branch_stalls: times(column_delta.branch_stalls)?,
+                rate_match_stalls,
+                bus_word_transfers: times(column_delta.bus_word_transfers)?,
+            };
+            let bus = BusStats {
+                active_cycles: times(bus_delta.active_cycles)?,
+                word_transfers: times(bus_delta.word_transfers)?,
+                deliveries: times(bus_delta.deliveries)?,
+                scheduled_slots: times(bus_delta.scheduled_slots)?,
+                occupied_slots: times(bus_delta.occupied_slots)?,
+            };
             plans.push(BatchPlan {
                 column: batch.column,
-                billed_cycles,
-                rate_match_stalls,
-                // The halt-observing step is the column's step number
-                // `billed_cycles` (0-indexed), scheduled at this tick.
-                halt_tick: billed_cycles * divider,
+                stats,
+                bus,
+                halt_tick,
             });
         }
         // Every live column must be batched, or the chip never halts.
@@ -454,14 +482,19 @@ impl FastTier {
 /// (1-indexed) sits at step `(n-1 div P-S) × P + S + (n-1 mod P-S)`.  The
 /// program needs `useful = firings × cycles` useful slots and then one
 /// more on which the `HALT` is observed (unbilled); every step before
-/// that observation is billed.
+/// that observation is billed.  Both products are checked:
+/// [`FastTierError::Overflow`] when a count does not fit in 64 bits.
 fn closed_form_cycles(
     config: &ColumnConfig,
     column: usize,
     firings: u64,
     profile: &FiringProfile,
 ) -> Result<(u64, u64), FastTierError> {
-    let useful = firings * profile.cycles;
+    let overflow = || FastTierError::Overflow {
+        column,
+        what: "column cycles",
+    };
+    let useful = firings.checked_mul(profile.cycles).ok_or_else(overflow)?;
     let matcher = config.rate_matcher.filter(|m| m.stalls > 0);
     let Some(matcher) = matcher else {
         return Ok((useful, 0));
@@ -478,7 +511,10 @@ fn closed_form_cycles(
     // slot of the stall-striped schedule.
     let full_periods = useful / useful_per_period;
     let into_period = useful % useful_per_period;
-    let halt_step = full_periods * period + stalls + into_period;
+    let halt_step = full_periods
+        .checked_mul(period)
+        .and_then(|step| step.checked_add(stalls + into_period))
+        .ok_or_else(overflow)?;
     Ok((halt_step, halt_step - useful))
 }
 
@@ -486,43 +522,9 @@ fn closed_form_cycles(
 mod tests {
     use super::*;
     use crate::chip::{BusProgram, BusSlot};
-    use synchro_bus::BusOp;
-    use synchro_dou::ScheduleCompiler;
-    use synchro_isa::{assemble, DataReg, ProgramBuilder};
+    use crate::column::tests::{firing_dou, firing_program};
+    use synchro_isa::assemble;
     use synchro_simd::RateMatcher;
-
-    /// A mapper-shaped firing: li, send, `compute` nops, recv.
-    fn firing_program(firings: u32, compute: u32) -> Program {
-        let mut b = ProgramBuilder::new();
-        b.counted_loop(firings, |b| {
-            b.load_imm(DataReg::new(7), 1);
-            b.send();
-            b.counted_loop(compute, |b| {
-                b.nop();
-            });
-            b.recv(DataReg::new(2));
-        });
-        b.halt();
-        b.build().unwrap()
-    }
-
-    fn firing_dou(slots: usize, firings: u32) -> DouProgram {
-        let mut schedule = ScheduleCompiler::new();
-        schedule.idle();
-        schedule.idle();
-        schedule.push(synchro_dou::PatternCycle {
-            segments: None,
-            ops: vec![BusOp {
-                split: 0,
-                producer: 0,
-                consumers: vec![1, 2, 3],
-            }],
-        });
-        for _ in 0..slots.saturating_sub(3) {
-            schedule.idle();
-        }
-        schedule.compile(firings).unwrap()
-    }
 
     /// Interpreted-vs-batched equivalence on one self-contained chip,
     /// including the normalized trace streams both tiers emit.
@@ -584,7 +586,7 @@ mod tests {
             let compute = 4u32;
             let slots = u64::from(compute) + 3;
             let program = firing_program(firings, compute);
-            let dou = firing_dou(slots as usize, firings);
+            let dou = firing_dou(slots as usize, 4, firings);
             let config = ColumnConfig::isca2004().with_divider(3);
             let profile =
                 FiringProfile::measure(&config, &program, Some(&dou), slots, u64::from(firings))
@@ -639,7 +641,7 @@ mod tests {
             {
                 let slots = u64::from(compute) + 3;
                 let program = firing_program(firings, compute);
-                let dou = firing_dou(slots as usize, firings);
+                let dou = firing_dou(slots as usize, 4, firings);
                 let config = ColumnConfig::isca2004().with_divider(divider);
                 let profile = FiringProfile::measure(
                     &config,
@@ -785,7 +787,7 @@ mod tests {
             period: 4,
             stalls: 1,
         });
-        let dou = firing_dou(4, 3);
+        let dou = firing_dou(4, 4, 3);
         let dou_profile = FiringProfile::measure(&zorm, &program, Some(&dou), 4, 3).unwrap();
         let mut chip = Chip::new();
         chip.add_column(Column::new(zorm, program.clone(), Some(dou)));
@@ -821,6 +823,106 @@ mod tests {
         }
     }
 
+    /// A one-column chip and its batch of `firings` firings of
+    /// `firing_program(_, compute)` at `divider`, measured on the replica.
+    fn single_batch(
+        firings: u64,
+        compute: u32,
+        divider: u32,
+        rate_matcher: Option<RateMatcher>,
+    ) -> (Chip, FastTier) {
+        let program = firing_program(u32::try_from(firings).unwrap_or(u32::MAX), compute);
+        let config = ColumnConfig {
+            rate_matcher,
+            ..ColumnConfig::isca2004().with_divider(divider)
+        };
+        let profile =
+            FiringProfile::measure(&config, &program, None, u64::from(compute) + 3, 2).unwrap();
+        let mut chip = Chip::new();
+        chip.add_column(Column::new(config, program, None));
+        let mut tier = FastTier::new();
+        tier.push(ColumnBatch {
+            column: 0,
+            firings,
+            profile,
+        });
+        (chip, tier)
+    }
+
+    /// Asserts `tier` reports `what` overflowing on column 0 from both
+    /// entry points and leaves `chip` untouched.
+    fn assert_overflow(chip: &mut Chip, tier: &FastTier, what: &str) {
+        for result in [tier.completion_tick(chip), tier.run(chip).map(Some)] {
+            match result {
+                Err(FastTierError::Overflow { column: 0, what: w }) if w == what => {}
+                other => panic!("expected a {what} overflow, got {other:?}"),
+            }
+        }
+        assert_eq!(chip.stats(), crate::chip::ChipStats::default());
+        assert_eq!(chip.column_stats(), vec![ColumnStats::default()]);
+        assert!(!chip.all_halted());
+    }
+
+    #[test]
+    fn halt_tick_past_u64_max_is_an_error_not_a_wrapped_tick() {
+        // u32::MAX firings of a 7-cycle firing at divider u32::MAX: the
+        // halt tick is 30,064,771,065 × 4,294,967,295 =
+        // 129,127,208,455,837,319,175, past u64::MAX.  Unchecked, release
+        // builds returned the wrapped tick 18,446,744,013,580,009,479.
+        let (mut chip, tier) = single_batch(u64::from(u32::MAX), 4, u32::MAX, None);
+        assert_overflow(&mut chip, &tier, "halt tick");
+
+        // The same firings at divider 2^29 fit: the halt tick is exact.
+        let (mut chip, tier) = single_batch(u64::from(u32::MAX), 4, 1 << 29, None);
+        let halt = u64::from(u32::MAX) * 7 * (1 << 29);
+        assert_eq!(tier.completion_tick(&chip).unwrap(), Some(halt));
+        assert_eq!(tier.run(&mut chip).unwrap(), halt + 1);
+    }
+
+    #[test]
+    fn closed_form_cycle_overflow_is_an_error() {
+        // firings × cycles past u64::MAX.
+        let (mut chip, tier) = single_batch(u64::MAX / 6, 4, 1, None);
+        assert_overflow(&mut chip, &tier, "column cycles");
+        // The useful cycles fit, but ZORM stretches them past u64::MAX.
+        let matcher = RateMatcher {
+            period: 4,
+            stalls: 1,
+        };
+        let (mut chip, tier) = single_batch(u64::MAX / 8, 4, 1, Some(matcher));
+        assert_overflow(&mut chip, &tier, "column cycles");
+        // A halt tick of exactly u64::MAX leaves no tick to stop after.
+        let (mut chip, tier) = single_batch(u64::MAX / 5, 2, 1, None);
+        assert_eq!(u64::MAX / 5 * 5, u64::MAX);
+        assert_overflow(&mut chip, &tier, "halt tick");
+    }
+
+    #[test]
+    fn chip_cycle_sum_overflow_is_an_error() {
+        // Two columns each bill just over u64::MAX / 2 cycles: each halt
+        // tick fits, the chip's column-cycle total does not.
+        let (mut chip, mut tier) = single_batch(u64::MAX / 6 + 1, 0, 1, None);
+        let second = chip.add_column(Column::new(
+            ColumnConfig::isca2004(),
+            firing_program(u32::MAX, 0),
+            None,
+        ));
+        let batch = ColumnBatch {
+            column: second,
+            ..tier.batches()[0].clone()
+        };
+        tier.push(batch);
+        assert!(matches!(
+            tier.completion_tick(&chip),
+            Err(FastTierError::Overflow {
+                column: 1,
+                what: "chip column cycles"
+            })
+        ));
+        assert!(tier.run(&mut chip).is_err());
+        assert_eq!(chip.stats(), crate::chip::ChipStats::default());
+    }
+
     #[test]
     fn error_messages_are_informative() {
         let e = FastTierError::HaltedEarly {
@@ -832,5 +934,13 @@ mod tests {
         assert!(FastTierError::RateMatchedDou { column: 3 }
             .to_string()
             .contains("column 3"));
+        assert_eq!(
+            FastTierError::Overflow {
+                column: 2,
+                what: "halt tick"
+            }
+            .to_string(),
+            "column 2: halt tick overflows 64 bits"
+        );
     }
 }

@@ -271,6 +271,68 @@ impl SimdController {
         }
     }
 
+    /// Issue slots ahead that are certain to broadcast a `Nop`: the
+    /// iterations left in the innermost zero-overhead loop when its body
+    /// is a single `Nop` and the controller sits at the loop's back-edge,
+    /// cut short at the next ZORM stall.  Zero when the next slot may be
+    /// anything else.
+    ///
+    /// This is the compute phase of a mapped firing (`loop n { nop }`),
+    /// which [`SimdController::issue_nops`] retires in one call.
+    #[inline]
+    pub fn nop_run(&self) -> u64 {
+        let Some(frame) = self.loops.last() else {
+            return 0;
+        };
+        if self.halted
+            || self.pc != frame.end
+            || frame.end - frame.start != 1
+            || self.program.fetch(frame.start as usize) != Some(Instruction::Nop)
+        {
+            return 0;
+        }
+        let run = u64::from(frame.remaining);
+        if self.rate.stalls == 0 {
+            return run;
+        }
+        // Slots `stalls..period` of the matcher's period are useful; the
+        // next stall comes when the slot counter wraps to 0.
+        if self.slot_in_period < self.rate.stalls {
+            return 0;
+        }
+        run.min(u64::from(self.rate.period - self.slot_in_period))
+    }
+
+    /// Issue up to `count` of the slots [`SimdController::nop_run`]
+    /// promises in one call, leaving exactly the state as many
+    /// [`SimdController::step`] calls would, each returning
+    /// `Issue::Broadcast(Instruction::Nop)`: the loop frame's count, the
+    /// ZORM slot counter and the `cycles`, `broadcasts` and
+    /// `loop_iterations` statistics.  Returns the slots issued, which is
+    /// `count` clamped to the run.
+    #[inline]
+    pub fn issue_nops(&mut self, count: u64) -> u64 {
+        let issued = count.min(self.nop_run());
+        let Some(frame) = self.loops.last_mut() else {
+            return 0;
+        };
+        if issued == 0 {
+            return 0;
+        }
+        // `issued <= frame.remaining`, a u32.
+        frame.remaining -= issued as u32;
+        self.stats.cycles += issued;
+        self.stats.broadcasts += issued;
+        self.stats.loop_iterations += issued;
+        if self.rate.stalls > 0 {
+            // `issued <= period - slot_in_period`, so this wraps at most
+            // once, to 0.
+            let slot = u64::from(self.slot_in_period) + issued;
+            self.slot_in_period = (slot % u64::from(self.rate.period)) as u32;
+        }
+        issued
+    }
+
     /// Run until the program halts or `max_cycles` elapse, returning every
     /// issued slot.  Intended for tests and small kernels.
     pub fn run(&mut self, max_cycles: u64) -> Vec<Issue> {
@@ -289,7 +351,8 @@ impl SimdController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synchro_isa::{assemble, AluOp, DataReg};
+    use proptest::prelude::*;
+    use synchro_isa::{assemble, AluOp, DataReg, ProgramBuilder};
 
     fn broadcasts(issues: &[Issue]) -> Vec<Instruction> {
         issues
@@ -525,5 +588,141 @@ mod tests {
         let mut c = SimdController::new(p);
         assert!(matches!(c.step(), Issue::Broadcast(Instruction::Nop)));
         assert_eq!(c.step(), Issue::Halted);
+    }
+
+    #[test]
+    fn nop_loop_is_issued_in_one_call() {
+        // li; loop 5 { nop }; halt.  The first NOP pushes the loop frame;
+        // the other four are promised by `nop_run` and issued at once.
+        let p = assemble("li r0, 1\nloop 5, 1\nnop\nhalt\n").unwrap();
+        let mut c = SimdController::new(p);
+        assert_eq!(c.nop_run(), 0, "the next slot is the li");
+        c.step();
+        assert_eq!(c.nop_run(), 0, "the loop frame is pushed by the next step");
+        assert_eq!(c.step(), Issue::Broadcast(Instruction::Nop));
+        assert_eq!(c.nop_run(), 4);
+        assert_eq!(c.issue_nops(10), 4, "clamped to the run");
+        assert_eq!(c.nop_run(), 0);
+        assert_eq!(c.stats().broadcasts, 6);
+        assert_eq!(c.stats().loop_iterations, 4);
+        assert_eq!(c.step(), Issue::Halted);
+        assert_eq!(c.stats().loop_iterations, 5, "the exit pops the frame");
+    }
+
+    #[test]
+    fn nop_run_stops_at_the_next_rate_match_stall() {
+        // (period 4, stalls 1): slot 0 of every period stalls, so from
+        // slot 1 at most three NOPs follow before the next stall.
+        let p = assemble("loop 20, 1\nnop\nhalt\n").unwrap();
+        let mut c = SimdController::new(p);
+        c.set_rate_matcher(RateMatcher {
+            period: 4,
+            stalls: 1,
+        });
+        assert_eq!(c.step(), Issue::Stall(StallReason::RateMatch));
+        assert_eq!(c.step(), Issue::Broadcast(Instruction::Nop));
+        assert_eq!(c.nop_run(), 2);
+        assert_eq!(c.issue_nops(2), 2);
+        assert_eq!(c.nop_run(), 0, "slot 0 of the next period stalls");
+        assert_eq!(c.step(), Issue::Stall(StallReason::RateMatch));
+        assert_eq!(c.nop_run(), 3);
+    }
+
+    /// A program drawn from `script`, one item per word: `nop`, `li`, a
+    /// counted loop over one `nop` (0–39 iterations), a nested counted
+    /// loop (0–3 iterations, up to three deep) whose body the following
+    /// words fill until a closing word, a conditional branch to any of
+    /// the first 48 instructions (into loop bodies too), or a forward
+    /// jump.  Jumps only go forward, so no step can loop without issuing.
+    fn random_program(script: &[u32]) -> Program {
+        fn items(b: &mut ProgramBuilder, script: &mut std::slice::Iter<'_, u32>, depth: u32) {
+            while let Some(&word) = script.next() {
+                let arg = word >> 3;
+                match word % 8 {
+                    0 => {
+                        b.nop();
+                    }
+                    1 => {
+                        b.load_imm(DataReg::new(0), arg as i32);
+                    }
+                    2 | 3 => {
+                        b.counted_loop(arg % 40, |b| {
+                            b.nop();
+                        });
+                    }
+                    4 if depth < 3 => {
+                        b.counted_loop(arg % 4, |b| items(b, script, depth + 1));
+                    }
+                    5 => {
+                        let cond = if arg & 1 == 0 {
+                            CondCode::Zero
+                        } else {
+                            CondCode::NotZero
+                        };
+                        b.push(Instruction::Branch {
+                            cond,
+                            target: (arg >> 1) % 48,
+                        });
+                    }
+                    6 => {
+                        let here = b.len() as u32;
+                        b.push(Instruction::Jump {
+                            target: here + 1 + arg % 4,
+                        });
+                    }
+                    7 if depth > 0 => return,
+                    _ => {}
+                }
+            }
+        }
+        let mut b = ProgramBuilder::new();
+        items(&mut b, &mut script.iter(), 0);
+        b.halt();
+        b.build().unwrap()
+    }
+
+    proptest! {
+        /// Wherever a random program's controller stands (in any loop,
+        /// after branches, with ZORM on or off, halted), issuing
+        /// `k <= nop_run()` NOPs in one call leaves the whole controller
+        /// equal to `k` `step` calls, each of which broadcasts a `Nop`;
+        /// asking for more is clamped to the run, and with no run ahead
+        /// nothing changes.
+        #[test]
+        fn issued_nops_match_single_steps(
+            script in prop::collection::vec(any::<u32>(), 1..40),
+            zorm in any::<bool>(),
+            period in 1u32..9,
+            stalls in 0u32..10,
+            draws in prop::collection::vec(any::<u64>(), 1..16),
+        ) {
+            let mut c = SimdController::new(random_program(&script));
+            if zorm {
+                c.set_rate_matcher(RateMatcher { period, stalls: stalls.min(period) });
+            }
+            let mut draws = draws.iter().cycle();
+            for _ in 0..400 {
+                let run = c.nop_run();
+                let draw = *draws.next().unwrap();
+                if run == 0 {
+                    let before = c.clone();
+                    prop_assert_eq!(c.issue_nops(1 + draw % 4), 0);
+                    prop_assert_eq!(&c, &before);
+                    c.step();
+                    c.set_condition((draw >> 8) as i32 % 2);
+                    continue;
+                }
+                // Three draws in four stay within the run; the fourth
+                // asks for more than it.
+                let asked = if draw % 4 == 3 { run + draw % 7 } else { 1 + (draw >> 2) % run };
+                let k = asked.min(run);
+                let mut stepped = c.clone();
+                for _ in 0..k {
+                    prop_assert_eq!(stepped.step(), Issue::Broadcast(Instruction::Nop));
+                }
+                prop_assert_eq!(c.issue_nops(asked), k);
+                prop_assert_eq!(&c, &stepped);
+            }
+        }
     }
 }

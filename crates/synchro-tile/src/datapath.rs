@@ -286,15 +286,23 @@ impl Tile {
         inst: Instruction,
     ) -> Result<Option<i32>, (usize, ExecError)> {
         if matches!(inst, Instruction::Nop) {
-            for tile in tiles.iter_mut() {
-                // Branch-free: a disabled tile is billed nothing.
-                let billed = u64::from(tile.enabled);
-                tile.stats.instructions += billed;
-                tile.stats.nops += billed;
-            }
+            Self::broadcast_nops(tiles, 1);
             return Ok(None);
         }
         Self::execute_each(tiles, inst)
+    }
+
+    /// Bill `count` broadcast `Nop`s to every enabled tile of a column at
+    /// once: the effect of `count` [`Tile::execute_broadcast`] calls with
+    /// `Instruction::Nop`.
+    #[inline]
+    pub fn broadcast_nops(tiles: &mut [Tile], count: u64) {
+        for tile in tiles.iter_mut() {
+            // Branch-free: a disabled tile is billed nothing.
+            let billed = count * u64::from(tile.enabled);
+            tile.stats.instructions += billed;
+            tile.stats.nops += billed;
+        }
     }
 
     /// The per-tile loop behind [`Tile::execute_broadcast`], kept out of
@@ -780,6 +788,23 @@ mod tests {
                     break;
                 }
             }
+        }
+
+        /// Billing `count` NOPs at once leaves 1–16 random tiles equal to
+        /// `count` per-tile `Nop` executions: disabled tiles are billed
+        /// nothing.
+        #[test]
+        fn nop_batch_matches_single_nops(
+            seeds in prop::collection::vec(any::<u64>(), 1..17),
+            count in 0u64..40,
+        ) {
+            let mut tiles: Vec<Tile> = seeds.iter().map(|&seed| random_tile(seed)).collect();
+            let mut oracle = tiles.clone();
+            Tile::broadcast_nops(&mut tiles, count);
+            for _ in 0..count {
+                execute_tile_by_tile(&mut oracle, Instruction::Nop).unwrap();
+            }
+            prop_assert_eq!(&tiles, &oracle);
         }
     }
 }

@@ -187,20 +187,23 @@ proptest! {
     }
 
     /// `Chip::run`, which advances each column through a whole window in
-    /// one loop, is bit-identical to the naive tick-by-tick loop for any
-    /// divider mix and any cut of the run into windows.  The chip holds
-    /// three counting columns (one of which may end in a tile fault), a
-    /// mapper-shaped firing column with a DOU on 2-4 tiles, a ZORM column
-    /// without a DOU and a random horizontal bus program; one column may
-    /// be killed between the first and second windows.
+    /// one loop and issues NOP loops in batches, is bit-identical to the
+    /// naive tick-by-tick loop for any divider mix and any cut of the run
+    /// into windows, down to every tile's state.  The chip holds three
+    /// counting columns (one of which may end in a tile fault), a
+    /// mapper-shaped firing column with a DOU on 2-4 tiles with random
+    /// enable bits, a ZORM column without a DOU and a random horizontal
+    /// bus program; one column may be killed between the first and second
+    /// windows.
     #[test]
     fn chip_fast_path_is_bit_identical_to_ticked_run(
         d1 in 1u32..48, d2 in 1u32..48, d3 in 1u32..48,
         iters in 1u32..24,
         first_window in 1u64..1500, second_window in 1u64..1500,
         third_window in 0u64..1500,
-        nops in 1u32..6,
+        nops in 1u32..64,
         dou_tiles in 2usize..5,
+        dou_enabled in any::<u8>(),
         zorm_fraction in 0.3f64..0.95,
         bus_bits in prop::collection::vec(any::<u64>(), 0..4),
         bus_period in 1u64..64,
@@ -256,7 +259,7 @@ proptest! {
             }
             let mut dou_config = ColumnConfig::isca2004().with_divider(d2);
             dou_config.tiles = dou_tiles;
-            dou_config.enabled_tiles = vec![true; dou_tiles];
+            dou_config.enabled_tiles = (0..dou_tiles).map(|i| dou_enabled >> i & 1 == 1).collect();
             chip.add_column(Column::new(dou_config, firing.clone(), Some(dou.clone())));
             let mut zorm_config = ColumnConfig::isca2004().with_divider(d3);
             zorm_config.rate_matcher = RateMatcher::for_rates(1.0, zorm_fraction);
@@ -289,6 +292,12 @@ proptest! {
             prop_assert_eq!(fast.column_stats(), slow.column_stats());
             prop_assert_eq!(fast.column_bus_stats(), slow.column_bus_stats());
             prop_assert_eq!(fast.horizontal_stats(), slow.horizontal_stats());
+            for index in 0..COLUMNS {
+                let (fast_column, slow_column) = (fast.column(index).unwrap(), slow.column(index).unwrap());
+                for tile in 0..fast_column.config().tiles {
+                    prop_assert_eq!(fast_column.tile(tile), slow_column.tile(tile), "column {} tile {}", index, tile);
+                }
+            }
             let (fast_events, slow_events) = (fast_ring.events(), slow_ring.events());
             prop_assert_eq!(normalize(&fast_events), normalize(&slow_events));
             // The same events with the same ticks, in any order.
