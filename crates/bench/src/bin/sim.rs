@@ -405,26 +405,37 @@ fn export_power_timeline(graph: &SdfGraph, mapping: &Mapping, rate: f64, path: &
     println!("Chrome trace with power counter tracks written to {path}");
 }
 
-/// Repetitions per arm for the NullSink overhead measurement.  The two
-/// arms run identical code (see below), so the gate is pure
+/// Least repetitions per arm for the NullSink overhead measurement.  The
+/// two arms run identical code (see below), so the gate is pure
 /// noise-rejection: many short repetitions rather than a few long ones,
-/// so each arm meets the host's undisturbed speed at least once, with
-/// the arms interleaved and alternating which runs first, so background
-/// load and cache warm-up hit both equally, and min-of-N, so one clean
-/// repetition per arm suffices.
-const OVERHEAD_RUNS: usize = 101;
+/// run in interleaved pairs that alternate which arm goes first, so
+/// background load and cache warm-up hit both arms of a pair alike.  The
+/// gate reads the median of the pairs' time ratios.  A slow host state
+/// slows both runs of a pair alike, even one that outlasts the whole
+/// measurement, where the ratio of the two arms' fastest repetitions
+/// can stray past the bound.
+const OVERHEAD_MIN_RUNS: usize = 101;
 
-/// Time the interpreted DDC twice — default disabled trace vs an
-/// installed [`NullSink`] — and return `(off_seconds, null_seconds,
-/// overhead_pct)`.  [`Trace::to`] collapses disabled sinks, so the two
-/// arms must be indistinguishable; the gate catches any change that lets
-/// a disabled sink reach the hot loops.
+/// Least timed seconds per arm on a full run.  Repetitions continue past
+/// [`OVERHEAD_MIN_RUNS`] until each arm has spent this long, so the pairs
+/// span the same stretch of host time however fast a repetition gets.
+const OVERHEAD_MIN_SECONDS: f64 = 2.0;
+
+/// Time the interpreted DDC in interleaved pairs — default disabled trace
+/// vs an installed [`NullSink`] — for at least [`OVERHEAD_MIN_RUNS`]
+/// pairs and until each arm has spent `min_seconds`, and return
+/// `(off_seconds, null_seconds, overhead_pct, runs)`: each arm's fastest
+/// repetition, the median over pairs of the NullSink run's extra time in
+/// percent, and the pairs run.  [`Trace::to`] collapses disabled sinks,
+/// so the two arms must be indistinguishable; the gate catches any change
+/// that lets a disabled sink reach the hot loops.
 fn measure_trace_overhead(
     graph: &SdfGraph,
     mapping: &Mapping,
     rate: f64,
     frames: u64,
-) -> (f64, f64, f64) {
+    min_seconds: f64,
+) -> (f64, f64, f64, usize) {
     let time_once = |trace: &Trace| -> f64 {
         let options = MapperOptions {
             iterations: frames,
@@ -439,20 +450,24 @@ fn measure_trace_overhead(
         compiled.execute().expect("reference trace executes");
         start.elapsed().as_secs_f64()
     };
-    let off_trace = Trace::off();
-    let null_trace = Trace::to(Arc::new(NullSink));
-    let (mut off, mut null) = (f64::INFINITY, f64::INFINITY);
-    for run in 0..OVERHEAD_RUNS {
-        if run % 2 == 0 {
-            off = off.min(time_once(&off_trace));
-            null = null.min(time_once(&null_trace));
-        } else {
-            null = null.min(time_once(&null_trace));
-            off = off.min(time_once(&off_trace));
+    // Arm 0 is the default disabled trace, arm 1 the installed NullSink.
+    let arms = [Trace::off(), Trace::to(Arc::new(NullSink))];
+    let mut best = [f64::INFINITY; 2];
+    let mut spent = [0.0f64; 2];
+    let mut ratios = Vec::new();
+    while ratios.len() < OVERHEAD_MIN_RUNS || spent[0].min(spent[1]) < min_seconds {
+        let run = ratios.len();
+        let mut pair = [0.0f64; 2];
+        for arm in [run % 2, 1 - run % 2] {
+            pair[arm] = time_once(&arms[arm]);
+            best[arm] = best[arm].min(pair[arm]);
+            spent[arm] += pair[arm];
         }
+        ratios.push(pair[1] / pair[0].max(1e-12));
     }
-    let overhead_pct = (null / off.max(1e-12) - 1.0) * 100.0;
-    (off, null, overhead_pct)
+    ratios.sort_by(f64::total_cmp);
+    let overhead_pct = (ratios[ratios.len() / 2] - 1.0) * 100.0;
+    (best[0], best[1], overhead_pct, ratios.len())
 }
 
 /// Record a short traced interpreted DDC run and write its Chrome
@@ -567,14 +582,16 @@ fn main() {
 
     // Disabled-path trace overhead: an installed NullSink must not slow
     // the interpreted DDC measurably.  2,500 frames per repetition on a
-    // full run (see `OVERHEAD_RUNS`).
+    // full run, repeated until each arm has spent `OVERHEAD_MIN_SECONDS`;
+    // quick runs, which do not gate, stop at `OVERHEAD_MIN_RUNS`.
     let overhead_frames = frames / 400;
-    let (trace_off_seconds, trace_null_seconds, trace_overhead_pct) =
-        measure_trace_overhead(&ddc.0, &ddc.1, ddc.2, overhead_frames);
+    let overhead_seconds = if quick { 0.0 } else { OVERHEAD_MIN_SECONDS };
+    let (trace_off_seconds, trace_null_seconds, trace_overhead_pct, overhead_runs) =
+        measure_trace_overhead(&ddc.0, &ddc.1, ddc.2, overhead_frames, overhead_seconds);
     println!(
-        "NullSink overhead (interpreted ddc, {} frames, best of {OVERHEAD_RUNS} runs): \
-         off {:.4}s, null {:.4}s, {:+.2}%",
-        overhead_frames, trace_off_seconds, trace_null_seconds, trace_overhead_pct
+        "NullSink overhead (interpreted ddc, {} frames, {} interleaved pairs): \
+         best off {:.4}s, best null {:.4}s, median pair {:+.2}%",
+        overhead_frames, overhead_runs, trace_off_seconds, trace_null_seconds, trace_overhead_pct
     );
 
     // The fault row (injected CFIR kill, both tiers) and the degraded-
@@ -769,7 +786,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"sim\",\n",
-            "  \"schema_version\": 5,\n",
+            "  \"schema_version\": 6,\n",
             "  \"generated_at\": \"{}\",\n",
             "  \"quick\": {},\n",
             "  \"runs_per_tier\": {},\n",
@@ -777,6 +794,7 @@ fn main() {
             "  \"trace_overhead\": {{\n",
             "    \"frames\": {},\n",
             "    \"runs\": {},\n",
+            "    \"min_seconds_per_arm\": {:.1},\n",
             "    \"off_seconds\": {:.6},\n",
             "    \"null_sink_seconds\": {:.6},\n",
             "    \"overhead_pct\": {:.3},\n",
@@ -795,7 +813,8 @@ fn main() {
         RUNS,
         REQUIRED_SPEEDUP,
         overhead_frames,
-        OVERHEAD_RUNS,
+        overhead_runs,
+        overhead_seconds,
         trace_off_seconds,
         trace_null_seconds,
         trace_overhead_pct,

@@ -1951,7 +1951,7 @@ impl CompiledBoard {
         for chip in 0..self.parts.len() {
             self.chip_mut(chip).finish_bus_program_batched()?;
         }
-        self.board.finish_bridge_program_batched();
+        self.board.finish_bridge_program_batched()?;
         Ok(true)
     }
 

@@ -51,6 +51,12 @@ pub enum BusError {
         /// The unreachable consuming tile.
         consumer: usize,
     },
+    /// A bulk traffic count does not fit in 64 bits, so the statistics
+    /// cannot hold it.
+    Overflow {
+        /// The count that overflowed.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for BusError {
@@ -75,6 +81,7 @@ impl fmt::Display for BusError {
                 f,
                 "split {split}: consumer tile {consumer} is not connected to producer tile {producer}"
             ),
+            BusError::Overflow { what } => write!(f, "{what} overflows 64 bits"),
         }
     }
 }
@@ -414,7 +421,9 @@ impl HorizontalBus {
     ///
     /// # Errors
     ///
-    /// Returns [`BusError::IndexOutOfRange`] if a column index is invalid.
+    /// Returns [`BusError::IndexOutOfRange`] if a column index is invalid,
+    /// and [`BusError::Overflow`], leaving the statistics unchanged, if a
+    /// count would pass `u64::MAX`.
     pub fn transfer_words(
         &mut self,
         from: usize,
@@ -437,10 +446,26 @@ impl HorizontalBus {
                 });
             }
         }
-        self.stats.active_cycles += words;
-        self.stats.word_transfers += words;
-        self.stats.occupied_slots += words;
-        self.stats.deliveries += (to.len() as u64) * words;
+        let s = self.stats;
+        let (Some(active_cycles), Some(word_transfers), Some(occupied_slots), Some(deliveries)) = (
+            s.active_cycles.checked_add(words),
+            s.word_transfers.checked_add(words),
+            s.occupied_slots.checked_add(words),
+            (to.len() as u64)
+                .checked_mul(words)
+                .and_then(|d| s.deliveries.checked_add(d)),
+        ) else {
+            return Err(BusError::Overflow {
+                what: "horizontal bus traffic",
+            });
+        };
+        self.stats = BusStats {
+            active_cycles,
+            word_transfers,
+            occupied_slots,
+            deliveries,
+            ..s
+        };
         Ok(())
     }
 

@@ -100,10 +100,19 @@ pub struct DouState {
 }
 
 /// A complete DOU program: the state table plus counter initial values.
+///
+/// Building a program also derives, once, each state's *idle run*: how
+/// many states [`Dou::skip_idle`] may cross in one jump from there.  A
+/// state with outputs has run 0.  An idle *pass-through* state (both
+/// next pointers name the following state) starts a run of every
+/// consecutive pass-through state that tests the same counter.  Any
+/// other idle state (a loop-back, a self-loop) is a run of 1, stepped
+/// as [`Dou::step`] does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DouProgram {
     states: Vec<DouState>,
     counter_init: [u32; NUM_COUNTERS],
+    runs: Box<[u8]>,
 }
 
 impl DouProgram {
@@ -129,9 +138,11 @@ impl DouProgram {
                 }
             }
         }
+        let runs = idle_runs(&states);
         Ok(DouProgram {
             states,
             counter_init,
+            runs,
         })
     }
 
@@ -154,6 +165,27 @@ impl DouProgram {
     pub fn counter_init(&self) -> [u32; NUM_COUNTERS] {
         self.counter_init
     }
+}
+
+/// Each state's idle run (see [`DouProgram`]), in one backward pass.  A
+/// table holds at most [`MAX_STATES`] states, so a run fits a `u8`.
+fn idle_runs(states: &[DouState]) -> Box<[u8]> {
+    let idle = |s: &DouState| s.output.ops.is_empty() && s.output.segments.is_none();
+    let passes = |i: usize| {
+        let s = &states[i];
+        idle(s) && s.next_if_zero == i + 1 && s.next_if_nonzero == i + 1
+    };
+    let mut runs = vec![0u8; states.len()].into_boxed_slice();
+    for i in (0..states.len()).rev() {
+        runs[i] = if !idle(&states[i]) {
+            0
+        } else if passes(i) && passes(i + 1) && states[i + 1].counter == states[i].counter {
+            runs[i + 1] + 1
+        } else {
+            1
+        };
+    }
+    runs
 }
 
 /// The DOU state machine itself.
@@ -234,31 +266,51 @@ impl Dou {
     /// and state transitions as many [`Dou::step`] calls make, stopping
     /// at the first state with outputs (which is left unstepped).  Returns
     /// the states stepped.  An empty program is idle forever.
+    ///
+    /// Each of the program's idle runs (see [`DouProgram`]) is crossed in
+    /// one jump of `j` states, `j` the least of the run and the states
+    /// left to `max`: the state index grows by `j`, and the one counter
+    /// the run tests counts down `j` times in closed form, reloading each
+    /// time it is found at zero.  A run of 1 is an ordinary step.
     pub fn skip_idle(&mut self, max: u64) -> u64 {
         if self.program.is_empty() {
             return max;
         }
-        let states = self.program.states();
-        let init = self.program.counter_init();
         let mut stepped = 0;
         while stepped < max {
-            let s = &states[self.state];
-            if !s.output.ops.is_empty() || s.output.segments.is_some() {
+            let run = self.program.runs[self.state];
+            if run == 0 {
                 break;
             }
+            let s = &self.program.states[self.state];
             let c = s.counter;
-            if self.counters[c] == 0 {
-                self.counters[c] = init[c];
-                self.state = s.next_if_zero;
+            let value = self.counters[c];
+            let j = u64::from(run).min(max - stepped);
+            self.counters[c] = count_down(value, self.program.counter_init[c], j);
+            self.state = if j > 1 {
+                self.state + j as usize
+            } else if value == 0 {
+                s.next_if_zero
             } else {
-                self.counters[c] -= 1;
-                self.state = s.next_if_nonzero;
-            }
-            stepped += 1;
+                s.next_if_nonzero
+            };
+            stepped += j;
         }
         self.cycles += stepped;
         stepped
     }
+}
+
+/// A down-counter at `value`, reloaded with `init` when a step finds it at
+/// zero, after `steps` steps: it reaches zero after `value` steps, and
+/// from then on cycles `init, init - 1, …, 0` with period `init + 1`.
+fn count_down(value: u32, init: u32, steps: u64) -> u32 {
+    let value64 = u64::from(value);
+    if steps <= value64 {
+        return (value64 - steps) as u32;
+    }
+    let init64 = u64::from(init);
+    (init64 - (steps - value64 - 1) % (init64 + 1)) as u32
 }
 
 /// One cycle of a periodic communication pattern handed to the compiler.
@@ -666,6 +718,121 @@ mod tests {
                 // Step once past wherever the skip stopped.
                 dou.step();
             }
+        }
+    }
+
+    /// The walk `skip_idle` replaced, kept as its oracle: one `step` per
+    /// idle state, stopping at the first state with outputs.
+    fn walk_idle(dou: &mut Dou, max: u64) -> u64 {
+        let mut walked = 0;
+        while walked < max && dou.program.states[dou.state].output == DouOutput::default() {
+            dou.step();
+            walked += 1;
+        }
+        walked
+    }
+
+    /// A counter's starting value: at or near 0, so that a reload falls
+    /// inside a jump, or its initial value; never above the initial
+    /// value, as in a running DOU.
+    fn start_value(raw: u64, init: u32) -> u32 {
+        match raw % 5 {
+            4 => init,
+            near => (near as u32).min(init),
+        }
+    }
+
+    /// The compiler's table for a random pattern whose cycles are idle
+    /// (half of them), a transfer or a segment change.
+    fn pattern_program(raws: &[u64], repetitions: u32) -> DouProgram {
+        let mut compiler = ScheduleCompiler::new();
+        for &raw in raws {
+            match raw % 4 {
+                0 => compiler.push_op(op(0, 0, 1)),
+                1 => compiler.push(PatternCycle {
+                    segments: Some(SegmentConfig::all_open(8, 4)),
+                    ops: Vec::new(),
+                }),
+                _ => compiler.idle(),
+            };
+        }
+        compiler.compile(repetitions).unwrap()
+    }
+
+    /// A hand-built chain: every state but the last passes through to the
+    /// next, testing counter 0 (five times in eight, so runs form) or
+    /// another counter (which ends a run); one state in eight transfers.
+    /// The last state goes anywhere.
+    fn chain_program(raws: &[u64], inits: [u64; NUM_COUNTERS]) -> DouProgram {
+        let n = raws.len();
+        let states = raws
+            .iter()
+            .enumerate()
+            .map(|(i, &raw)| {
+                let (next_if_zero, next_if_nonzero) = if i + 1 < n {
+                    (i + 1, i + 1)
+                } else {
+                    ((raw >> 8) as usize % n, (raw >> 16) as usize % n)
+                };
+                DouState {
+                    counter: [0, 0, 0, 0, 0, 1, 2, 3][(raw % 8) as usize],
+                    next_if_zero,
+                    next_if_nonzero,
+                    output: if (raw >> 3) % 8 == 0 {
+                        DouOutput {
+                            segments: None,
+                            ops: vec![op(0, 0, 1)],
+                        }
+                    } else {
+                        DouOutput::default()
+                    },
+                }
+            })
+            .collect();
+        DouProgram::new(states, inits.map(init_value)).unwrap()
+    }
+
+    /// From counters started at `starts`, at every state visited,
+    /// `skip_idle(max)` with `max` one below, at, one beyond and far
+    /// beyond the state's run leaves the whole DOU equal to the walk.
+    /// Between checks the walk moves the DOU on, then one step.
+    fn check_jumps(
+        program: DouProgram,
+        starts: [u64; NUM_COUNTERS],
+        moves: &[u64],
+    ) -> Result<(), TestCaseError> {
+        let mut dou = Dou::new(program);
+        for (c, &raw) in starts.iter().enumerate() {
+            dou.counters[c] = start_value(raw, dou.program.counter_init[c]);
+        }
+        for &mv in moves {
+            let run = u64::from(dou.program.runs[dou.state]);
+            for max in [run.saturating_sub(1), run, run + 1, run + 1 + mv % 512] {
+                let (mut jumped, mut walked) = (dou.clone(), dou.clone());
+                prop_assert_eq!(jumped.skip_idle(max), walk_idle(&mut walked, max));
+                prop_assert_eq!(&jumped, &walked);
+            }
+            walk_idle(&mut dou, mv % 16);
+            dou.step();
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// On the compiler's tables (repetitions 0–3) and on pass-through
+        /// chains whose counters start at and near 0, each idle run's jump
+        /// leaves the DOU exactly where the state-by-state walk does.
+        #[test]
+        fn skip_idle_jumps_match_the_walk(
+            cycles in prop::collection::vec(any::<u64>(), 1..48),
+            repetitions in 0u32..4,
+            chain in prop::collection::vec(any::<u64>(), 1..48),
+            inits in prop::array::uniform4(any::<u64>()),
+            starts in prop::array::uniform4(any::<u64>()),
+            moves in prop::collection::vec(any::<u64>(), 1..32),
+        ) {
+            check_jumps(pattern_program(&cycles, repetitions), starts, &moves)?;
+            check_jumps(chain_program(&chain, inits), starts, &moves)?;
         }
     }
 

@@ -192,8 +192,9 @@ impl DegradationCurve {
 /// with no splits left prunes every grouping with cross-column
 /// traffic), and its period scales by `den/num`: the bus clock is
 /// unchanged, so a slower iteration earns proportionally more bus
-/// cycles per iteration.  Board bounds are handled by the board
-/// walker, not here.
+/// cycles per iteration.  The rescale is exact in 128 bits; only a
+/// period past `u64::MAX`, a frame no demand can fill anyway, saturates.
+/// Board bounds are handled by the board walker, not here.
 fn degraded_config(
     config: &ExplorerConfig,
     loss: &ResourceLoss,
@@ -201,7 +202,8 @@ fn degraded_config(
 ) -> ExplorerConfig {
     let comm = config.comm.map(|c| CommSpec {
         splits: c.splits.saturating_sub(loss.splits_lost),
-        period: c.period.saturating_mul(den) / num.max(1),
+        period: u64::try_from(u128::from(c.period) * u128::from(den) / u128::from(num.max(1)))
+            .unwrap_or(u64::MAX),
         ..c
     });
     ExplorerConfig {
@@ -406,6 +408,19 @@ mod tests {
                 "ladder must be strictly descending: {w:?}"
             );
         }
+    }
+
+    #[test]
+    fn frame_rescale_is_exact_past_u64() {
+        // At 3/4 of the rate the period is 2^63 × 4 / 3, which fits in 64
+        // bits although the product 2^63 × 4 does not.
+        let config = ExplorerConfig::new(1e6, 8).with_comm(CommSpec::new(8, 1 << 63));
+        let loss = ResourceLoss::column("none", 0);
+        let period = |point| degraded_config(&config, &loss, point).comm.unwrap().period;
+        assert_eq!(period((3, 4)), 12_297_829_382_473_034_410);
+        assert_eq!(period((1, 1)), 1 << 63);
+        // At 1/4 of the rate the period itself passes `u64::MAX`.
+        assert_eq!(period((1, 4)), u64::MAX);
     }
 
     #[test]

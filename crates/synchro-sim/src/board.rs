@@ -371,18 +371,26 @@ impl Board {
     /// Idempotent: a finished (or absent) program is a no-op, and a
     /// subsequent [`Board::finish_bridge_program`] sees a completed
     /// program.
-    pub fn finish_bridge_program_batched(&mut self) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`synchro_bus::BusError::Overflow`] when a bulk count of
+    /// the remaining periods (a slot's words or bridge cycles, the
+    /// scheduled bridge cycles) does not fit in 64 bits.  The bridge
+    /// statistics are unspecified after an error.
+    pub fn finish_bridge_program_batched(&mut self) -> Result<(), ColumnError> {
         // With a dead lane the per-slot linearity breaks (slots before the
         // fault tick deliver, later ones don't), so fall back to the
         // per-period replay — faulted runs take the interpreted path
         // anyway, this keeps the drain correct for any caller.
         if self.any_lane_failed() {
             self.finish_bridge_program();
-            return;
+            return Ok(());
         }
         let Some(state) = self.bridge_program.take() else {
-            return;
+            return Ok(());
         };
+        let overflow = |what| ColumnError::Bus(synchro_bus::BusError::Overflow { what });
         let BridgeProgramState {
             program,
             origin,
@@ -412,19 +420,29 @@ impl Board {
                 let last_base =
                     origin.saturating_add((program.iterations - 1).saturating_mul(program.period));
                 for slot in program.slots.clone() {
-                    self.account_transfer(slot.lane, slot.words * full, slot.cycles * full);
+                    let words = slot
+                        .words
+                        .checked_mul(full)
+                        .ok_or(overflow("bridge slot words"))?;
+                    let cycles = slot
+                        .cycles
+                        .checked_mul(full)
+                        .ok_or(overflow("bridge slot cycles"))?;
+                    self.account_transfer(slot.lane, words, cycles);
                     self.trace.emit(|| TraceEvent::BridgeTransfer {
                         lane: slot.lane as u32,
                         from_chip: slot.from_chip as u32,
                         to_chip: slot.to_chip as u32,
                         tick: last_base.saturating_add(slot.tick),
-                        words: slot.words * full,
+                        words,
                         count: full,
                     });
                 }
             }
-            self.bridge.scheduled_slots +=
-                program.scheduled_slots_per_period * (program.iterations - iteration);
+            self.bridge.scheduled_slots += program
+                .scheduled_slots_per_period
+                .checked_mul(program.iterations - iteration)
+                .ok_or(overflow("scheduled bridge cycles"))?;
             iteration = program.iterations;
             next_slot = 0;
         }
@@ -434,6 +452,7 @@ impl Board {
             iteration,
             next_slot,
         });
+        Ok(())
     }
 
     /// Co-advance the fleet by up to `max_ticks` board reference ticks:
@@ -592,14 +611,51 @@ mod tests {
         let mut batched = two_chip_board();
         batched.load_bridge_program(bridge_program(5)).unwrap();
         batched.run(u64::MAX).unwrap();
-        batched.finish_bridge_program_batched();
+        batched.finish_bridge_program_batched().unwrap();
 
         assert_eq!(interpreted.bridge_stats(), batched.bridge_stats());
         assert_eq!(interpreted.lane_words(), batched.lane_words());
         // Idempotent, and the two drains compose.
         batched.finish_bridge_program();
-        batched.finish_bridge_program_batched();
+        batched.finish_bridge_program_batched().unwrap();
         assert_eq!(interpreted.bridge_stats(), batched.bridge_stats());
+    }
+
+    #[test]
+    fn batched_drain_past_u64_is_an_error_not_a_wrapped_count() {
+        // One slot in each of `u64::MAX` one-tick periods, drained from
+        // the start: a count of 1 per period fits in 64 bits, 2 do not.
+        let drain = |words, cycles, scheduled| {
+            let mut board = two_chip_board();
+            let slot = BridgeTransfer {
+                tick: 0,
+                lane: 0,
+                from_chip: 0,
+                to_chip: 1,
+                words,
+                cycles,
+            };
+            let program = BridgeProgram::new(1, u64::MAX, scheduled, vec![slot]);
+            board.load_bridge_program(program).unwrap();
+            board
+                .finish_bridge_program_batched()
+                .map(|()| board.bridge_stats())
+        };
+        let stats = drain(1, 1, 1).unwrap();
+        assert_eq!(stats.word_transfers, u64::MAX);
+        assert_eq!(stats.scheduled_slots, u64::MAX);
+        for ((words, cycles, scheduled), expected) in [
+            ((2, 1, 1), "bridge slot words"),
+            ((1, 2, 1), "bridge slot cycles"),
+            ((1, 1, 2), "scheduled bridge cycles"),
+        ] {
+            match drain(words, cycles, scheduled) {
+                Err(ColumnError::Bus(synchro_bus::BusError::Overflow { what })) => {
+                    assert_eq!(what, expected)
+                }
+                other => panic!("expected a {expected} overflow, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -613,7 +669,7 @@ mod tests {
         let mut mixed = two_chip_board();
         mixed.load_bridge_program(bridge_program(4)).unwrap();
         mixed.drive_bridge_through(13); // first period + slot 0 of second
-        mixed.finish_bridge_program_batched();
+        mixed.finish_bridge_program_batched().unwrap();
         assert_eq!(replayed.bridge_stats(), mixed.bridge_stats());
         assert_eq!(replayed.lane_words(), mixed.lane_words());
     }
@@ -639,7 +695,7 @@ mod tests {
         batched.load_bridge_program(bridge_program(3)).unwrap();
         batched.fail_lane(0, 5);
         batched.run(u64::MAX).unwrap();
-        batched.finish_bridge_program_batched();
+        batched.finish_bridge_program_batched().unwrap();
         assert_eq!(batched.bridge_stats(), stats);
         assert_eq!(batched.lane_words(), board.lane_words());
     }

@@ -333,11 +333,16 @@ impl Chip {
     ///
     /// # Errors
     ///
-    /// Propagates bus faults, which indicate a broken schedule.
+    /// Propagates bus faults, which indicate a broken schedule, and
+    /// returns [`synchro_bus::BusError::Overflow`] when a bulk count of
+    /// the remaining periods (a slot's words, the scheduled slots) does
+    /// not fit in 64 bits.  The chip's statistics are unspecified after
+    /// an error.
     pub fn finish_bus_program_batched(&mut self) -> Result<(), ColumnError> {
         let Some(state) = self.bus_program.take() else {
             return Ok(());
         };
+        let overflow = |what| ColumnError::Bus(synchro_bus::BusError::Overflow { what });
         let BusProgramState {
             program,
             origin,
@@ -367,24 +372,30 @@ impl Chip {
                 let last_base =
                     origin.saturating_add((program.iterations - 1).saturating_mul(program.period));
                 for slot in &program.slots {
-                    self.horizontal_transfer_words(slot.from, &slot.to, slot.words * full)
+                    let words = slot
+                        .words
+                        .checked_mul(full)
+                        .ok_or(overflow("bus slot words"))?;
+                    self.horizontal_transfer_words(slot.from, &slot.to, words)
                         .map_err(ColumnError::Bus)?;
                     self.trace.emit(|| TraceEvent::BusSlot {
                         chip: self.chip_id,
                         tick: last_base.saturating_add(slot.tick),
                         from: slot.from as u32,
                         to: slot.to.iter().map(|&c| c as u32).collect(),
-                        words: slot.words * full,
+                        words,
                         count: full,
                     });
                 }
             }
             // Scheduled (occupied + idle) TDM slots for every period that
             // had not yet rolled over.
+            let scheduled = program
+                .scheduled_slots_per_period
+                .checked_mul(program.iterations - iteration)
+                .ok_or(overflow("scheduled bus slots"))?;
             if let Some(bus) = self.horizontal.as_mut() {
-                bus.account_scheduled_slots(
-                    program.scheduled_slots_per_period * (program.iterations - iteration),
-                );
+                bus.account_scheduled_slots(scheduled);
             }
             iteration = program.iterations;
             next_slot = 0;
@@ -629,8 +640,15 @@ fn transfer_words(
             limit: 0,
         });
     };
+    let overflow = synchro_bus::BusError::Overflow {
+        what: "horizontal bus traffic",
+    };
+    let transfers = stats
+        .horizontal_transfers
+        .checked_add(words)
+        .ok_or(overflow)?;
     bus.transfer_words(from, to, words)?;
-    stats.horizontal_transfers += words;
+    stats.horizontal_transfers = transfers;
     Ok(())
 }
 
@@ -980,6 +998,37 @@ mod tests {
         let mut bare = Chip::new();
         bare.finish_bus_program_batched().unwrap();
         assert_eq!(bare.stats().horizontal_transfers, 0);
+    }
+
+    #[test]
+    fn batched_drain_past_u64_is_an_error_not_a_wrapped_count() {
+        // One slot in each of `u64::MAX` one-tick periods, drained from
+        // the start: the first period's words, then the rest in bulk.
+        let drain = |words, to: Vec<usize>| {
+            let mut chip = Chip::new();
+            for _ in 0..3 {
+                chip.add_column(counting_column(1, 1));
+            }
+            let slot = BusSlot {
+                tick: 0,
+                from: 0,
+                to,
+                words,
+            };
+            let program = BusProgram::new(1, u64::MAX, 8, vec![slot]);
+            chip.load_bus_program(program).unwrap();
+            match chip.finish_bus_program_batched() {
+                Err(ColumnError::Bus(synchro_bus::BusError::Overflow { what })) => what,
+                other => panic!("expected an overflow, got {other:?}"),
+            }
+        };
+        // 2 × (2^64 − 2) words.
+        assert_eq!(drain(2, vec![1]), "bus slot words");
+        // 2^64 − 1 words fit, but 2 × (2^64 − 1) deliveries do not.
+        assert_eq!(drain(1, vec![1, 2]), "horizontal bus traffic");
+        // The words and deliveries fit; 8 × (2^64 − 1) scheduled slots do
+        // not.
+        assert_eq!(drain(1, vec![1]), "scheduled bus slots");
     }
 
     #[test]

@@ -249,16 +249,19 @@ impl SimdController {
                 }
                 Instruction::LoopBegin { count, body_len } => {
                     let start = self.pc + 1;
+                    // A body past the program's end (even past `u32::MAX`)
+                    // ends where the program does: the controller halts.
+                    let end = start.saturating_add(body_len);
                     if count > 0 && body_len > 0 {
                         self.loops.push(LoopFrame {
                             start,
-                            end: start + body_len,
+                            end,
                             remaining: count - 1,
                         });
                         self.pc = start;
                     } else {
                         // Zero-iteration loop: skip the body entirely.
-                        self.pc = start + body_len;
+                        self.pc = end;
                     }
                     continue;
                 }
@@ -393,6 +396,32 @@ mod tests {
         assert!(issues.iter().all(|i| matches!(i, Issue::Broadcast(_))));
         assert_eq!(c.stats().broadcasts, 8);
         assert_eq!(c.stats().branch_stalls, 0);
+    }
+
+    #[test]
+    fn loop_body_past_u32_max_ends_at_the_program_end() {
+        // A body of `u32::MAX` instructions runs past the program's end,
+        // and its end past `u32::MAX`: the controller halts at the end of
+        // the program, as for any body that runs past it.
+        let program = |count| {
+            Program::new(vec![
+                Instruction::Nop,
+                Instruction::LoopBegin {
+                    count,
+                    body_len: u32::MAX,
+                },
+                Instruction::Nop,
+            ])
+        };
+        let nop = Issue::Broadcast(Instruction::Nop);
+        let mut looped = SimdController::new(program(2));
+        assert_eq!(
+            [looped.step(), looped.step(), looped.step()],
+            [nop, nop, Issue::Halted]
+        );
+        // A zero-iteration loop skips its body, to the same end.
+        let mut skipped = SimdController::new(program(0));
+        assert_eq!([skipped.step(), skipped.step()], [nop, Issue::Halted]);
     }
 
     #[test]
