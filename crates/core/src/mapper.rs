@@ -51,8 +51,8 @@ use synchro_route::{board_flows, BoardRoute, BoardSpec, BusSpec, RouteError, Rou
 use synchro_sdf::{ActorId, FaultSpec, Mapping, MappingViolation, SdfError, SdfGraph};
 use synchro_sim::fast::{ColumnBatch, FastTier, FastTierError, FiringProfile};
 use synchro_sim::{
-    Board, BridgeProgram, BridgeTransfer, BusProgram, BusSlot, Chip, Column, ColumnConfig,
-    ColumnError, ColumnStats, FaultPlan, FaultTarget, SimFault,
+    Board, BridgeTransfer, BusSlot, Chip, Column, ColumnConfig, ColumnError, ColumnStats,
+    FaultPlan, FaultTarget, SimFault, Slot, SlotProgram,
 };
 use synchro_simd::RateMatcher;
 use synchro_trace::analyze::{BusPricing, ColumnPricing, PriceSpec};
@@ -1305,70 +1305,52 @@ pub fn compile_board(
     }
     let route = synchro_route::compile_board_traced(graph, mapping, &board_spec, trace)?;
 
-    // Drive each simulated chip's horizontal bus from its schedule: one
-    // chip-level bus program whose period is the global hyperperiod, with
-    // each TDM slot's bus cycle scaled onto the reference clock.
+    // Drive each simulated chip's horizontal bus from its schedule, and
+    // the board's bridge from the bridge schedule: each a program whose
+    // period is the global hyperperiod.
     for (chip_index, schedule) in route.chips().iter().enumerate() {
         if schedule.slots().is_empty() {
             continue;
         }
-        let period = schedule.spec().period().max(1);
-        let mut slots: Vec<BusSlot> = schedule
-            .slots()
-            .iter()
-            .map(|slot| BusSlot {
-                tick: ((u128::from(slot.cycle) * u128::from(hyperperiod)) / u128::from(period))
-                    as u64,
+        let program = tdm_program(
+            schedule.slots().iter().map(|slot| (slot.cycle, slot)),
+            schedule.spec().period(),
+            schedule.scheduled_slots(),
+            hyperperiod,
+            options.iterations,
+            |slot, tick| BusSlot {
+                tick,
                 from: slot.from,
                 to: vec![slot.to],
                 words: slot.words,
-            })
-            .collect();
-        slots.sort_by_key(|s| s.tick);
-        let program = BusProgram::new(
-            hyperperiod,
-            options.iterations,
-            schedule.scheduled_slots(),
-            slots,
+            },
         );
         sim_board
             .chip_mut(chip_index)
             .expect("board sized from the mapping")
             .load_bus_program(program)
-            .map_err(|e| MapperError::Column(ColumnError::Bus(e)))?;
+            .map_err(ColumnError::Bus)?;
     }
-
-    // And the board's bridge from the bridge schedule, scaled the same
-    // way onto the shared reference clock.
-    if !route.bridge().slots().is_empty() {
-        let period = route.bridge().period().max(1);
-        let mut slots: Vec<BridgeTransfer> = route
-            .bridge()
-            .slots()
-            .iter()
-            .map(|slot| {
-                let lane = route.spec().lanes()[slot.lane];
-                BridgeTransfer {
-                    tick: ((u128::from(slot.cycle) * u128::from(hyperperiod)) / u128::from(period))
-                        as u64,
-                    lane: slot.lane,
-                    from_chip: lane.from,
-                    to_chip: lane.to,
-                    words: slot.words,
-                    cycles: slot.cycles,
-                }
-            })
-            .collect();
-        slots.sort_by_key(|s| s.tick);
-        let program = BridgeProgram::new(
+    let (bridge, lanes) = (route.bridge(), route.spec().lanes());
+    if !bridge.slots().is_empty() {
+        let program = tdm_program(
+            bridge.slots().iter().map(|slot| (slot.cycle, slot)),
+            bridge.period(),
+            bridge.scheduled_slots(),
             hyperperiod,
             options.iterations,
-            route.bridge().scheduled_slots(),
-            slots,
+            |slot, tick| BridgeTransfer {
+                tick,
+                lane: slot.lane,
+                from_chip: lanes[slot.lane].from,
+                to_chip: lanes[slot.lane].to,
+                words: slot.words,
+                cycles: slot.cycles,
+            },
         );
         sim_board
             .load_bridge_program(program)
-            .map_err(|e| MapperError::Column(ColumnError::Bus(e)))?;
+            .map_err(ColumnError::Bus)?;
     }
 
     // No lanes, no bridge to price: a board of one prices like a chip.
@@ -1389,6 +1371,28 @@ pub fn compile_board(
         tick_budget,
         tier: options.tier,
     })
+}
+
+/// The periodic program of a TDM schedule whose `period` cycles (not its
+/// frame's `splits` or `lanes` × `period` slots) span one `hyperperiod` of
+/// reference ticks: each `(cycle, entry)` becomes `slot(entry, tick)` at
+/// `tick = cycle × hyperperiod / period` (exact in `u128`, and inside the
+/// hyperperiod because `cycle < period`), sorted by tick.
+fn tdm_program<T, S: Slot>(
+    entries: impl Iterator<Item = (u64, T)>,
+    period: u64,
+    scheduled_slots: u64,
+    hyperperiod: u64,
+    iterations: u64,
+    slot: impl Fn(T, u64) -> S,
+) -> SlotProgram<S> {
+    let period = u128::from(period.max(1));
+    let tick = |cycle| (u128::from(cycle) * u128::from(hyperperiod) / period) as u64;
+    let mut slots: Vec<S> = entries
+        .map(|(cycle, entry)| slot(entry, tick(cycle)))
+        .collect();
+    slots.sort_by_key(Slot::tick);
+    SlotProgram::new(hyperperiod, iterations, scheduled_slots, slots)
 }
 
 /// [`CompiledChip::utilization`]'s rows for one chip of a run, with
@@ -1499,7 +1503,8 @@ impl CompiledChip {
     /// Run the chip to completion on the compiled [`ExecutionTier`]:
     /// [`CompiledBoard::execute`] on the board of one, reporting chip 0.
     /// Horizontal-bus traffic is driven cycle-by-cycle from the compiled
-    /// TDM route schedule (loaded into the chip as a [`BusProgram`]) as
+    /// TDM route schedule (loaded into the chip as a
+    /// [`BusProgram`](synchro_sim::BusProgram)) as
     /// the reference clock passes each slot's time — the statically
     /// scheduled communication the paper describes, rather than
     /// after-the-fact aggregate billing.
@@ -1826,18 +1831,19 @@ impl CompiledBoard {
         })
     }
 
-    /// The one run loop: on the fast tier, the closed form when it
-    /// applies; otherwise windows of one hyperperiod, cut at each due
-    /// event so it fires at its exact tick, with the starvation watchdog
-    /// checking every full window once a column has failed or the
-    /// iteration windows are over.  Before either, every live column
-    /// steps at least once per window, so the board cannot stall.  Once
-    /// the tick budget is spent, one more window decides between a stall
-    /// and [`MapperError::Incomplete`].  The bus and bridge programs are
-    /// played out only when the board halts.
+    /// The one run loop: on the fast tier, the closed form first when it
+    /// applies, which leaves the board halted; then windows of one
+    /// hyperperiod, cut at each due event so it fires at its exact tick,
+    /// with the starvation watchdog checking every full window once a
+    /// column has failed or the iteration windows are over.  Before
+    /// either, every live column steps at least once per window, so the
+    /// board cannot stall.  Once the tick budget is spent, one more window
+    /// decides between a stall and [`MapperError::Incomplete`].  The bus
+    /// and bridge programs are played out, on either tier, only when the
+    /// board halts.
     fn run(&mut self, plan: &FaultPlan, ticked: bool) -> Result<Option<SimFault>, MapperError> {
-        if !ticked && self.tier == ExecutionTier::Fast && self.run_fast(plan)? {
-            return Ok(None);
+        if !ticked && self.tier == ExecutionTier::Fast {
+            self.run_fast(plan)?;
         }
         let advance = if ticked {
             Board::run_ticked
@@ -1906,53 +1912,46 @@ impl CompiledBoard {
         for chip in 0..self.parts.len() {
             self.chip_mut(chip).finish_bus_program()?;
         }
-        self.board.finish_bridge_program();
+        self.board.finish_bridge_program()?;
         Ok(None)
     }
 
-    /// The fast tier's closed form: batch every chip, publish the frontier
-    /// and drain the programs in bulk.  Returns `false`, touching nothing,
-    /// when a column has failed (dead silicon has no closed form) or an
-    /// event fires at or before the predicted halt.
-    fn run_fast(&mut self, plan: &FaultPlan) -> Result<bool, MapperError> {
-        if self.board.any_failed() {
-            return Ok(false);
+    /// The fast tier's closed form: batch every chip and publish the
+    /// frontier, leaving the board halted for the run loop to drain its
+    /// programs.  Touches nothing when a column has failed (dead silicon
+    /// has no closed form) or an event fires at or before the predicted
+    /// halt; the windows then run instead.
+    fn run_fast(&mut self, plan: &FaultPlan) -> Result<(), MapperError> {
+        if self.board.any_failed() || self.board.all_halted() {
+            return Ok(());
         }
-        if !self.board.all_halted() {
-            let mut tiers = Vec::with_capacity(self.parts.len());
-            let mut halt_tick = None;
-            for (chip, parts) in self.parts.iter().enumerate() {
-                let tier = build_fast_tier(&parts.plans, &parts.blueprints, self.iterations)?;
-                halt_tick = halt_tick.max(tier.completion_tick(self.chip(chip))?);
-                tiers.push(tier);
-            }
-            if plan
-                .first_tick()
-                .is_some_and(|first| halt_tick.is_none_or(|t| t >= first))
-            {
-                return Ok(false);
-            }
-            // The windowed loop would still be running when its budget ran
-            // out: predict its verdict before touching any chip.
-            if halt_tick.is_some_and(|t| t >= self.tick_budget) {
-                return Err(MapperError::Incomplete {
-                    ticks: self.tick_budget,
-                });
-            }
-            for (chip, tier) in tiers.iter().enumerate() {
-                tier.run(self.chip_mut(chip))?;
-            }
-            // Publish the fleet's frontier as the board reference clock (a
-            // zero-tick run: every chip is already at or past it).
-            self.board.run(0)?;
+        let mut tiers = Vec::with_capacity(self.parts.len());
+        let mut halt_tick = None;
+        for (chip, parts) in self.parts.iter().enumerate() {
+            let tier = build_fast_tier(&parts.plans, &parts.blueprints, self.iterations)?;
+            halt_tick = halt_tick.max(tier.completion_tick(self.chip(chip))?);
+            tiers.push(tier);
         }
-        // Play the schedules out, as the windowed loop does once the board
-        // halts (a no-op for the buses the batch run already drained).
-        for chip in 0..self.parts.len() {
-            self.chip_mut(chip).finish_bus_program_batched()?;
+        if plan
+            .first_tick()
+            .is_some_and(|first| halt_tick.is_none_or(|t| t >= first))
+        {
+            return Ok(());
         }
-        self.board.finish_bridge_program_batched()?;
-        Ok(true)
+        // The windowed loop would still be running when its budget ran
+        // out: predict its verdict before touching any chip.
+        if halt_tick.is_some_and(|t| t >= self.tick_budget) {
+            return Err(MapperError::Incomplete {
+                ticks: self.tick_budget,
+            });
+        }
+        for (chip, tier) in tiers.iter().enumerate() {
+            tier.run(self.chip_mut(chip))?;
+        }
+        // Publish the fleet's frontier as the board reference clock (a
+        // zero-tick run: every chip is already at or past it).
+        self.board.run(0)?;
+        Ok(())
     }
 
     fn chip(&self, chip: usize) -> &Chip {

@@ -47,8 +47,9 @@ impl BoardSpec {
     /// # Errors
     ///
     /// Returns [`RouteError::InvalidSpec`] for an empty board, a lane
-    /// whose endpoints fall outside the board or coincide, or a zero-width
-    /// lane.
+    /// whose endpoints fall outside the board or coincide, a zero-width
+    /// lane, or a bridge frame of `lanes × bridge_period` cycles that does
+    /// not fit in 64 bits.
     pub fn new(
         chips: Vec<BusSpec>,
         lanes: Vec<BridgeLane>,
@@ -75,6 +76,11 @@ impl BoardSpec {
                     reason: "bridge lane needs a non-zero width",
                 });
             }
+        }
+        if (lanes.len() as u64).checked_mul(bridge_period).is_none() {
+            return Err(RouteError::InvalidSpec {
+                reason: "a bridge frame of lanes × period cycles does not fit in 64 bits",
+            });
         }
         Ok(BoardSpec {
             chips,
@@ -275,9 +281,11 @@ impl BridgeSchedule {
         self.slots.iter().map(|s| s.cycles).sum()
     }
 
-    /// Total bridge cycles reserved per period (`lanes × period`).
+    /// Total bridge cycles reserved per period (`lanes × period`), exact
+    /// because [`BoardSpec::new`] rejects a frame that does not fit in 64
+    /// bits.
     pub fn scheduled_slots(&self) -> u64 {
-        (self.lanes.len() as u64).saturating_mul(self.period)
+        self.lanes.len() as u64 * self.period
     }
 
     /// Reserved-but-idle bridge cycles per period.
@@ -907,6 +915,31 @@ mod tests {
             compile_board(&g, &m, &board),
             Err(RouteError::InvalidSpec { .. })
         ));
+    }
+
+    #[test]
+    fn bridge_frames_past_u64_max_are_rejected_not_saturated() {
+        let chip = BusSpec::broadcast(2, 1, 16).unwrap();
+        let chips = || vec![chip.clone(), chip.clone()];
+        // Two lanes: 2 × (2^63 − 1) = 2^64 − 2 cycles fit, 2 × 2^63 do not.
+        assert!(matches!(
+            BoardSpec::full(chips(), 1, 0, 1.0, u64::MAX / 2 + 1),
+            Err(RouteError::InvalidSpec { .. })
+        ));
+        assert!(BoardSpec::full(chips(), 1, 0, 1.0, u64::MAX / 2).is_ok());
+        // One lane: a frame of exactly u64::MAX cycles still fits, and the
+        // schedule compiled against it reports it exactly.
+        let lane = BridgeLane {
+            from: 0,
+            to: 1,
+            width_words: 1,
+            latency_cycles: 0,
+            energy_pj_per_word: 1.0,
+        };
+        let spec = BoardSpec::new(chips(), vec![lane], u64::MAX).unwrap();
+        let route = compile_board(&chain4(), &split_mapping(2), &spec).unwrap();
+        assert_eq!(route.bridge().scheduled_slots(), u64::MAX);
+        assert!(BoardSpec::new(chips(), vec![lane, lane], u64::MAX).is_err());
     }
 
     #[test]

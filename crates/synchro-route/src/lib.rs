@@ -247,7 +247,8 @@ impl BusSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`RouteError::InvalidSpec`] for zero columns or splits.
+    /// Returns [`RouteError::InvalidSpec`] for zero columns or splits, or
+    /// a frame of more than `u64::MAX` slots.
     pub fn broadcast(columns: usize, splits: usize, period: u64) -> Result<Self, RouteError> {
         Self::new(
             columns,
@@ -265,7 +266,8 @@ impl BusSpec {
     /// # Errors
     ///
     /// Returns [`RouteError::InvalidSpec`] when `columns` or `splits` is
-    /// zero or `segments` has a different shape.
+    /// zero, `segments` has a different shape, or the frame of `splits ×
+    /// period` slots does not fit in 64 bits.
     pub fn new(
         columns: usize,
         splits: usize,
@@ -287,6 +289,11 @@ impl BusSpec {
                 reason: "segment topology shape does not match columns × splits",
             });
         }
+        if (splits as u64).checked_mul(period).is_none() {
+            return Err(RouteError::InvalidSpec {
+                reason: "a TDM frame of splits × period slots does not fit in 64 bits",
+            });
+        }
         Ok(BusSpec {
             columns,
             splits,
@@ -302,8 +309,8 @@ impl BusSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`RouteError::InvalidSpec`] for non-positive frequencies or
-    /// zero columns/splits.
+    /// Returns [`RouteError::InvalidSpec`] for non-positive frequencies,
+    /// zero columns/splits, or a period or frame past `u64::MAX`.
     pub fn from_clock(
         columns: usize,
         splits: usize,
@@ -321,7 +328,8 @@ impl BusSpec {
     /// # Errors
     ///
     /// Returns [`RouteError::InvalidSpec`] for non-positive frequencies,
-    /// zero columns/splits, or a mis-shaped topology.
+    /// zero columns/splits, a mis-shaped topology, or a period or frame
+    /// past `u64::MAX`.
     pub fn from_clock_with_segments(
         columns: usize,
         splits: usize,
@@ -338,7 +346,8 @@ impl BusSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`RouteError::InvalidSpec`] for non-positive or NaN rates.
+    /// Returns [`RouteError::InvalidSpec`] for non-positive or NaN rates,
+    /// and for a period of more than `u64::MAX` cycles.
     pub fn clock_period(bus_frequency_hz: f64, iteration_rate_hz: f64) -> Result<u64, RouteError> {
         if bus_frequency_hz <= 0.0
             || iteration_rate_hz <= 0.0
@@ -350,11 +359,14 @@ impl BusSpec {
             });
         }
         let period = (bus_frequency_hz / iteration_rate_hz).floor();
-        Ok(if period >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            period as u64
-        })
+        // `u64::MAX as f64` rounds up to 2^64, the first period that does
+        // not fit.
+        if period >= u64::MAX as f64 {
+            return Err(RouteError::InvalidSpec {
+                reason: "bus cycles per iteration do not fit in 64 bits",
+            });
+        }
+        Ok(period as u64)
     }
 
     /// Columns the bus spans.
@@ -377,9 +389,10 @@ impl BusSpec {
         &self.segments
     }
 
-    /// Total slots in one TDM frame: `splits × period` (saturating).
+    /// Total slots in one TDM frame: `splits × period`, exact because
+    /// [`BusSpec::new`] rejects a frame that does not fit in 64 bits.
     pub fn frame_slots(&self) -> u64 {
-        (self.splits as u64).saturating_mul(self.period)
+        self.splits as u64 * self.period
     }
 }
 
@@ -1054,6 +1067,31 @@ mod tests {
             BusSpec::from_clock(3, 1, 0.0, 16e6),
             Err(RouteError::InvalidSpec { .. })
         ));
+    }
+
+    #[test]
+    fn frames_past_u64_max_are_rejected_not_saturated() {
+        let invalid =
+            |spec: Result<BusSpec, RouteError>| matches!(spec, Err(RouteError::InvalidSpec { .. }));
+        assert!(invalid(BusSpec::broadcast(2, 2, u64::MAX)));
+        assert!(invalid(BusSpec::broadcast(2, 3, u64::MAX / 3 + 1)));
+        // A frame of exactly u64::MAX slots still fits.
+        for (splits, period) in [(1, u64::MAX), (3, u64::MAX / 3), (5, u64::MAX / 5)] {
+            let spec = BusSpec::broadcast(2, splits, period).unwrap();
+            assert_eq!(spec.frame_slots(), u64::MAX);
+        }
+        // 10^20 bus cycles per iteration is past u64::MAX (1.8·10^19).
+        assert!(invalid(BusSpec::from_clock(2, 3, 1e20, 1.0)));
+        assert!(matches!(
+            BusSpec::clock_period(1e20, 1.0),
+            Err(RouteError::InvalidSpec { .. })
+        ));
+        assert_eq!(
+            BusSpec::clock_period(1.8e19, 1.0).unwrap(),
+            18_000_000_000_000_000_000
+        );
+        // A period that fits, in a frame that does not.
+        assert!(invalid(BusSpec::from_clock(2, 2, 1.8e19, 1.0)));
     }
 
     #[test]

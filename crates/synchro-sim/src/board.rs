@@ -14,7 +14,8 @@
 
 use crate::chip::Chip;
 use crate::column::ColumnError;
-use synchro_bus::BusStats;
+use crate::program::{checked_product, checked_sum, Slot, SlotProgram, SlotSink};
+use synchro_bus::{BusError, BusStats};
 use synchro_trace::{Trace, TraceEvent};
 
 /// One scheduled transfer of a [`BridgeProgram`]: `words` words over
@@ -38,80 +39,20 @@ pub struct BridgeTransfer {
     pub cycles: u64,
 }
 
-/// A periodic, statically compiled bridge schedule: `slots` fire every
-/// `period` reference ticks, `iterations` times in total — the
-/// board-level counterpart of a chip's [`BusProgram`](crate::BusProgram).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BridgeProgram {
-    period: u64,
-    iterations: u64,
-    /// Bridge cycles the schedule reserves per period (`lanes × bridge
-    /// period`), accounted into [`BusStats::scheduled_slots`] as periods
-    /// complete.
-    scheduled_slots_per_period: u64,
-    slots: Vec<BridgeTransfer>,
-}
+/// A board's periodic, statically compiled bridge schedule — the
+/// board-level counterpart of a chip's [`BusProgram`](crate::BusProgram),
+/// played by the same [`SlotProgram`].  Its scheduled slots per period are
+/// the bridge cycles it reserves, `lanes × bridge period`.
+pub type BridgeProgram = SlotProgram<BridgeTransfer>;
 
-impl BridgeProgram {
-    /// Build a program.  `slots` must be sorted by `tick` and lie inside
-    /// `period`; `iterations` is the number of periods the program runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero, slots are unsorted, or a slot's tick
-    /// falls outside the period (all indicate a broken schedule compiler).
-    pub fn new(
-        period: u64,
-        iterations: u64,
-        scheduled_slots_per_period: u64,
-        slots: Vec<BridgeTransfer>,
-    ) -> Self {
-        assert!(period > 0, "a bridge program needs a positive period");
-        assert!(
-            slots.windows(2).all(|w| w[0].tick <= w[1].tick),
-            "bridge program slots must be sorted by tick"
-        );
-        assert!(
-            slots.iter().all(|s| s.tick < period),
-            "bridge program slots must fire within the period"
-        );
-        BridgeProgram {
-            period,
-            iterations,
-            scheduled_slots_per_period,
-            slots,
-        }
+impl Slot for BridgeTransfer {
+    fn tick(&self) -> u64 {
+        self.tick
     }
 
-    /// Reference ticks per period.
-    pub fn period(&self) -> u64 {
-        self.period
+    fn words(&self) -> u64 {
+        self.words
     }
-
-    /// Periods the program runs.
-    pub fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
-    /// The slots of one period.
-    pub fn slots(&self) -> &[BridgeTransfer] {
-        &self.slots
-    }
-
-    /// Words the program transfers per period.
-    pub fn words_per_period(&self) -> u64 {
-        self.slots.iter().map(|s| s.words).sum()
-    }
-}
-
-/// Progress of a loaded bridge program (mirrors the chip's bus-program
-/// state).
-#[derive(Debug)]
-struct BridgeProgramState {
-    program: BridgeProgram,
-    origin: u64,
-    iteration: u64,
-    next_slot: usize,
 }
 
 /// A board of Synchroscalar chips sharing one reference clock, joined by
@@ -119,7 +60,7 @@ struct BridgeProgramState {
 #[derive(Debug, Default)]
 pub struct Board {
     chips: Vec<Chip>,
-    bridge_program: Option<BridgeProgramState>,
+    bridge_program: Option<Box<BridgeProgram>>,
     bridge: BusStats,
     lane_words: Vec<u64>,
     /// Per-lane fault tick: slots on lane `l` whose absolute reference
@@ -221,7 +162,7 @@ impl Board {
         let endpoints = self
             .bridge_program
             .as_ref()
-            .and_then(|s| s.program.slots.iter().find(|t| t.lane == lane))
+            .and_then(|p| p.slots().iter().find(|t| t.lane == lane))
             .map(|t| (t.from_chip as u32, t.to_chip as u32))
             .unwrap_or((0, 0));
         self.trace.emit(|| TraceEvent::FaultLaneKilled {
@@ -230,16 +171,6 @@ impl Board {
             to_chip: endpoints.1,
             tick,
         });
-    }
-
-    /// True when a slot on `lane` firing at absolute tick `at` would hit
-    /// dead hardware.
-    fn lane_dead_at(&self, lane: usize, at: u64) -> bool {
-        self.lane_dead_from
-            .get(lane)
-            .copied()
-            .flatten()
-            .is_some_and(|dead| at >= dead)
     }
 
     /// True when any column of any chip has been killed by a fault.
@@ -260,16 +191,13 @@ impl Board {
     ///
     /// Returns [`synchro_bus::BusError::IndexOutOfRange`] if a slot
     /// references a chip the board does not have.
-    pub fn load_bridge_program(
-        &mut self,
-        program: BridgeProgram,
-    ) -> Result<(), synchro_bus::BusError> {
+    pub fn load_bridge_program(&mut self, mut program: BridgeProgram) -> Result<(), BusError> {
         let chips = self.chips.len();
         let mut lanes = self.lane_words.len();
-        for slot in &program.slots {
+        for slot in program.slots() {
             for &c in [slot.from_chip, slot.to_chip].iter() {
                 if c >= chips {
-                    return Err(synchro_bus::BusError::IndexOutOfRange {
+                    return Err(BusError::IndexOutOfRange {
                         what: "chip",
                         index: c,
                         limit: chips,
@@ -279,180 +207,23 @@ impl Board {
             lanes = lanes.max(slot.lane + 1);
         }
         self.lane_words.resize(lanes, 0);
-        self.bridge_program = Some(BridgeProgramState {
-            program,
-            origin: self.reference_cycles,
-            iteration: 0,
-            next_slot: 0,
-        });
+        program.load_at(self.reference_cycles);
+        self.bridge_program = Some(Box::new(program));
         Ok(())
-    }
-
-    /// Account one bridge transfer: `cycles` occupied bridge cycles
-    /// carrying `words` words over `lane`.
-    fn account_transfer(&mut self, lane: usize, words: u64, cycles: u64) {
-        self.bridge.active_cycles += cycles;
-        self.bridge.word_transfers += words;
-        self.bridge.occupied_slots += cycles;
-        self.bridge.deliveries += words;
-        if lane >= self.lane_words.len() {
-            self.lane_words.resize(lane + 1, 0);
-        }
-        self.lane_words[lane] += words;
-    }
-
-    /// Issue every bridge-program slot whose absolute reference tick lies
-    /// before `end`, and account each fully elapsed period's scheduled
-    /// bridge cycles (mirrors the chip's bus-program drive).
-    fn drive_bridge_through(&mut self, end: u64) {
-        loop {
-            let Some(state) = &self.bridge_program else {
-                return;
-            };
-            if state.iteration >= state.program.iterations {
-                return;
-            }
-            let base = state
-                .origin
-                .saturating_add(state.iteration.saturating_mul(state.program.period));
-            if state.next_slot < state.program.slots.len() {
-                let slot = &state.program.slots[state.next_slot];
-                if base.saturating_add(slot.tick) >= end {
-                    return;
-                }
-                let at = base.saturating_add(slot.tick);
-                let (lane, from_chip, to_chip) = (slot.lane, slot.from_chip, slot.to_chip);
-                let (words, cycles) = (slot.words, slot.cycles);
-                if self.lane_dead_at(lane, at) {
-                    // Dead lane: the slot is consumed but delivers nothing.
-                    let state = self.bridge_program.as_mut().expect("still loaded");
-                    state.next_slot += 1;
-                    continue;
-                }
-                self.account_transfer(lane, words, cycles);
-                self.trace.emit(|| TraceEvent::BridgeTransfer {
-                    lane: lane as u32,
-                    from_chip: from_chip as u32,
-                    to_chip: to_chip as u32,
-                    tick: at,
-                    words,
-                    count: 1,
-                });
-                let state = self.bridge_program.as_mut().expect("still loaded");
-                state.next_slot += 1;
-            } else if base.saturating_add(state.program.period) <= end {
-                let scheduled = state.program.scheduled_slots_per_period;
-                self.bridge.scheduled_slots += scheduled;
-                let state = self.bridge_program.as_mut().expect("still loaded");
-                state.iteration += 1;
-                state.next_slot = 0;
-            } else {
-                return;
-            }
-        }
     }
 
     /// Drive the loaded bridge program to completion regardless of how far
     /// the reference clock has advanced — the drain step a board driver
-    /// calls once every chip has halted.
-    ///
+    /// calls once every chip has halted.  The remaining periods are issued
+    /// in closed form ([`SlotProgram`]), even after a lane has died.
     /// Idempotent: a finished (or absent) program is a no-op.
-    pub fn finish_bridge_program(&mut self) {
-        self.drive_bridge_through(u64::MAX);
-    }
-
-    /// The batched equivalent of [`Board::finish_bridge_program`]: drain
-    /// every remaining period in O(slots per period) work.  Statistics are
-    /// bit-identical to the per-period replay by the linearity of the
-    /// accounting — replaying a slot across `n` periods moves `n × words`
-    /// words and occupies `n × cycles` bridge cycles.  This is the tail
-    /// drain the fast execution tier uses.
-    ///
-    /// Idempotent: a finished (or absent) program is a no-op, and a
-    /// subsequent [`Board::finish_bridge_program`] sees a completed
-    /// program.
     ///
     /// # Errors
     ///
-    /// Returns [`synchro_bus::BusError::Overflow`] when a bulk count of
-    /// the remaining periods (a slot's words or bridge cycles, the
-    /// scheduled bridge cycles) does not fit in 64 bits.  The bridge
-    /// statistics are unspecified after an error.
-    pub fn finish_bridge_program_batched(&mut self) -> Result<(), ColumnError> {
-        // With a dead lane the per-slot linearity breaks (slots before the
-        // fault tick deliver, later ones don't), so fall back to the
-        // per-period replay — faulted runs take the interpreted path
-        // anyway, this keeps the drain correct for any caller.
-        if self.any_lane_failed() {
-            self.finish_bridge_program();
-            return Ok(());
-        }
-        let Some(state) = self.bridge_program.take() else {
-            return Ok(());
-        };
-        let overflow = |what| ColumnError::Bus(synchro_bus::BusError::Overflow { what });
-        let BridgeProgramState {
-            program,
-            origin,
-            mut iteration,
-            mut next_slot,
-        } = state;
-        if iteration < program.iterations {
-            // Pending slots of the current (possibly partial) period.
-            let base = origin.saturating_add(iteration.saturating_mul(program.period));
-            for i in next_slot..program.slots.len() {
-                let slot = program.slots[i].clone();
-                self.account_transfer(slot.lane, slot.words, slot.cycles);
-                self.trace.emit(|| TraceEvent::BridgeTransfer {
-                    lane: slot.lane as u32,
-                    from_chip: slot.from_chip as u32,
-                    to_chip: slot.to_chip as u32,
-                    tick: base.saturating_add(slot.tick),
-                    words: slot.words,
-                    count: 1,
-                });
-            }
-            // All remaining full periods, one bulk charge per slot and one
-            // batched trace event per slot (normalizes to the per-period
-            // replay's one-event-per-transfer stream).
-            let full = program.iterations - iteration - 1;
-            if full > 0 {
-                let last_base =
-                    origin.saturating_add((program.iterations - 1).saturating_mul(program.period));
-                for slot in program.slots.clone() {
-                    let words = slot
-                        .words
-                        .checked_mul(full)
-                        .ok_or(overflow("bridge slot words"))?;
-                    let cycles = slot
-                        .cycles
-                        .checked_mul(full)
-                        .ok_or(overflow("bridge slot cycles"))?;
-                    self.account_transfer(slot.lane, words, cycles);
-                    self.trace.emit(|| TraceEvent::BridgeTransfer {
-                        lane: slot.lane as u32,
-                        from_chip: slot.from_chip as u32,
-                        to_chip: slot.to_chip as u32,
-                        tick: last_base.saturating_add(slot.tick),
-                        words,
-                        count: full,
-                    });
-                }
-            }
-            self.bridge.scheduled_slots += program
-                .scheduled_slots_per_period
-                .checked_mul(program.iterations - iteration)
-                .ok_or(overflow("scheduled bridge cycles"))?;
-            iteration = program.iterations;
-            next_slot = 0;
-        }
-        self.bridge_program = Some(BridgeProgramState {
-            program,
-            origin,
-            iteration,
-            next_slot,
-        });
-        Ok(())
+    /// Returns [`BusError::Overflow`] when a bulk count or a running total
+    /// passes `u64::MAX`; the bridge statistics are then unspecified.
+    pub fn finish_bridge_program(&mut self) -> Result<(), ColumnError> {
+        Ok(self.drain_program()?)
     }
 
     /// Co-advance the fleet by up to `max_ticks` board reference ticks:
@@ -502,17 +273,59 @@ impl Board {
                 run_chip(chip, end - now)?;
             }
         }
-        let frontier = self
+        self.reference_cycles = self
             .chips
             .iter()
             .map(|c| c.stats().reference_cycles)
-            .max()
-            .unwrap_or(start);
-        if frontier > self.reference_cycles {
-            self.reference_cycles = frontier;
-        }
-        self.drive_bridge_through(self.reference_cycles);
+            .fold(self.reference_cycles, u64::max);
+        self.advance_program(self.reference_cycles)?;
         Ok(self.reference_cycles - start)
+    }
+}
+
+impl SlotSink<BridgeTransfer> for Board {
+    const SCHEDULED: &'static str = "scheduled bridge cycles";
+
+    fn program(&mut self) -> &mut Option<Box<BridgeProgram>> {
+        &mut self.bridge_program
+    }
+
+    /// Account `count` occurrences' words and occupied bridge cycles,
+    /// leaving every total unchanged if one would pass `u64::MAX`.
+    fn issue(&mut self, slot: &BridgeTransfer, count: u64, last: u64) -> Result<(), BusError> {
+        let words = checked_product(slot.words, count, "bridge slot words")?;
+        let cycles = checked_product(slot.cycles, count, "bridge slot cycles")?;
+        let add = |total, n| checked_sum(total, n, "bridge traffic");
+        let b = self.bridge;
+        let bridge = BusStats {
+            active_cycles: add(b.active_cycles, cycles)?,
+            word_transfers: add(b.word_transfers, words)?,
+            occupied_slots: add(b.occupied_slots, cycles)?,
+            deliveries: add(b.deliveries, words)?,
+            ..b
+        };
+        // Loading the program sized `lane_words` for each of its lanes.
+        self.lane_words[slot.lane] = add(self.lane_words[slot.lane], words)?;
+        self.bridge = bridge;
+        self.trace.emit(|| TraceEvent::BridgeTransfer {
+            lane: slot.lane as u32,
+            from_chip: slot.from_chip as u32,
+            to_chip: slot.to_chip as u32,
+            tick: last,
+            words,
+            count,
+        });
+        Ok(())
+    }
+
+    fn schedule(&mut self, slots: u64) -> Result<(), BusError> {
+        self.bridge.scheduled_slots =
+            checked_sum(self.bridge.scheduled_slots, slots, "bridge traffic")?;
+        Ok(())
+    }
+
+    fn dead_from(&self, slot: &BridgeTransfer) -> Option<u64> {
+        self.lane_dead_from.get(slot.lane).copied().flatten()
     }
 }
 
@@ -593,7 +406,7 @@ mod tests {
         let mut board = two_chip_board();
         board.load_bridge_program(bridge_program(3)).unwrap();
         board.run(u64::MAX).unwrap();
-        board.finish_bridge_program();
+        board.finish_bridge_program().unwrap();
         let stats = board.bridge_stats();
         assert_eq!(stats.word_transfers, 3 * 3);
         assert_eq!(stats.occupied_slots, 3 * 3);
@@ -606,18 +419,18 @@ mod tests {
         let mut interpreted = two_chip_board();
         interpreted.load_bridge_program(bridge_program(5)).unwrap();
         interpreted.run(u64::MAX).unwrap();
-        interpreted.finish_bridge_program();
+        interpreted.advance_program(u64::MAX).unwrap();
 
         let mut batched = two_chip_board();
         batched.load_bridge_program(bridge_program(5)).unwrap();
         batched.run(u64::MAX).unwrap();
-        batched.finish_bridge_program_batched().unwrap();
+        batched.finish_bridge_program().unwrap();
 
         assert_eq!(interpreted.bridge_stats(), batched.bridge_stats());
         assert_eq!(interpreted.lane_words(), batched.lane_words());
-        // Idempotent, and the two drains compose.
-        batched.finish_bridge_program();
-        batched.finish_bridge_program_batched().unwrap();
+        // Idempotent, and the replay after a drain is a no-op.
+        batched.advance_program(u64::MAX).unwrap();
+        batched.finish_bridge_program().unwrap();
         assert_eq!(interpreted.bridge_stats(), batched.bridge_stats());
     }
 
@@ -637,9 +450,7 @@ mod tests {
             };
             let program = BridgeProgram::new(1, u64::MAX, scheduled, vec![slot]);
             board.load_bridge_program(program).unwrap();
-            board
-                .finish_bridge_program_batched()
-                .map(|()| board.bridge_stats())
+            board.finish_bridge_program().map(|()| board.bridge_stats())
         };
         let stats = drain(1, 1, 1).unwrap();
         assert_eq!(stats.word_transfers, u64::MAX);
@@ -659,17 +470,58 @@ mod tests {
     }
 
     #[test]
+    fn bridge_totals_past_u64_are_an_error_not_a_wrapped_sum() {
+        // One word on each of two lanes in each of `u64::MAX − 1` two-tick
+        // periods: each lane's bulk charge fits in 64 bits, their sum does
+        // not.
+        let mut board = Board::new();
+        board.add_chip(one_column_chip(1, 1));
+        board.add_chip(one_column_chip(1, 1));
+        let slot = |tick, lane: usize| BridgeTransfer {
+            tick,
+            lane,
+            from_chip: lane,
+            to_chip: 1 - lane,
+            words: 1,
+            cycles: 1,
+        };
+        let program = BridgeProgram::new(2, u64::MAX - 1, 1, vec![slot(0, 0), slot(1, 1)]);
+        board.load_bridge_program(program).unwrap();
+        let overflow = |result| match result {
+            Err(ColumnError::Bus(synchro_bus::BusError::Overflow { what })) => what,
+            other => panic!("expected an overflow, got {other:?}"),
+        };
+        assert_eq!(overflow(board.finish_bridge_program()), "bridge traffic");
+        // The failing charge left every total as the one before it did.
+        let stats = board.bridge_stats();
+        assert_eq!(stats.word_transfers, u64::MAX);
+        assert_eq!(stats.deliveries, u64::MAX);
+        assert_eq!(stats.occupied_slots, u64::MAX);
+        assert_eq!(board.lane_words(), &[u64::MAX - 1, 1]);
+
+        // Two scheduled cycles in the first period, then 2 × (2^63 − 1) for
+        // the rest: again each charge fits and their sum does not.
+        let mut board = two_chip_board();
+        let program = BridgeProgram::new(1, 1 << 63, 2, Vec::new());
+        board.load_bridge_program(program).unwrap();
+        board.advance_program(1).unwrap();
+        assert_eq!(board.bridge_stats().scheduled_slots, 2);
+        assert_eq!(overflow(board.finish_bridge_program()), "bridge traffic");
+        assert_eq!(board.bridge_stats().scheduled_slots, 2);
+    }
+
+    #[test]
     fn partial_progress_then_batched_drain_matches() {
         let mut replayed = two_chip_board();
         replayed.load_bridge_program(bridge_program(4)).unwrap();
         replayed.run(u64::MAX).unwrap();
-        replayed.finish_bridge_program();
+        replayed.advance_program(u64::MAX).unwrap();
 
         // Fire only a prefix by hand, then drain the rest in bulk.
         let mut mixed = two_chip_board();
         mixed.load_bridge_program(bridge_program(4)).unwrap();
-        mixed.drive_bridge_through(13); // first period + slot 0 of second
-        mixed.finish_bridge_program_batched().unwrap();
+        mixed.advance_program(13).unwrap(); // first period + slot 0 of second
+        mixed.finish_bridge_program().unwrap();
         assert_eq!(replayed.bridge_stats(), mixed.bridge_stats());
         assert_eq!(replayed.lane_words(), mixed.lane_words());
     }
@@ -682,7 +534,7 @@ mod tests {
         board.fail_lane(0, 5);
         assert!(board.any_lane_failed());
         board.run(u64::MAX).unwrap();
-        board.finish_bridge_program();
+        board.advance_program(u64::MAX).unwrap();
         // Only lane 0's tick-0 slot delivered; lane 1 is untouched.
         assert_eq!(board.lane_words(), &[2, 3]);
         let stats = board.bridge_stats();
@@ -690,12 +542,13 @@ mod tests {
         // Scheduled slots are still reserved — the TDM frame does not
         // shrink because a lane died.
         assert_eq!(stats.scheduled_slots, 3 * 16);
-        // The batched drain falls back to the replay under a dead lane.
+        // The closed-form drain delivers the same: the dead lane's
+        // occurrences before its fault tick, counted in one division.
         let mut batched = two_chip_board();
         batched.load_bridge_program(bridge_program(3)).unwrap();
         batched.fail_lane(0, 5);
         batched.run(u64::MAX).unwrap();
-        batched.finish_bridge_program_batched().unwrap();
+        batched.finish_bridge_program().unwrap();
         assert_eq!(batched.bridge_stats(), stats);
         assert_eq!(batched.lane_words(), board.lane_words());
     }

@@ -2,7 +2,8 @@
 //! horizontal inter-column bus.
 
 use crate::column::{Column, ColumnError, ColumnStats};
-use synchro_bus::{BusStats, HorizontalBus};
+use crate::program::{checked_product, checked_sum, Slot, SlotProgram, SlotSink};
+use synchro_bus::{BusError, BusStats, HorizontalBus};
 use synchro_trace::{Trace, TraceEvent};
 
 /// Chip-level statistics.
@@ -31,83 +32,19 @@ pub struct BusSlot {
     pub words: u64,
 }
 
-/// A periodic, statically compiled horizontal-bus schedule: `slots` fire
-/// every `period` reference ticks, `iterations` times in total.  This is
-/// how a TDM route schedule drives the chip's [`HorizontalBus`]
-/// cycle-by-cycle instead of having a driver bill aggregate words after
-/// the fact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BusProgram {
-    period: u64,
-    iterations: u64,
-    /// TDM slots the schedule reserves per period (`splits × bus cycles`),
-    /// accounted into [`BusStats::scheduled_slots`] as periods complete so
-    /// the idle/occupied split survives for the power calibration.
-    scheduled_slots_per_period: u64,
-    slots: Vec<BusSlot>,
-}
+/// A chip's periodic, statically compiled horizontal-bus schedule: the
+/// [`SlotProgram`] a chip plays onto its [`HorizontalBus`].  Its
+/// scheduled slots per period are `splits × bus cycles`.
+pub type BusProgram = SlotProgram<BusSlot>;
 
-impl BusProgram {
-    /// Build a program.  `slots` must be sorted by `tick` and lie inside
-    /// `period`; `iterations` is the number of periods the program runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero, slots are unsorted, or a slot's tick
-    /// falls outside the period (all indicate a broken schedule compiler).
-    pub fn new(
-        period: u64,
-        iterations: u64,
-        scheduled_slots_per_period: u64,
-        slots: Vec<BusSlot>,
-    ) -> Self {
-        assert!(period > 0, "a bus program needs a positive period");
-        assert!(
-            slots.windows(2).all(|w| w[0].tick <= w[1].tick),
-            "bus program slots must be sorted by tick"
-        );
-        assert!(
-            slots.iter().all(|s| s.tick < period),
-            "bus program slots must fire within the period"
-        );
-        BusProgram {
-            period,
-            iterations,
-            scheduled_slots_per_period,
-            slots,
-        }
+impl Slot for BusSlot {
+    fn tick(&self) -> u64 {
+        self.tick
     }
 
-    /// Reference ticks per period.
-    pub fn period(&self) -> u64 {
-        self.period
+    fn words(&self) -> u64 {
+        self.words
     }
-
-    /// Periods the program runs.
-    pub fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
-    /// The slots of one period.
-    pub fn slots(&self) -> &[BusSlot] {
-        &self.slots
-    }
-
-    /// Words the program transfers per period.
-    pub fn words_per_period(&self) -> u64 {
-        self.slots.iter().map(|s| s.words).sum()
-    }
-}
-
-/// Progress of a loaded bus program: which period and which slot within
-/// it fires next, relative to the reference tick the program was loaded
-/// at.
-#[derive(Debug)]
-struct BusProgramState {
-    program: BusProgram,
-    origin: u64,
-    iteration: u64,
-    next_slot: usize,
 }
 
 /// A Synchroscalar chip: a set of columns, each in its own clock (and
@@ -116,7 +53,7 @@ struct BusProgramState {
 pub struct Chip {
     columns: Vec<Column>,
     horizontal: Option<HorizontalBus>,
-    bus_program: Option<BusProgramState>,
+    bus_program: Option<Box<BusProgram>>,
     stats: ChipStats,
     trace: Trace,
     chip_id: u32,
@@ -189,11 +126,7 @@ impl Chip {
     ///
     /// Returns an error if a column index is out of range — including any
     /// transfer on a chip with no columns at all.
-    pub fn horizontal_transfer(
-        &mut self,
-        from: usize,
-        to: &[usize],
-    ) -> Result<(), synchro_bus::BusError> {
+    pub fn horizontal_transfer(&mut self, from: usize, to: &[usize]) -> Result<(), BusError> {
         self.horizontal_transfer_words(from, to, 1)
     }
 
@@ -211,8 +144,21 @@ impl Chip {
         from: usize,
         to: &[usize],
         words: u64,
-    ) -> Result<(), synchro_bus::BusError> {
-        transfer_words(&mut self.horizontal, &mut self.stats, from, to, words)
+    ) -> Result<(), BusError> {
+        // `horizontal` is `Some` exactly when at least one column exists; a
+        // zero-column chip has no bus to transfer on.
+        let Some(bus) = self.horizontal.as_mut() else {
+            return Err(BusError::IndexOutOfRange {
+                what: "column",
+                index: from,
+                limit: 0,
+            });
+        };
+        let total = self.stats.horizontal_transfers;
+        let transfers = checked_sum(total, words, "horizontal bus traffic")?;
+        bus.transfer_words(from, to, words)?;
+        self.stats.horizontal_transfers = transfers;
+        Ok(())
     }
 
     /// Horizontal bus statistics, if any column exists.
@@ -227,14 +173,14 @@ impl Chip {
     ///
     /// # Errors
     ///
-    /// Returns [`synchro_bus::BusError::IndexOutOfRange`] if a slot
+    /// Returns [`BusError::IndexOutOfRange`] if a slot
     /// references a column the chip does not have.
-    pub fn load_bus_program(&mut self, program: BusProgram) -> Result<(), synchro_bus::BusError> {
+    pub fn load_bus_program(&mut self, mut program: BusProgram) -> Result<(), BusError> {
         let columns = self.columns.len();
-        for slot in &program.slots {
+        for slot in program.slots() {
             for &c in std::iter::once(&slot.from).chain(&slot.to) {
                 if c >= columns {
-                    return Err(synchro_bus::BusError::IndexOutOfRange {
+                    return Err(BusError::IndexOutOfRange {
                         what: "column",
                         index: c,
                         limit: columns,
@@ -242,171 +188,25 @@ impl Chip {
                 }
             }
         }
-        self.bus_program = Some(BusProgramState {
-            program,
-            origin: self.stats.reference_cycles,
-            iteration: 0,
-            next_slot: 0,
-        });
-        Ok(())
-    }
-
-    /// Issue every bus-program slot whose absolute reference tick lies
-    /// before `end`, and account each fully elapsed period's scheduled
-    /// slots.  Both [`Chip::run`] and [`Chip::run_ticked`] advance the
-    /// program purely by reference time, so the two paths stay
-    /// bit-identical.
-    fn drive_bus_through(&mut self, end: u64) -> Result<(), ColumnError> {
-        let Some(state) = self.bus_program.as_mut() else {
-            return Ok(());
-        };
-        let program = &state.program;
-        while state.iteration < program.iterations {
-            let base = state
-                .origin
-                .saturating_add(state.iteration.saturating_mul(program.period));
-            if let Some(slot) = program.slots.get(state.next_slot) {
-                let at = base.saturating_add(slot.tick);
-                if at >= end {
-                    return Ok(());
-                }
-                transfer_words(
-                    &mut self.horizontal,
-                    &mut self.stats,
-                    slot.from,
-                    &slot.to,
-                    slot.words,
-                )
-                .map_err(ColumnError::Bus)?;
-                self.trace.emit(|| TraceEvent::BusSlot {
-                    chip: self.chip_id,
-                    tick: at,
-                    from: slot.from as u32,
-                    to: slot.to.iter().map(|&c| c as u32).collect(),
-                    words: slot.words,
-                    count: 1,
-                });
-                state.next_slot += 1;
-            } else if base.saturating_add(program.period) <= end {
-                // The period's window has fully elapsed: account its
-                // scheduled (occupied + idle) TDM slots and roll over.
-                if let Some(bus) = self.horizontal.as_mut() {
-                    bus.account_scheduled_slots(program.scheduled_slots_per_period);
-                }
-                state.iteration += 1;
-                state.next_slot = 0;
-            } else {
-                return Ok(());
-            }
-        }
+        program.load_at(self.stats.reference_cycles);
+        self.bus_program = Some(Box::new(program));
         Ok(())
     }
 
     /// Drive the loaded bus program to completion regardless of how far
     /// the reference clock has advanced — the drain step a chip driver
     /// calls once every column has halted, so the final iteration's slots
-    /// (which may lie past the halting tick) are still accounted.
-    ///
+    /// (which may lie past the halting tick) are still accounted.  The
+    /// remaining periods are issued in closed form ([`SlotProgram`]).
     /// Idempotent: a finished (or absent) program is a no-op.
     ///
     /// # Errors
     ///
-    /// Propagates bus faults, which indicate a broken schedule.
-    pub fn finish_bus_program(&mut self) -> Result<(), ColumnError> {
-        self.drive_bus_through(u64::MAX)
-    }
-
-    /// The batched equivalent of [`Chip::finish_bus_program`]: drain every
-    /// remaining period of the loaded bus program in O(slots per period)
-    /// work instead of O(remaining periods × slots).
-    ///
-    /// Exploits the linearity of [`HorizontalBus`] accounting — replaying
-    /// a slot across `n` periods moves `n × words` words between the same
-    /// endpoints, so one bulk transfer per distinct slot plus one bulk
-    /// scheduled-slot charge per remaining period produces [`BusStats`]
-    /// and [`ChipStats`] bit-identical to the per-period replay.  This is
-    /// the `BusProgram` tail-drain the fast execution tier uses; the
-    /// interpreted path keeps [`Chip::finish_bus_program`].
-    ///
-    /// Idempotent: a finished (or absent) program is a no-op, and a
-    /// subsequent [`Chip::finish_bus_program`] sees a completed program.
-    ///
-    /// # Errors
-    ///
     /// Propagates bus faults, which indicate a broken schedule, and
-    /// returns [`synchro_bus::BusError::Overflow`] when a bulk count of
-    /// the remaining periods (a slot's words, the scheduled slots) does
-    /// not fit in 64 bits.  The chip's statistics are unspecified after
-    /// an error.
-    pub fn finish_bus_program_batched(&mut self) -> Result<(), ColumnError> {
-        let Some(state) = self.bus_program.take() else {
-            return Ok(());
-        };
-        let overflow = |what| ColumnError::Bus(synchro_bus::BusError::Overflow { what });
-        let BusProgramState {
-            program,
-            origin,
-            mut iteration,
-            mut next_slot,
-        } = state;
-        if iteration < program.iterations {
-            // Pending slots of the current (possibly partial) period.
-            let base = origin.saturating_add(iteration.saturating_mul(program.period));
-            for slot in &program.slots[next_slot..] {
-                self.horizontal_transfer_words(slot.from, &slot.to, slot.words)
-                    .map_err(ColumnError::Bus)?;
-                self.trace.emit(|| TraceEvent::BusSlot {
-                    chip: self.chip_id,
-                    tick: base.saturating_add(slot.tick),
-                    from: slot.from as u32,
-                    to: slot.to.iter().map(|&c| c as u32).collect(),
-                    words: slot.words,
-                    count: 1,
-                });
-            }
-            // All remaining full periods, one bulk transfer per slot — and
-            // one *batched* trace event per slot, which normalizes to the
-            // same stream the per-period replay emits one event at a time.
-            let full = program.iterations - iteration - 1;
-            if full > 0 {
-                let last_base =
-                    origin.saturating_add((program.iterations - 1).saturating_mul(program.period));
-                for slot in &program.slots {
-                    let words = slot
-                        .words
-                        .checked_mul(full)
-                        .ok_or(overflow("bus slot words"))?;
-                    self.horizontal_transfer_words(slot.from, &slot.to, words)
-                        .map_err(ColumnError::Bus)?;
-                    self.trace.emit(|| TraceEvent::BusSlot {
-                        chip: self.chip_id,
-                        tick: last_base.saturating_add(slot.tick),
-                        from: slot.from as u32,
-                        to: slot.to.iter().map(|&c| c as u32).collect(),
-                        words,
-                        count: full,
-                    });
-                }
-            }
-            // Scheduled (occupied + idle) TDM slots for every period that
-            // had not yet rolled over.
-            let scheduled = program
-                .scheduled_slots_per_period
-                .checked_mul(program.iterations - iteration)
-                .ok_or(overflow("scheduled bus slots"))?;
-            if let Some(bus) = self.horizontal.as_mut() {
-                bus.account_scheduled_slots(scheduled);
-            }
-            iteration = program.iterations;
-            next_slot = 0;
-        }
-        self.bus_program = Some(BusProgramState {
-            program,
-            origin,
-            iteration,
-            next_slot,
-        });
-        Ok(())
+    /// returns [`BusError::Overflow`] when a bulk count or a running total
+    /// passes `u64::MAX`; the chip's statistics are then unspecified.
+    pub fn finish_bus_program(&mut self) -> Result<(), ColumnError> {
+        Ok(self.drain_program()?)
     }
 
     /// True when every column has halted.
@@ -485,7 +285,7 @@ impl Chip {
         // The program reads no column state, so this order cannot change
         // what [`Chip::run`] (which drives the bus once per window)
         // produces.
-        self.drive_bus_through(tick_index + 1)?;
+        self.advance_program(tick_index + 1)?;
         for column in &mut self.columns {
             // `Column::new` guarantees `clock_divider >= 1`.
             let divider = u64::from(column.config().clock_divider);
@@ -590,7 +390,7 @@ impl Chip {
         }
         if let Some((tick, error)) = first_error {
             self.stats.reference_cycles = tick + 1;
-            self.drive_bus_through(tick + 1)?;
+            self.advance_program(tick + 1)?;
             return Err(error);
         }
         let stop = match last_halt {
@@ -598,7 +398,7 @@ impl Chip {
             _ => end,
         };
         self.stats.reference_cycles = stop;
-        self.drive_bus_through(stop)?;
+        self.advance_program(stop)?;
         Ok(stop - start)
     }
 
@@ -620,36 +420,34 @@ impl Chip {
     }
 }
 
-/// Account `words` transfers on a chip's horizontal bus and in its
-/// statistics — the body of [`Chip::horizontal_transfer_words`], over the
-/// two fields it touches so the bus-program driver can call it while
-/// borrowing the program.
-fn transfer_words(
-    horizontal: &mut Option<HorizontalBus>,
-    stats: &mut ChipStats,
-    from: usize,
-    to: &[usize],
-    words: u64,
-) -> Result<(), synchro_bus::BusError> {
-    // `horizontal` is `Some` exactly when at least one column exists; a
-    // zero-column chip has no bus to transfer on.
-    let Some(bus) = horizontal.as_mut() else {
-        return Err(synchro_bus::BusError::IndexOutOfRange {
-            what: "column",
-            index: from,
-            limit: 0,
+impl SlotSink<BusSlot> for Chip {
+    const SCHEDULED: &'static str = "scheduled bus slots";
+
+    fn program(&mut self) -> &mut Option<Box<BusProgram>> {
+        &mut self.bus_program
+    }
+
+    fn issue(&mut self, slot: &BusSlot, count: u64, last: u64) -> Result<(), BusError> {
+        let words = checked_product(slot.words, count, "bus slot words")?;
+        self.horizontal_transfer_words(slot.from, &slot.to, words)?;
+        self.trace.emit(|| TraceEvent::BusSlot {
+            chip: self.chip_id,
+            tick: last,
+            from: slot.from as u32,
+            to: slot.to.iter().map(|&c| c as u32).collect(),
+            words,
+            count,
         });
-    };
-    let overflow = synchro_bus::BusError::Overflow {
-        what: "horizontal bus traffic",
-    };
-    let transfers = stats
-        .horizontal_transfers
-        .checked_add(words)
-        .ok_or(overflow)?;
-    bus.transfer_words(from, to, words)?;
-    stats.horizontal_transfers = transfers;
-    Ok(())
+        Ok(())
+    }
+
+    fn schedule(&mut self, slots: u64) -> Result<(), BusError> {
+        if let Some(bus) = self.horizontal.as_mut() {
+            checked_sum(bus.stats().scheduled_slots, slots, "horizontal bus traffic")?;
+            bus.account_scheduled_slots(slots);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -980,23 +778,23 @@ mod tests {
             let mut batched = build();
             interpreted.run(pre_ticks).unwrap();
             batched.run(pre_ticks).unwrap();
-            interpreted.finish_bus_program().unwrap();
-            batched.finish_bus_program_batched().unwrap();
+            interpreted.advance_program(u64::MAX).unwrap();
+            batched.finish_bus_program().unwrap();
             assert_eq!(interpreted.stats(), batched.stats(), "pre {pre_ticks}");
             assert_eq!(
                 interpreted.horizontal_stats(),
                 batched.horizontal_stats(),
                 "pre {pre_ticks}"
             );
-            // The batched drain completes the program: both drains are
-            // no-ops afterwards.
+            // The batched drain completes the program: the replay and a
+            // second drain are no-ops afterwards.
+            batched.advance_program(u64::MAX).unwrap();
             batched.finish_bus_program().unwrap();
-            batched.finish_bus_program_batched().unwrap();
             assert_eq!(interpreted.stats(), batched.stats());
         }
         // A chip without a program is a no-op too.
         let mut bare = Chip::new();
-        bare.finish_bus_program_batched().unwrap();
+        bare.finish_bus_program().unwrap();
         assert_eq!(bare.stats().horizontal_transfers, 0);
     }
 
@@ -1017,7 +815,7 @@ mod tests {
             };
             let program = BusProgram::new(1, u64::MAX, 8, vec![slot]);
             chip.load_bus_program(program).unwrap();
-            match chip.finish_bus_program_batched() {
+            match chip.finish_bus_program() {
                 Err(ColumnError::Bus(synchro_bus::BusError::Overflow { what })) => what,
                 other => panic!("expected an overflow, got {other:?}"),
             }
@@ -1029,6 +827,25 @@ mod tests {
         // The words and deliveries fit; 8 × (2^64 − 1) scheduled slots do
         // not.
         assert_eq!(drain(1, vec![1]), "scheduled bus slots");
+    }
+
+    #[test]
+    fn scheduled_slot_total_past_u64_is_an_error_not_a_wrapped_sum() {
+        // Two scheduled slots in the first period, then 2 × (2^63 − 1) for
+        // the rest: each charge fits in 64 bits, their sum does not.
+        let mut chip = Chip::new();
+        chip.add_column(counting_column(1, 1));
+        let program = BusProgram::new(1, 1 << 63, 2, Vec::new());
+        chip.load_bus_program(program).unwrap();
+        chip.advance_program(1).unwrap();
+        assert_eq!(chip.horizontal_stats().unwrap().scheduled_slots, 2);
+        match chip.finish_bus_program() {
+            Err(ColumnError::Bus(BusError::Overflow { what })) => {
+                assert_eq!(what, "horizontal bus traffic")
+            }
+            other => panic!("expected an overflow, got {other:?}"),
+        }
+        assert_eq!(chip.horizontal_stats().unwrap().scheduled_slots, 2);
     }
 
     #[test]

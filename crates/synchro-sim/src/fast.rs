@@ -17,8 +17,8 @@
 //!    Zero-Overhead Rate Matching stalls are expanded analytically (they
 //!    are *not* uniform per firing), the reference clock jumps straight
 //!    to the tick on which the slowest column observes its `HALT`, and
-//!    the horizontal-bus program is drained in bulk
-//!    ([`crate::Chip::finish_bus_program_batched`]).
+//!    the horizontal-bus program is drained in closed form
+//!    ([`crate::Chip::finish_bus_program`], as every run ends).
 //!
 //! The produced [`crate::ChipStats`], per-column [`ColumnStats`] and all
 //! [`BusStats`] are bit-identical to an interpreted run of the same chip
@@ -382,7 +382,7 @@ impl FastTier {
         if let Some(tick) = final_tick {
             chip.fast_forward_reference(tick + 1);
         }
-        chip.finish_bus_program_batched()?;
+        chip.finish_bus_program()?;
         Ok(chip.stats().reference_cycles)
     }
 
@@ -523,6 +523,7 @@ mod tests {
     use super::*;
     use crate::chip::{BusProgram, BusSlot};
     use crate::column::tests::{firing_dou, firing_program};
+    use crate::program::SlotSink;
     use synchro_isa::assemble;
     use synchro_simd::RateMatcher;
 
@@ -538,11 +539,13 @@ mod tests {
         let batched_ring = Arc::new(RingBufferSink::new(1 << 20));
         interpreted.set_trace(Trace::to(interpreted_ring.clone()), 0);
         batched.set_trace(Trace::to(batched_ring.clone()), 0);
-        // Interpreted reference: run to halt, then drain.
+        // Interpreted reference: run to halt, then play the bus program's
+        // tail one occurrence at a time, so the fast tier's closed-form
+        // drain is checked against per-occurrence playback.
         while !interpreted.all_halted() {
             interpreted.run(1 << 20).unwrap();
         }
-        interpreted.finish_bus_program().unwrap();
+        interpreted.advance_program(u64::MAX).unwrap();
         let mut tier = FastTier::new();
         for b in batches {
             tier.push(b);

@@ -21,9 +21,11 @@ pub mod chip;
 pub mod column;
 pub mod fast;
 pub mod fault;
+pub mod program;
 
 pub use board::{Board, BridgeProgram, BridgeTransfer};
 pub use chip::{BusProgram, BusSlot, Chip, ChipStats};
 pub use column::{Column, ColumnConfig, ColumnError, ColumnStats};
 pub use fast::{ColumnBatch, FastTier, FastTierError, FiringProfile};
 pub use fault::{FaultEvent, FaultPlan, FaultTarget, SimFault};
+pub use program::{Slot, SlotProgram};

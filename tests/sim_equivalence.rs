@@ -272,9 +272,12 @@ fn zorm_fallback_stall_totals_are_bit_identical() {
 }
 
 /// Bus-tail pin: a `BusProgram` that outlives its columns.  The
-/// interpreter drains the remaining periods slot by slot through
-/// `finish_bus_program`; the fast tier drains them in bulk.  The
-/// horizontal counters must agree bit for bit.
+/// interpreter plays the slots due while its columns run, one at a time,
+/// and the fast tier plays none; both then end with the same closed-form
+/// drain (`finish_bus_program`).  The horizontal counters must agree bit
+/// for bit and hold all 40 periods.  This is not an independent oracle
+/// for the drain itself: `program::tests::drain_matches_advancing_to_the_end`
+/// in `synchro-sim` checks it against per-occurrence playback.
 #[test]
 fn bus_program_tail_drain_is_bit_identical() {
     use synchroscalar::isa::{DataReg, ProgramBuilder};
