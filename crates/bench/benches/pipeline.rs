@@ -89,11 +89,35 @@ fn bench_mapper(c: &mut Criterion) {
     });
 }
 
+/// Compile alone for the 24-stage deep pipeline split 12 | 12 across a
+/// 2-chip board: SDF analysis, 24 columns with their programs and DOU
+/// tables, both chips' TDM schedules and the bridge schedule.
+fn bench_board_compile(c: &mut Criterion) {
+    use synchroscalar::apps::{deep_pipeline, DEEP_PIPELINE_RATE_HZ};
+    use synchroscalar::mapper::{self, BoardConfig, MapperOptions};
+    use synchroscalar::sdf::{ActorId, Mapping};
+    let graph = deep_pipeline();
+    let mut mapping = Mapping::new();
+    for (i, actor) in graph.actors().iter().enumerate() {
+        mapping.place_on_chip(i / 12, ActorId(i), actor.max_parallel_tiles, 1.0);
+    }
+    let options = MapperOptions {
+        iterations: 4,
+        iteration_rate_hz: DEEP_PIPELINE_RATE_HZ,
+        ..MapperOptions::default()
+    };
+    let board = BoardConfig::default();
+    c.bench_function("mapper_compile_board_deep_pipeline", |b| {
+        b.iter(|| mapper::compile_board(black_box(&graph), &mapping, &options, &board).unwrap())
+    });
+}
+
 criterion_group!(
     pipeline,
     bench_power_pipeline,
     bench_column_simulator,
     bench_chip_run,
-    bench_mapper
+    bench_mapper,
+    bench_board_compile
 );
 criterion_main!(pipeline);

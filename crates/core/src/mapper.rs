@@ -47,7 +47,7 @@ use synchro_isa::{DataReg, Program, ProgramBuilder};
 use synchro_power::{
     BusGeometry, InterconnectModel, LeakageModel, Technology, TilePowerModel, VfCurve,
 };
-use synchro_route::{board_flows, BoardRoute, BoardSpec, BusSpec, RouteError, RouteSchedule};
+use synchro_route::{board_flows_from, BoardRoute, BoardSpec, BusSpec, RouteError, RouteSchedule};
 use synchro_sdf::{ActorId, FaultSpec, Mapping, MappingViolation, SdfError, SdfGraph};
 use synchro_sim::fast::{ColumnBatch, FastTier, FastTierError, FiringProfile};
 use synchro_sim::{
@@ -610,7 +610,9 @@ pub struct CompiledChip {
 }
 
 /// The pieces one column was built from, kept so the fast tier can
-/// profile a throw-away replica without disturbing the live chip.
+/// profile a throw-away replica without disturbing the live chip.  The
+/// DOU program shares its state table with the live column's DOU and
+/// the replica's.
 #[derive(Debug, Clone)]
 struct ColumnBlueprint {
     config: ColumnConfig,
@@ -1009,11 +1011,11 @@ pub fn compile_board(
             violations: fault_violations,
         });
     }
-    let reps = graph.repetition_vector()?;
-    // The schedule doubles as the deadlock check; the buffer bounds and
-    // per-iteration token counts feed the cross-edge traffic model.
-    graph.schedule()?;
-    let bounds = graph.buffer_bounds()?;
+    // One analysis: the repetition vector, the schedule (which doubles as
+    // the deadlock check), and the buffer bounds and per-iteration token
+    // counts that feed the cross-edge traffic model and the router.
+    let analysis = graph.analyze()?;
+    let reps = analysis.repetitions();
 
     // Every actor placed exactly once.
     let mut column_of_actor: Vec<Option<usize>> = vec![None; graph.actors().len()];
@@ -1031,7 +1033,7 @@ pub fn compile_board(
         });
     }
 
-    let requirements = mapping.requirements(graph, options.iteration_rate_hz)?;
+    let requirements = mapping.requirements_from(&analysis, options.iteration_rate_hz)?;
     let curve = VfCurve::fo4_20(&options.tech);
 
     // Scale per-firing compute costs so the largest fits the DOU pattern
@@ -1217,7 +1219,7 @@ pub fn compile_board(
     // the columns within their chip, cross words per iteration from the
     // repetition vector); the mapper only decorates each flow with its
     // buffer bound and per-firing rate for the cross-edge bookkeeping.
-    let (intra_flows, bridge_flows) = board_flows(graph, mapping)?;
+    let (intra_flows, bridge_flows) = board_flows_from(&analysis, mapping)?;
     for (chip_parts, flows) in parts.iter_mut().zip(&intra_flows) {
         chip_parts.cross_edges = flows
             .iter()
@@ -1226,7 +1228,7 @@ pub fn compile_board(
                 to_column: f.to,
                 produce: graph.edges()[f.edge].produce,
                 words_per_iteration: f.words,
-                buffer_bound: bounds[f.edge],
+                buffer_bound: analysis.buffer_bounds()[f.edge],
             })
             .collect();
     }
@@ -1303,7 +1305,8 @@ pub fn compile_board(
             return Err(MapperError::Fault { violations: down });
         }
     }
-    let route = synchro_route::compile_board_traced(graph, mapping, &board_spec, trace)?;
+    let route =
+        synchro_route::compile_board_flows_traced(&intra_flows, &bridge_flows, &board_spec, trace)?;
 
     // Drive each simulated chip's horizontal bus from its schedule, and
     // the board's bridge from the bridge schedule: each a program whose
@@ -2128,6 +2131,33 @@ mod tests {
             compile(&g, &duplicated, &MapperOptions::default()),
             Err(MapperError::DuplicatePlacement { actor: ActorId(0) })
         ));
+    }
+
+    #[test]
+    fn graph_analysis_errors_reach_the_caller_in_order() {
+        // The balance equations are checked before the schedule: a graph
+        // that is both inconsistent and deadlocked reports the
+        // inconsistency, and a consistent one the deadlock.
+        let mut graph = SdfGraph::new();
+        let a = graph.add_actor("a", 4, 4);
+        let b = graph.add_actor("b", 6, 4);
+        graph.add_edge(a, b, 1, 1, 0).unwrap();
+        graph.add_edge(b, a, 1, 1, 0).unwrap();
+        let mut mapping = Mapping::new();
+        mapping.place(a, 1, 1.0).place(b, 1, 1.0);
+        let options = MapperOptions::default();
+        let board = BoardConfig::default();
+        let err = compile_board(&graph, &mapping, &options, &board).unwrap_err();
+        assert!(
+            matches!(&err, MapperError::Sdf(SdfError::Deadlock { blocked }) if *blocked == [a, b]),
+            "{err:?}"
+        );
+        graph.add_edge(a, b, 2, 1, 0).unwrap();
+        let err = compile_board(&graph, &mapping, &options, &board).unwrap_err();
+        assert!(
+            matches!(err, MapperError::Sdf(SdfError::Inconsistent { edge: 2 })),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Errors raised when validating bus activity for one cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,36 +91,82 @@ impl Error for BusError {}
 
 /// Per-split segment switch configuration for one cycle.
 ///
-/// `closed[s][g]` is true when the switch in gap `g` (between tile `g` and
-/// tile `g+1`) of split `s` is closed.
+/// The switches sit in one flat table, split-major: the switch in gap `g`
+/// (between tile `g` and tile `g+1`) of split `s` is entry
+/// `s × gaps + g`, where `gaps = tiles − 1`.  A configuration is one
+/// allocation however many splits it has.  Both dimensions are kept, so
+/// finding a split's switches takes a multiplication and no division.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentConfig {
-    closed: Vec<Vec<bool>>,
+    closed: Box<[bool]>,
+    splits: u32,
+    /// Gaps per split; 0 when there are no splits, so that every
+    /// configuration without switches compares equal.
+    gaps: u32,
 }
 
 impl SegmentConfig {
     /// All switches closed: every split is a column-wide broadcast bus.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `splits` or `tiles − 1` does not fit a `u32`.
     pub fn all_closed(splits: usize, tiles: usize) -> Self {
-        SegmentConfig {
-            closed: vec![vec![true; tiles.saturating_sub(1)]; splits],
-        }
+        Self::uniform(splits, tiles, true)
     }
 
     /// All switches open: every tile is isolated on every split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `splits` or `tiles − 1` does not fit a `u32`.
     pub fn all_open(splits: usize, tiles: usize) -> Self {
+        Self::uniform(splits, tiles, false)
+    }
+
+    fn uniform(splits: usize, tiles: usize, closed: bool) -> Self {
+        let gaps = if splits == 0 {
+            0
+        } else {
+            tiles.saturating_sub(1)
+        };
+        let dimension = |n: usize| u32::try_from(n).expect("segment table dimension exceeds u32");
+        let (splits, gaps) = (dimension(splits), dimension(gaps));
         SegmentConfig {
-            closed: vec![vec![false; tiles.saturating_sub(1)]; splits],
+            closed: vec![closed; splits as usize * gaps as usize].into_boxed_slice(),
+            splits,
+            gaps,
         }
     }
 
     /// Number of splits configured.
     pub fn splits(&self) -> usize {
-        self.closed.len()
+        self.splits as usize
     }
 
     /// Number of tiles this configuration spans.
     pub fn tiles(&self) -> usize {
-        self.closed.first().map_or(0, |gaps| gaps.len() + 1)
+        if self.splits == 0 {
+            0
+        } else {
+            self.gaps as usize + 1
+        }
+    }
+
+    /// Where the switches of `split` sit in the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `split` is out of range.
+    fn row(&self, split: usize) -> Range<usize> {
+        assert!(split < self.splits(), "split {split} out of range");
+        let gaps = self.gaps as usize;
+        split * gaps..(split + 1) * gaps
+    }
+
+    /// The switches of `split`, gap by gap.
+    fn switches(&self, split: usize) -> &[bool] {
+        &self.closed[self.row(split)]
     }
 
     /// Open or close the switch in `gap` of `split`.
@@ -128,12 +175,13 @@ impl SegmentConfig {
     ///
     /// Panics if `split` or `gap` is out of range.
     pub fn set(&mut self, split: usize, gap: usize, closed: bool) {
-        self.closed[split][gap] = closed;
+        let row = self.row(split);
+        self.closed[row][gap] = closed;
     }
 
     /// Is the switch in `gap` of `split` closed?
     pub fn is_closed(&self, split: usize, gap: usize) -> bool {
-        self.closed[split][gap]
+        self.switches(split)[gap]
     }
 
     /// The tiles electrically connected to `tile` on `split`, as the
@@ -141,7 +189,7 @@ impl SegmentConfig {
     /// only join neighbouring tiles, so a connected group is always a
     /// contiguous span.
     pub fn connected_span(&self, split: usize, tile: usize) -> (usize, usize) {
-        let gaps = &self.closed[split];
+        let gaps = self.switches(split);
         // Walk down, then up, while switches are closed.
         let mut lo = tile;
         while lo > 0 && gaps[lo - 1] {
@@ -474,14 +522,27 @@ impl HorizontalBus {
     /// period with `period × splits`; the occupied half is accumulated by
     /// the individual transfers, so `stats().idle_slots()` is the
     /// scheduled-but-idle remainder the power calibration needs.
-    pub fn account_scheduled_slots(&mut self, slots: u64) {
-        self.stats.scheduled_slots += slots;
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BusError::Overflow`], leaving the statistics unchanged,
+    /// if the scheduled-slot count would pass `u64::MAX`.
+    pub fn account_scheduled_slots(&mut self, slots: u64) -> Result<(), BusError> {
+        self.stats.scheduled_slots =
+            self.stats
+                .scheduled_slots
+                .checked_add(slots)
+                .ok_or(BusError::Overflow {
+                    what: "horizontal bus traffic",
+                })?;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     #[test]
@@ -501,7 +562,7 @@ mod tests {
     ) -> BTreeSet<usize> {
         let mut group = BTreeSet::new();
         group.insert(tile);
-        let gaps = &config.closed[split];
+        let gaps = config.switches(split);
         let mut lo = tile;
         while lo > 0 && gaps[lo - 1] {
             lo -= 1;
@@ -634,6 +695,105 @@ mod tests {
         }
         assert_eq!(cases, 8 * singles.len() * singles.len());
         assert!(failures > 0 && failures < cases, "both outcomes covered");
+    }
+
+    /// The representation the flat table replaced, kept as its model: one
+    /// vector of gap switches per split.
+    struct Model {
+        closed: Vec<Vec<bool>>,
+    }
+
+    impl Model {
+        fn new(splits: usize, tiles: usize, closed: bool) -> Self {
+            Model {
+                closed: vec![vec![closed; tiles - 1]; splits],
+            }
+        }
+
+        fn connected_span(&self, split: usize, tile: usize) -> (usize, usize) {
+            let gaps = &self.closed[split];
+            let (mut lo, mut hi) = (tile, tile);
+            while lo > 0 && gaps[lo - 1] {
+                lo -= 1;
+            }
+            while hi < gaps.len() && gaps[hi] {
+                hi += 1;
+            }
+            (lo, hi)
+        }
+    }
+
+    /// The configuration and its model after `sets`, each `(split, gap,
+    /// closed)` drawn from one `u64`, on a bus started all closed or all
+    /// open.
+    fn configured(
+        splits: usize,
+        tiles: usize,
+        start: bool,
+        sets: &[u64],
+    ) -> (SegmentConfig, Model) {
+        let mut config = if start {
+            SegmentConfig::all_closed(splits, tiles)
+        } else {
+            SegmentConfig::all_open(splits, tiles)
+        };
+        let mut model = Model::new(splits, tiles, start);
+        for &raw in sets.iter().filter(|_| tiles > 1) {
+            let split = (raw % splits as u64) as usize;
+            let gap = ((raw >> 8) % (tiles as u64 - 1)) as usize;
+            let closed = (raw >> 16) & 1 == 1;
+            config.set(split, gap, closed);
+            model.closed[split][gap] = closed;
+        }
+        (config, model)
+    }
+
+    proptest! {
+        /// On 1–8 splits × 1–8 tiles (one tile: no gaps) and random `set`
+        /// sequences, the flat table answers `is_closed`,
+        /// `connected_span`, `splits`, `tiles` and `==` as the vector of
+        /// vectors does.
+        #[test]
+        fn flat_table_matches_the_vector_model(
+            splits in 1usize..9,
+            tiles in 1usize..9,
+            starts in any::<u64>(),
+            sets in prop::collection::vec(any::<u64>(), 0..24),
+            cut in 0usize..24,
+        ) {
+            let (config, model) = configured(splits, tiles, starts & 1 == 1, &sets);
+            prop_assert_eq!(config.splits(), splits);
+            prop_assert_eq!(config.tiles(), tiles);
+            for split in 0..splits {
+                for gap in 0..tiles - 1 {
+                    prop_assert_eq!(config.is_closed(split, gap), model.closed[split][gap]);
+                }
+                for tile in 0..tiles {
+                    prop_assert_eq!(
+                        config.connected_span(split, tile),
+                        model.connected_span(split, tile)
+                    );
+                }
+            }
+            // Against a prefix of the same sets, from either start, and
+            // against the neighbouring shapes.
+            let prefix = &sets[..cut.min(sets.len())];
+            for start in [false, true] {
+                let (other, other_model) = configured(splits, tiles, start, prefix);
+                prop_assert_eq!(config == other, model.closed == other_model.closed);
+            }
+            for (s, t) in [(splits + 1, tiles), (splits, tiles + 1)] {
+                let (other, other_model) = configured(s, t, starts & 1 == 1, &sets);
+                prop_assert_eq!(config == other, model.closed == other_model.closed);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_splits_span_no_tiles() {
+        let none = SegmentConfig::all_closed(0, 4);
+        assert_eq!((none.splits(), none.tiles()), (0, 0));
+        assert_eq!(none, SegmentConfig::all_open(0, 7));
     }
 
     #[test]
@@ -825,12 +985,25 @@ mod tests {
         h.transfer_words(0, &[1], 4).unwrap();
         assert_eq!(h.stats().occupied_slots, 4);
         assert_eq!(h.stats().scheduled_slots, 0);
-        h.account_scheduled_slots(10);
+        h.account_scheduled_slots(10).unwrap();
         assert_eq!(h.stats().scheduled_slots, 10);
         assert_eq!(h.stats().idle_slots(), 6);
         // Hand-accounted stats with no scheduled-slot path never underflow.
         let lone = HorizontalBus::new(2).stats();
         assert_eq!(lone.idle_slots(), 0);
+    }
+
+    #[test]
+    fn scheduled_slots_past_u64_are_an_error_not_a_wrapped_count() {
+        let mut h = HorizontalBus::new(2);
+        h.account_scheduled_slots(u64::MAX).unwrap();
+        assert_eq!(
+            h.account_scheduled_slots(2),
+            Err(BusError::Overflow {
+                what: "horizontal bus traffic"
+            })
+        );
+        assert_eq!(h.stats().scheduled_slots, u64::MAX, "left unchanged");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use synchro_bus::{BusOp, SegmentConfig};
 
 /// Maximum number of states a DOU can hold (Figure 3: 128 states).
@@ -84,6 +85,14 @@ pub struct DouOutput {
     pub ops: Vec<BusOp>,
 }
 
+impl DouOutput {
+    /// True when the cycle asserts no transfer and no segment
+    /// configuration.
+    fn is_idle(&self) -> bool {
+        self.ops.is_empty() && self.segments.is_none()
+    }
+}
+
 /// One state of the DOU state machine (one row of Figure 3).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DouState {
@@ -108,11 +117,17 @@ pub struct DouState {
 /// consecutive pass-through state that tests the same counter.  Any
 /// other idle state (a loop-back, a self-loop) is a run of 1, stepped
 /// as [`Dou::step`] does.
+///
+/// A DOU is programmed once per mapping and then only replays its table,
+/// so clones of a program share it: cloning a `DouProgram` copies two
+/// reference-counted pointers, never the state table or its idle runs,
+/// and every [`Dou`] loaded from the clones steps through the one table
+/// while keeping its own state, counters and statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DouProgram {
-    states: Vec<DouState>,
+    states: Arc<[DouState]>,
     counter_init: [u32; NUM_COUNTERS],
-    runs: Box<[u8]>,
+    runs: Arc<[u8]>,
 }
 
 impl DouProgram {
@@ -128,6 +143,15 @@ impl DouProgram {
                 requested: states.len(),
             });
         }
+        Self::from_table(states.into(), counter_init)
+    }
+
+    /// Validate a table of at most [`MAX_STATES`] states and derive its
+    /// idle runs.
+    fn from_table(
+        states: Arc<[DouState]>,
+        counter_init: [u32; NUM_COUNTERS],
+    ) -> Result<Self, DouError> {
         for (i, s) in states.iter().enumerate() {
             if s.counter >= NUM_COUNTERS {
                 return Err(DouError::BadCounter { counter: s.counter });
@@ -167,17 +191,17 @@ impl DouProgram {
     }
 }
 
-/// Each state's idle run (see [`DouProgram`]), in one backward pass.  A
-/// table holds at most [`MAX_STATES`] states, so a run fits a `u8`.
-fn idle_runs(states: &[DouState]) -> Box<[u8]> {
-    let idle = |s: &DouState| s.output.ops.is_empty() && s.output.segments.is_none();
+/// Each state's idle run (see [`DouProgram`]), in one backward pass over
+/// a stack buffer, then copied into one allocation.  A table holds at
+/// most [`MAX_STATES`] states, so a run fits a `u8`.
+fn idle_runs(states: &[DouState]) -> Arc<[u8]> {
     let passes = |i: usize| {
         let s = &states[i];
-        idle(s) && s.next_if_zero == i + 1 && s.next_if_nonzero == i + 1
+        s.output.is_idle() && s.next_if_zero == i + 1 && s.next_if_nonzero == i + 1
     };
-    let mut runs = vec![0u8; states.len()].into_boxed_slice();
+    let mut runs = [0u8; MAX_STATES];
     for i in (0..states.len()).rev() {
-        runs[i] = if !idle(&states[i]) {
+        runs[i] = if !states[i].output.is_idle() {
             0
         } else if passes(i) && passes(i + 1) && states[i + 1].counter == states[i].counter {
             runs[i + 1] + 1
@@ -185,7 +209,7 @@ fn idle_runs(states: &[DouState]) -> Box<[u8]> {
             1
         };
     }
-    runs
+    Arc::from(&runs[..states.len()])
 }
 
 /// The DOU state machine itself.
@@ -313,24 +337,27 @@ fn count_down(value: u32, init: u32, steps: u64) -> u32 {
     (init64 - (steps - value64 - 1) % (init64 + 1)) as u32
 }
 
-/// One cycle of a periodic communication pattern handed to the compiler.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PatternCycle {
-    /// Segment configuration for the cycle, or `None` to keep the default
-    /// all-closed configuration.
-    pub segments: Option<SegmentConfig>,
-    /// Transfers to perform.
-    pub ops: Vec<BusOp>,
-}
+/// One cycle of a periodic communication pattern handed to the compiler:
+/// the outputs its state asserts (a default cycle keeps the default
+/// all-closed configuration and transfers nothing).
+pub type PatternCycle = DouOutput;
 
 /// Compiles a periodic communication pattern into a DOU program.
 ///
 /// The pattern is a sequence of [`PatternCycle`]s repeated `repetitions`
 /// times (0 means forever), exactly the structure produced when an inner
 /// loop of a mapped kernel is statically scheduled.
+///
+/// The compiler keeps only the cycles that assert something, with their
+/// positions: idle cycles, however many, are a count.  [`compile`]
+/// builds the state table in one allocation and moves those cycles'
+/// outputs into it.
+///
+/// [`compile`]: ScheduleCompiler::compile
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleCompiler {
-    cycles: Vec<PatternCycle>,
+    len: usize,
+    active: Vec<(usize, DouOutput)>,
 }
 
 impl ScheduleCompiler {
@@ -341,21 +368,20 @@ impl ScheduleCompiler {
 
     /// Append one cycle to the pattern.
     pub fn push(&mut self, cycle: PatternCycle) -> &mut Self {
-        self.cycles.push(cycle);
-        self
+        if !cycle.is_idle() {
+            self.active.push((self.len, cycle));
+        }
+        self.idle_for(1)
     }
 
     /// Append an idle (no-transfer) cycle.
     pub fn idle(&mut self) -> &mut Self {
-        self.cycles.push(PatternCycle::default());
-        self
+        self.idle_for(1)
     }
 
     /// Append `n` idle cycles.
     pub fn idle_for(&mut self, n: usize) -> &mut Self {
-        for _ in 0..n {
-            self.idle();
-        }
+        self.len = self.len.saturating_add(n);
         self
     }
 
@@ -363,21 +389,20 @@ impl ScheduleCompiler {
     /// segment configuration — the common case when compiling a mapped
     /// actor's token-distribution schedule.
     pub fn push_op(&mut self, op: BusOp) -> &mut Self {
-        self.cycles.push(PatternCycle {
+        self.push(PatternCycle {
             segments: None,
             ops: vec![op],
-        });
-        self
+        })
     }
 
     /// Number of cycles in the pattern so far.
     pub fn len(&self) -> usize {
-        self.cycles.len()
+        self.len
     }
 
     /// True if the pattern is empty.
     pub fn is_empty(&self) -> bool {
-        self.cycles.is_empty()
+        self.len == 0
     }
 
     /// Compile the pattern into a [`DouProgram`] that repeats it
@@ -386,48 +411,53 @@ impl ScheduleCompiler {
     /// The generated program uses counter 0 for the repetition count: each
     /// pattern cycle becomes one state whose `next_if_nonzero` continues
     /// the pattern and whose final state loops back via the counter test.
+    /// Compiling consumes the pattern, whose outputs move into the table.
     ///
     /// # Errors
     ///
     /// Returns [`DouError::EmptyPattern`] for an empty pattern or
     /// [`DouError::TooManyStates`] if the pattern exceeds 128 cycles.
-    pub fn compile(&self, repetitions: u32) -> Result<DouProgram, DouError> {
-        if self.cycles.is_empty() {
+    pub fn compile(self, repetitions: u32) -> Result<DouProgram, DouError> {
+        let n = self.len;
+        if n == 0 {
             return Err(DouError::EmptyPattern);
         }
-        let n = self.cycles.len();
-        let mut states = Vec::with_capacity(n);
-        for (i, c) in self.cycles.iter().enumerate() {
-            let last = i == n - 1;
-            let (next_if_zero, next_if_nonzero) = if last {
-                // On the last pattern cycle, test counter 0: if exhausted,
-                // stay parked on the last state (or wrap for infinite
-                // repetition); otherwise wrap to the start.
-                if repetitions == 0 {
-                    (0, 0)
-                } else {
-                    (n - 1, 0)
-                }
-            } else {
-                (i + 1, i + 1)
-            };
-            states.push(DouState {
-                counter: if last { 0 } else { 1 },
-                next_if_zero,
-                next_if_nonzero,
-                output: DouOutput {
-                    segments: c.segments.clone(),
-                    ops: c.ops.clone(),
-                },
-            });
+        if n > MAX_STATES {
+            return Err(DouError::TooManyStates { requested: n });
         }
+        let mut active = self.active.into_iter().peekable();
+        let states = (0..n)
+            .map(|i| {
+                let last = i == n - 1;
+                let (next_if_zero, next_if_nonzero) = if last {
+                    // On the last pattern cycle, test counter 0: if
+                    // exhausted, stay parked on the last state (or wrap for
+                    // infinite repetition); otherwise wrap to the start.
+                    if repetitions == 0 {
+                        (0, 0)
+                    } else {
+                        (n - 1, 0)
+                    }
+                } else {
+                    (i + 1, i + 1)
+                };
+                DouState {
+                    counter: if last { 0 } else { 1 },
+                    next_if_zero,
+                    next_if_nonzero,
+                    output: active
+                        .next_if(|(at, _)| *at == i)
+                        .map_or_else(DouOutput::default, |(_, output)| output),
+                }
+            })
+            .collect();
         let mut counter_init = [0u32; NUM_COUNTERS];
         // Counter 0 counts the remaining repetitions after the first pass.
         counter_init[0] = repetitions.saturating_sub(1);
         // Counter 1 is a dummy always-nonzero counter for intermediate
         // states (they ignore its value because both next pointers match).
         counter_init[1] = u32::MAX;
-        DouProgram::new(states, counter_init)
+        DouProgram::from_table(states, counter_init)
     }
 }
 
@@ -834,6 +864,108 @@ mod tests {
             check_jumps(pattern_program(&cycles, repetitions), starts, &moves)?;
             check_jumps(chain_program(&chain, inits), starts, &moves)?;
         }
+    }
+
+    /// The table the compiler built before it kept idle cycles as a count,
+    /// kept as its oracle: one state per pattern cycle, pushed in order.
+    fn dense_table(cycles: &[PatternCycle], repetitions: u32) -> Vec<DouState> {
+        let n = cycles.len();
+        let mut states = Vec::with_capacity(n);
+        for (i, c) in cycles.iter().enumerate() {
+            let last = i == n - 1;
+            let (next_if_zero, next_if_nonzero) = match (last, repetitions) {
+                (true, 0) => (0, 0),
+                (true, _) => (n - 1, 0),
+                (false, _) => (i + 1, i + 1),
+            };
+            states.push(DouState {
+                counter: if last { 0 } else { 1 },
+                next_if_zero,
+                next_if_nonzero,
+                output: c.clone(),
+            });
+        }
+        states
+    }
+
+    proptest! {
+        /// Random patterns of idle runs, transfers and segment changes
+        /// compile to the state table and counters of one state per cycle.
+        #[test]
+        fn compiled_table_matches_one_state_per_cycle(
+            raws in prop::collection::vec(any::<u64>(), 1..48),
+            repetitions in 0u32..4,
+        ) {
+            let mut compiler = ScheduleCompiler::new();
+            let mut cycles = Vec::new();
+            for &raw in &raws {
+                let cycle = match raw % 4 {
+                    0 => PatternCycle { segments: None, ops: vec![op(0, 0, 1)] },
+                    1 => PatternCycle {
+                        segments: Some(SegmentConfig::all_open(8, 4)),
+                        ops: Vec::new(),
+                    },
+                    _ => PatternCycle::default(),
+                };
+                let idle = (raw >> 8) as usize % 3;
+                compiler.push(cycle.clone()).idle_for(idle);
+                cycles.push(cycle);
+                cycles.extend(std::iter::repeat_n(PatternCycle::default(), idle));
+            }
+            prop_assert_eq!(compiler.len(), cycles.len());
+            let compiled = compiler.compile(repetitions);
+            if cycles.len() > MAX_STATES {
+                prop_assert_eq!(
+                    compiled,
+                    Err(DouError::TooManyStates { requested: cycles.len() })
+                );
+            } else {
+                let dense = DouProgram::new(dense_table(&cycles, repetitions), [
+                    repetitions.saturating_sub(1),
+                    u32::MAX,
+                    0,
+                    0,
+                ]);
+                prop_assert_eq!(compiled, dense);
+            }
+        }
+    }
+
+    #[test]
+    fn clones_share_the_table_and_step_independently() {
+        let compile = || {
+            let mut compiler = ScheduleCompiler::new();
+            compiler.idle_for(2).push_op(op(0, 0, 3)).idle_for(5);
+            compiler.compile(3).unwrap()
+        };
+        let program = compile();
+        let (mut a, mut b) = (Dou::new(program.clone()), Dou::new(program.clone()));
+        assert!(Arc::ptr_eq(&a.program.states, &program.states));
+        assert!(Arc::ptr_eq(&b.program.runs, &program.runs));
+        let (mut fresh_a, mut fresh_b) = (Dou::new(compile()), Dou::new(compile()));
+        assert!(!Arc::ptr_eq(&fresh_a.program.states, &program.states));
+        // Interleave: `a` skips and steps, `b` only steps, each matched
+        // move for move by a DOU loaded from its own fresh compile.
+        for round in 0..9u64 {
+            assert_eq!(a.skip_idle(round % 4), fresh_a.skip_idle(round % 4));
+            a.step();
+            fresh_a.step();
+            for _ in 0..=round % 3 {
+                assert_eq!(b.step(), fresh_b.step());
+            }
+            assert_eq!(a, fresh_a);
+            assert_eq!(b, fresh_b);
+        }
+        assert_ne!(a, b, "the two DOUs moved differently");
+        assert_eq!(Dou::new(program), Dou::new(compile()));
+    }
+
+    #[test]
+    fn per_cycle_types_keep_their_size() {
+        // The interpreter reads one `DouState` per DOU step and copies
+        // `SegmentConfig`s into the column; neither may grow.
+        assert!(std::mem::size_of::<DouState>() <= 72);
+        assert!(std::mem::size_of::<SegmentConfig>() <= 24);
     }
 
     #[test]

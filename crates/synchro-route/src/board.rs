@@ -11,7 +11,7 @@
 //! one, which the equivalence tests pin bit for bit.
 
 use crate::{BusSpec, ColumnFlow, RouteError, RouteSchedule};
-use synchro_sdf::{Mapping, SdfGraph};
+use synchro_sdf::{Mapping, SdfAnalysis, SdfGraph};
 
 /// One directed chip-to-chip bridge lane.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -417,7 +417,28 @@ pub fn board_flows(
     graph: &SdfGraph,
     mapping: &Mapping,
 ) -> Result<(Vec<Vec<ColumnFlow>>, Vec<BridgeFlow>), RouteError> {
-    let tokens = graph.tokens_per_iteration()?;
+    flows_carrying(graph, mapping, &graph.tokens_per_iteration()?)
+}
+
+/// [`board_flows`] of an analysed graph, whose tokens per iteration are
+/// already counted.
+///
+/// # Errors
+///
+/// [`RouteError::BadPlacement`] when an actor is unplaced or placed twice.
+pub fn board_flows_from(
+    analysis: &SdfAnalysis<'_>,
+    mapping: &Mapping,
+) -> Result<(Vec<Vec<ColumnFlow>>, Vec<BridgeFlow>), RouteError> {
+    flows_carrying(analysis.graph(), mapping, analysis.tokens_per_iteration())
+}
+
+/// The board flows of `graph`, whose edges carry `tokens` per iteration.
+fn flows_carrying(
+    graph: &SdfGraph,
+    mapping: &Mapping,
+    tokens: &[u64],
+) -> Result<(Vec<Vec<ColumnFlow>>, Vec<BridgeFlow>), RouteError> {
     let chips = mapping.chips();
     // (chip, column-within-chip) of every actor.
     let mut seat_of_actor: Vec<Option<(usize, usize)>> = vec![None; graph.actors().len()];
@@ -504,18 +525,37 @@ pub fn compile_board_traced(
     trace: &synchro_trace::Trace,
 ) -> Result<BoardRoute, RouteError> {
     let _span = trace.span("route.compile_board");
-    let result = compile_board_inner(graph, mapping, spec, trace);
+    let result = board_flows(graph, mapping)
+        .and_then(|(intra, bridge)| route_board(&intra, &bridge, spec, trace));
     crate::reject_on_err(trace, &result);
     result
 }
 
-fn compile_board_inner(
-    graph: &SdfGraph,
-    mapping: &Mapping,
+/// [`compile_board_traced`] for flows already derived by
+/// [`board_flows`] or [`board_flows_from`]: the same span, events and
+/// result, without deriving them again.
+///
+/// # Errors
+///
+/// Those of [`compile_board`] past the flow derivation.
+pub fn compile_board_flows_traced(
+    intra: &[Vec<ColumnFlow>],
+    bridge_flows: &[BridgeFlow],
     spec: &BoardSpec,
     trace: &synchro_trace::Trace,
 ) -> Result<BoardRoute, RouteError> {
-    let (intra, bridge_flows) = board_flows(graph, mapping)?;
+    let _span = trace.span("route.compile_board");
+    let result = route_board(intra, bridge_flows, spec, trace);
+    crate::reject_on_err(trace, &result);
+    result
+}
+
+fn route_board(
+    intra: &[Vec<ColumnFlow>],
+    bridge_flows: &[BridgeFlow],
+    spec: &BoardSpec,
+    trace: &synchro_trace::Trace,
+) -> Result<BoardRoute, RouteError> {
     if intra.len() > spec.chips.len() {
         return Err(RouteError::InvalidSpec {
             reason: "mapping places actors beyond the board's chips",
@@ -530,7 +570,7 @@ fn compile_board_inner(
     // Fast fail per directed chip pair: total words must fit the
     // direction's word capacity (lanes × width × period).
     let mut demand_between: Vec<(usize, usize, u64)> = Vec::new();
-    for f in &bridge_flows {
+    for f in bridge_flows {
         match demand_between
             .iter_mut()
             .find(|(from, to, _)| *from == f.from_chip && *to == f.to_chip)
@@ -555,7 +595,7 @@ fn compile_board_inner(
     // flow input order, mirroring the intra-chip packing discipline.
     let mut cursors = vec![0u64; spec.lanes.len()];
     let mut slots = Vec::new();
-    for flow in &bridge_flows {
+    for flow in bridge_flows {
         let mut remaining = flow.words;
         while remaining > 0 {
             let mut best: Option<usize> = None;
@@ -736,6 +776,33 @@ mod tests {
                 words: 2
             }]
         );
+    }
+
+    #[test]
+    fn routing_analysed_flows_matches_routing_the_graph() {
+        use std::sync::Arc;
+        use synchro_trace::{RingBufferSink, Trace};
+        let g = chain4();
+        let analysis = g.analyze().unwrap();
+        // A board that fits the split, and one whose bridge cannot carry
+        // it: the same route or error, and the same trace events.
+        let mut narrow = two_chip_board();
+        narrow.bridge_period = 1;
+        for spec in [two_chip_board(), narrow] {
+            let m = split_mapping(2);
+            let flows = board_flows_from(&analysis, &m).unwrap();
+            assert_eq!(flows, board_flows(&g, &m).unwrap());
+            let (from_graph, from_flows) = (
+                Arc::new(RingBufferSink::new(256)),
+                Arc::new(RingBufferSink::new(256)),
+            );
+            let routed = compile_board_traced(&g, &m, &spec, &Trace::to(from_graph.clone()));
+            let (intra, bridge) = &flows;
+            let rerouted =
+                compile_board_flows_traced(intra, bridge, &spec, &Trace::to(from_flows.clone()));
+            assert_eq!(routed, rerouted);
+            assert_eq!(from_graph.events(), from_flows.events());
+        }
     }
 
     #[test]

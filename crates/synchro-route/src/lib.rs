@@ -49,8 +49,8 @@ use synchro_sdf::{Mapping, SdfError, SdfGraph};
 use synchro_trace::{Trace, TraceEvent};
 
 pub use board::{
-    board_flows, compile_board, compile_board_traced, BoardRoute, BoardSpec, BridgeFlow,
-    BridgeLane, BridgeSchedule, BridgeSlot,
+    board_flows, board_flows_from, compile_board, compile_board_flows_traced, compile_board_traced,
+    BoardRoute, BoardSpec, BridgeFlow, BridgeLane, BridgeSchedule, BridgeSlot,
 };
 
 /// Errors raised while deriving flows or compiling a TDM schedule.

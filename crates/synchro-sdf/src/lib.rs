@@ -15,6 +15,9 @@
 //! * [`SdfGraph::schedule`] — a periodic admissible sequential schedule
 //!   (and with it a deadlock check),
 //! * [`SdfGraph::buffer_bounds`] — bounded-memory requirements per edge,
+//! * [`SdfGraph::analyze`] — all of the above, and the tokens each edge
+//!   carries per iteration, from one solve and one schedule
+//!   ([`SdfAnalysis`]),
 //! * [`Mapping`] — assignment of actors to groups of tiles with the
 //!   frequency each group must sustain for a target graph-iteration rate.
 
@@ -317,8 +320,35 @@ impl SdfGraph {
     /// Propagates rate-consistency errors and returns
     /// [`SdfError::Deadlock`] when no actor can fire but firings remain.
     pub fn schedule(&self) -> Result<Vec<ActorId>, SdfError> {
-        let reps = self.repetition_vector()?;
-        let mut remaining: Vec<u64> = reps.clone();
+        self.schedule_for(&self.repetition_vector()?)
+    }
+
+    /// Analyse the graph once: solve the balance equations, schedule one
+    /// iteration (the deadlock check), and derive the buffer bounds along
+    /// that schedule and the tokens each edge carries per iteration.  The
+    /// result holds what [`SdfGraph::repetition_vector`],
+    /// [`SdfGraph::buffer_bounds`] and [`SdfGraph::tokens_per_iteration`]
+    /// return, from one solve of the balance equations where calling the
+    /// three in turn solves them three times.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`SdfGraph::repetition_vector`], then
+    /// [`SdfError::Deadlock`] from the schedule.
+    pub fn analyze(&self) -> Result<SdfAnalysis<'_>, SdfError> {
+        let repetitions = self.repetition_vector()?;
+        let order = self.schedule_for(&repetitions)?;
+        Ok(SdfAnalysis {
+            graph: self,
+            buffer_bounds: self.bounds_along(&order),
+            tokens: self.tokens_for(&repetitions),
+            repetitions,
+        })
+    }
+
+    /// [`SdfGraph::schedule`] for the graph's repetition vector `reps`.
+    fn schedule_for(&self, reps: &[u64]) -> Result<Vec<ActorId>, SdfError> {
+        let mut remaining: Vec<u64> = reps.to_vec();
         let mut tokens: Vec<u64> = self.edges.iter().map(|e| e.initial_tokens).collect();
         let mut order = Vec::with_capacity(reps.iter().sum::<u64>() as usize);
 
@@ -371,10 +401,14 @@ impl SdfGraph {
     ///
     /// Propagates scheduling errors.
     pub fn buffer_bounds(&self) -> Result<Vec<u64>, SdfError> {
-        let order = self.schedule()?;
+        Ok(self.bounds_along(&self.schedule()?))
+    }
+
+    /// [`SdfGraph::buffer_bounds`] along the admissible schedule `order`.
+    fn bounds_along(&self, order: &[ActorId]) -> Vec<u64> {
         let mut tokens: Vec<u64> = self.edges.iter().map(|e| e.initial_tokens).collect();
         let mut bounds = tokens.clone();
-        for id in order {
+        for &id in order {
             for (ei, e) in self.edges.iter().enumerate() {
                 if e.to == id {
                     tokens[ei] -= e.consume;
@@ -387,7 +421,7 @@ impl SdfGraph {
                 }
             }
         }
-        Ok(bounds)
+        bounds
     }
 
     /// Tokens that flow across each edge during one graph iteration:
@@ -399,12 +433,15 @@ impl SdfGraph {
     ///
     /// Propagates rate-consistency errors.
     pub fn tokens_per_iteration(&self) -> Result<Vec<u64>, SdfError> {
-        let reps = self.repetition_vector()?;
-        Ok(self
-            .edges
+        Ok(self.tokens_for(&self.repetition_vector()?))
+    }
+
+    /// [`SdfGraph::tokens_per_iteration`] for the repetition vector `reps`.
+    fn tokens_for(&self, reps: &[u64]) -> Vec<u64> {
+        self.edges
             .iter()
             .map(|e| reps[e.from.0] * e.produce)
-            .collect())
+            .collect()
     }
 
     /// Total tile-cycles consumed by one graph iteration if every actor ran
@@ -421,6 +458,45 @@ impl SdfGraph {
             .zip(&reps)
             .map(|(a, &r)| a.cycles_per_firing * r)
             .sum())
+    }
+}
+
+/// One graph's static analysis, from [`SdfGraph::analyze`]: its repetition
+/// vector, buffer bounds and tokens per iteration, each computed once.
+///
+/// The analysis borrows the graph it describes, so a consumer that takes
+/// one ([`Mapping::requirements_from`], the router's board flows) reads
+/// the graph from it and cannot pair it with another graph.
+#[derive(Debug, Clone)]
+pub struct SdfAnalysis<'g> {
+    graph: &'g SdfGraph,
+    repetitions: Vec<u64>,
+    buffer_bounds: Vec<u64>,
+    tokens: Vec<u64>,
+}
+
+impl<'g> SdfAnalysis<'g> {
+    /// The analysed graph.
+    pub fn graph(&self) -> &'g SdfGraph {
+        self.graph
+    }
+
+    /// [`SdfGraph::repetition_vector`]: firings of each actor per
+    /// iteration.
+    pub fn repetitions(&self) -> &[u64] {
+        &self.repetitions
+    }
+
+    /// [`SdfGraph::buffer_bounds`]: the most tokens each edge holds at
+    /// once along the admissible schedule.
+    pub fn buffer_bounds(&self) -> &[u64] {
+        &self.buffer_bounds
+    }
+
+    /// [`SdfGraph::tokens_per_iteration`]: tokens each edge carries per
+    /// iteration.
+    pub fn tokens_per_iteration(&self) -> &[u64] {
+        &self.tokens
     }
 }
 
@@ -987,7 +1063,31 @@ impl Mapping {
         graph: &SdfGraph,
         iterations_per_second: f64,
     ) -> Result<Vec<PlacementRequirement>, SdfError> {
-        let reps = graph.repetition_vector()?;
+        self.requirements_with(graph, &graph.repetition_vector()?, iterations_per_second)
+    }
+
+    /// [`Mapping::requirements`] from a graph already analysed, without
+    /// solving its balance equations again.
+    ///
+    /// # Errors
+    ///
+    /// Placements of unknown actors are reported as
+    /// [`SdfError::UnknownActor`].
+    pub fn requirements_from(
+        &self,
+        analysis: &SdfAnalysis<'_>,
+        iterations_per_second: f64,
+    ) -> Result<Vec<PlacementRequirement>, SdfError> {
+        self.requirements_with(analysis.graph, &analysis.repetitions, iterations_per_second)
+    }
+
+    /// [`Mapping::requirements`] for `graph`'s repetition vector `reps`.
+    fn requirements_with(
+        &self,
+        graph: &SdfGraph,
+        reps: &[u64],
+        iterations_per_second: f64,
+    ) -> Result<Vec<PlacementRequirement>, SdfError> {
         let mut out = Vec::with_capacity(self.placements.len());
         for p in &self.placements {
             let actor = graph
@@ -1129,6 +1229,47 @@ mod tests {
         g.add_edge(a, b, 1, 1, 0).unwrap();
         g.add_edge(b, a, 1, 1, 0).unwrap();
         assert!(matches!(g.schedule(), Err(SdfError::Deadlock { .. })));
+    }
+
+    #[test]
+    fn one_analysis_matches_the_separate_ones_and_their_errors() {
+        let (g, mixer, integ, comb) = ddc_like();
+        let analysis = g.analyze().unwrap();
+        assert_eq!(analysis.repetitions(), g.repetition_vector().unwrap());
+        assert_eq!(analysis.buffer_bounds(), g.buffer_bounds().unwrap());
+        assert_eq!(
+            analysis.tokens_per_iteration(),
+            g.tokens_per_iteration().unwrap()
+        );
+        let mut m = Mapping::new();
+        m.place(mixer, 2, 0.9)
+            .place(integ, 0, 1.0)
+            .place(comb, 99, 1.5);
+        assert_eq!(
+            m.requirements_from(&analysis, 250e3).unwrap(),
+            m.requirements(&g, 250e3).unwrap()
+        );
+
+        // Each failing graph fails `analyze` as its first failing separate
+        // analysis does: the balance equations first, then the schedule.
+        let mut inconsistent = SdfGraph::new();
+        let a = inconsistent.add_actor("a", 1, 1);
+        let b = inconsistent.add_actor("b", 1, 1);
+        inconsistent.add_edge(a, b, 1, 1, 0).unwrap();
+        inconsistent.add_edge(b, a, 1, 1, 0).unwrap();
+        let deadlocked = inconsistent.clone();
+        inconsistent.add_edge(a, b, 2, 1, 0).unwrap();
+        let mut overflowing = SdfGraph::new();
+        let chain: Vec<ActorId> = (0..12)
+            .map(|i| overflowing.add_actor(format!("a{i}"), 1, 1))
+            .collect();
+        for pair in chain.windows(2) {
+            overflowing.add_edge(pair[0], pair[1], 1, 1000, 0).unwrap();
+        }
+        for graph in [SdfGraph::new(), inconsistent, deadlocked, overflowing] {
+            let expected = graph.repetition_vector().and_then(|_| graph.schedule());
+            assert_eq!(graph.analyze().unwrap_err(), expected.unwrap_err());
+        }
     }
 
     #[test]
