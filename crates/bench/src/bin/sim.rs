@@ -5,7 +5,7 @@
 //! million-frame trace on each, asserts the two chips finish **bit
 //! identical** (execution report, chip statistics, per-column statistics,
 //! horizontal-bus counters), and records the wall-clock speedup of the
-//! batched fast tier over the cycle-level interpreter in
+//! fast tier, which jumps repeated firings, over the interpreter in
 //! `BENCH_sim.json`.  Pass `--quick` to shrink the trace to a thousand
 //! frames so CI can smoke the path without timing noise; a quick run
 //! prints its record and leaves `BENCH_sim.json` alone.  The committed

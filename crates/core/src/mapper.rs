@@ -43,13 +43,12 @@ use std::fmt;
 use synchro_bus::{BusOp, BusStats, SegmentConfig};
 use synchro_dou::{DouError, DouProgram, ScheduleCompiler};
 use synchro_explore::{ExplorerError, ExplorerSolution};
-use synchro_isa::{DataReg, Program, ProgramBuilder};
+use synchro_isa::{DataReg, ProgramBuilder};
 use synchro_power::{
     BusGeometry, InterconnectModel, LeakageModel, Technology, TilePowerModel, VfCurve,
 };
 use synchro_route::{board_flows_from, BoardRoute, BoardSpec, BusSpec, RouteError, RouteSchedule};
 use synchro_sdf::{ActorId, FaultSpec, Mapping, MappingViolation, SdfError, SdfGraph};
-use synchro_sim::fast::{ColumnBatch, FastTier, FastTierError, FiringProfile};
 use synchro_sim::{
     Board, BridgeTransfer, BusSlot, Chip, Column, ColumnConfig, ColumnError, ColumnStats,
     FaultPlan, FaultTarget, SimFault, Slot, SlotProgram,
@@ -112,9 +111,6 @@ pub enum MapperError {
         /// Reference ticks spent before giving up.
         ticks: u64,
     },
-    /// The fast tier could not profile or batch the compiled programs
-    /// (non-steady firing pattern, pre-stepped chip, ...).
-    FastTier(FastTierError),
     /// The mapping targets hardware the [`MapperOptions::faults`] spec
     /// declares dead or degraded: a placement on a failed column or tile,
     /// a chip with every horizontal-bus split lost, or cross-chip traffic
@@ -181,7 +177,6 @@ impl fmt::Display for MapperError {
             MapperError::Incomplete { ticks } => {
                 write!(f, "chip did not halt within {ticks} reference ticks")
             }
-            MapperError::FastTier(e) => write!(f, "fast tier: {e}"),
             MapperError::Fault { violations } => {
                 write!(
                     f,
@@ -206,7 +201,6 @@ impl Error for MapperError {
             MapperError::Column(e) => Some(e),
             MapperError::Explorer(e) => Some(e),
             MapperError::Route(e) => Some(e),
-            MapperError::FastTier(e) => Some(e),
             MapperError::SimFault(e) => Some(e),
             _ => None,
         }
@@ -243,12 +237,6 @@ impl From<RouteError> for MapperError {
     }
 }
 
-impl From<FastTierError> for MapperError {
-    fn from(value: FastTierError) -> Self {
-        MapperError::FastTier(value)
-    }
-}
-
 /// Which execution strategy every run of a [`CompiledChip`] or
 /// [`CompiledBoard`] uses, set once by [`MapperOptions::tier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -256,10 +244,10 @@ pub enum ExecutionTier {
     /// Interpret every column cycle — the reference semantics.
     #[default]
     Interpreted,
-    /// Profile one firing per column through the interpreter, then batch
-    /// the remaining firings as closed-form counter updates
-    /// ([`synchro_sim::fast`]).  Statistics are bit-identical to the
-    /// interpreted tier; tile register files are not reproduced.
+    /// The interpreter, allowed to jump repeated firings
+    /// ([`synchro_sim::Column::set_firing_jumps`]) and to run unwatched
+    /// windows as one.  Reports, statistics and tiles are bit-identical to
+    /// the interpreted tier; traces are once normalised.
     Fast,
 }
 
@@ -602,22 +590,10 @@ fn column_report_energy(
 
 /// A compiled, runnable chip: a view of a board of one.  [`compile`]
 /// builds every chip through [`compile_board`], and each method here
-/// projects the board's chip 0, so chips and boards share one run loop
-/// and one fast path.
+/// projects the board's chip 0, so chips and boards share one run loop.
 #[derive(Debug)]
 pub struct CompiledChip {
     board: CompiledBoard,
-}
-
-/// The pieces one column was built from, kept so the fast tier can
-/// profile a throw-away replica without disturbing the live chip.  The
-/// DOU program shares its state table with the live column's DOU and
-/// the replica's.
-#[derive(Debug, Clone)]
-struct ColumnBlueprint {
-    config: ColumnConfig,
-    program: Program,
-    dou: Option<DouProgram>,
 }
 
 /// Lifetime counters of one chip at one instant; a run reports the
@@ -635,13 +611,12 @@ struct StatsSnapshot {
 #[derive(Debug, Default)]
 struct BoardChipParts {
     plans: Vec<ColumnPlan>,
-    blueprints: Vec<ColumnBlueprint>,
     cross_edges: Vec<CrossEdge>,
 }
 
 /// A compiled, runnable board of chips plus everything needed to
-/// interpret it: one simulated [`Chip`] with its plans, blueprints and
-/// TDM schedule per board chip, and the bridge schedule the [`Board`]
+/// interpret it: one simulated [`Chip`] with its plans and TDM schedule
+/// per board chip, and the bridge schedule the [`Board`]
 /// driver replays between them.
 #[derive(Debug)]
 pub struct CompiledBoard {
@@ -783,36 +758,6 @@ impl Progress {
         self.lane_words.clear();
         self.lane_words.extend_from_slice(board.lane_words());
     }
-}
-
-/// Build the closed-form batch tier for one chip's compiled columns.
-fn build_fast_tier(
-    plans: &[ColumnPlan],
-    blueprints: &[ColumnBlueprint],
-    iterations: u64,
-) -> Result<FastTier, MapperError> {
-    let mut tier = FastTier::new();
-    for (plan, blueprint) in plans.iter().zip(blueprints) {
-        let firings =
-            plan.firings_per_iteration
-                .checked_mul(iterations)
-                .ok_or(MapperError::Overflow {
-                    what: "total firing count",
-                })?;
-        let profile = FiringProfile::measure(
-            &blueprint.config,
-            &blueprint.program,
-            blueprint.dou.as_ref(),
-            plan.sim_cycles_per_firing,
-            firings,
-        )?;
-        tier.push(ColumnBatch {
-            column: plan.column,
-            firings,
-            profile,
-        });
-    }
-    Ok(tier)
 }
 
 /// Measured firings per column so far, derived from the broadcast
@@ -1159,15 +1104,12 @@ pub fn compile_board(
             enabled_tiles: vec![true; sim_tiles],
             rate_matcher,
         };
+        let mut sim_column = Column::new(config, program, dou);
+        sim_column.set_firing_jumps(options.tier == ExecutionTier::Fast);
         sim_board
             .chip_mut(p.chip)
             .expect("board sized from the mapping")
-            .add_column(Column::new(config.clone(), program.clone(), dou.clone()));
-        parts[p.chip].blueprints.push(ColumnBlueprint {
-            config,
-            program,
-            dou,
-        });
+            .add_column(sim_column);
 
         // Reference ticks this column needs to finish, ZORM stalls
         // included.
@@ -1751,12 +1693,8 @@ impl CompiledBoard {
     /// bus driven from its own TDM schedule) and the bridge schedule
     /// replays the inter-chip transfers as the board clock passes each
     /// slot.  This is [`CompiledBoard::execute_faulted`] with an empty
-    /// plan, so both tiers produce bit-identical reports and statistics.
-    /// The fast tier profiles one firing per column through the
-    /// interpreter, applies every remaining firing as a closed-form
-    /// counter update, jumps the board clock to the fleet's frontier and
-    /// drains the bus and bridge programs in bulk; a board with a failed
-    /// column has no closed form and runs interpreted.
+    /// plan, so both tiers produce bit-identical reports, statistics and
+    /// tiles (see [`ExecutionTier::Fast`]).
     ///
     /// Every quantity in the returned [`BoardExecutionReport`] covers
     /// *this call only* (counters are snapshotted on entry and reported
@@ -1769,11 +1707,8 @@ impl CompiledBoard {
     /// progress in it the run is [`MapperError::SimFault`] (a column
     /// failed through [`CompiledBoard::board_mut`] starves the board the
     /// same way, and is caught by the watchdog as soon as a full window
-    /// passes without progress), otherwise [`MapperError::Incomplete`];
-    /// the fast tier predicts the same verdict from the halt tick
-    /// *without* mutating any chip, and returns
-    /// [`MapperError::FastTier`] when the compiled programs cannot be
-    /// batched (e.g. a chip was stepped by hand first).  On error the
+    /// passes without progress), otherwise [`MapperError::Incomplete`].
+    /// Both tiers decide this in the same watched windows.  On error the
     /// board state is unspecified — the returned error value itself is
     /// tier-independent.
     pub fn execute(&mut self) -> Result<BoardExecutionReport, MapperError> {
@@ -1796,10 +1731,7 @@ impl CompiledBoard {
     /// the board and ends in `fault: Some(SimFault::Stalled)` via the
     /// watchdog.
     ///
-    /// On the fast tier, a run whose predicted halt precedes every
-    /// scheduled event keeps the closed-form batch path (no event would
-    /// ever fire); otherwise the run falls back to the interpreted
-    /// driver, whose statistics are bit-identical anyway.
+    /// The fast tier jumps firings up to each event and after it.
     ///
     /// # Errors
     ///
@@ -1834,20 +1766,17 @@ impl CompiledBoard {
         })
     }
 
-    /// The one run loop: on the fast tier, the closed form first when it
-    /// applies, which leaves the board halted; then windows of one
-    /// hyperperiod, cut at each due event so it fires at its exact tick,
-    /// with the starvation watchdog checking every full window once a
-    /// column has failed or the iteration windows are over.  Before
-    /// either, every live column steps at least once per window, so the
-    /// board cannot stall.  Once the tick budget is spent, one more window
-    /// decides between a stall and [`MapperError::Incomplete`].  The bus
-    /// and bridge programs are played out, on either tier, only when the
-    /// board halts.
+    /// The one run loop: windows of one hyperperiod, cut at each due
+    /// event so it fires at its exact tick, with the starvation watchdog
+    /// checking every full window once a column has failed or the
+    /// iteration windows are over.  Before either, every live column steps
+    /// at least once per window, so the board cannot stall; the fast tier
+    /// runs those windows as one, up to the first watched window's start.
+    /// Once the tick budget is spent, one more window decides between a
+    /// stall and [`MapperError::Incomplete`].  The bus and bridge programs
+    /// are played out, on either tier, only when the board halts.
     fn run(&mut self, plan: &FaultPlan, ticked: bool) -> Result<Option<SimFault>, MapperError> {
-        if !ticked && self.tier == ExecutionTier::Fast {
-            self.run_fast(plan)?;
-        }
+        let long = !ticked && self.tier == ExecutionTier::Fast;
         let advance = if ticked {
             Board::run_ticked
         } else {
@@ -1883,12 +1812,15 @@ impl CompiledBoard {
                 next += 1;
             }
             let deciding = now >= self.tick_budget;
+            let watched_from = self.iterations * window;
             let mut target = now + window;
+            if long && !failed && now < watched_from {
+                target = now + (watched_from - now).div_ceil(window) * window;
+            }
             if let Some(event) = events.get(next).filter(|_| !deciding) {
                 target = target.min(event.at_tick);
             }
-            let watch =
-                target - now == window && (failed || deciding || now >= self.iterations * window);
+            let watch = target - now == window && (failed || deciding || now >= watched_from);
             if watch && !captured {
                 before.capture(&self.board);
             }
@@ -1917,44 +1849,6 @@ impl CompiledBoard {
         }
         self.board.finish_bridge_program()?;
         Ok(None)
-    }
-
-    /// The fast tier's closed form: batch every chip and publish the
-    /// frontier, leaving the board halted for the run loop to drain its
-    /// programs.  Touches nothing when a column has failed (dead silicon
-    /// has no closed form) or an event fires at or before the predicted
-    /// halt; the windows then run instead.
-    fn run_fast(&mut self, plan: &FaultPlan) -> Result<(), MapperError> {
-        if self.board.any_failed() || self.board.all_halted() {
-            return Ok(());
-        }
-        let mut tiers = Vec::with_capacity(self.parts.len());
-        let mut halt_tick = None;
-        for (chip, parts) in self.parts.iter().enumerate() {
-            let tier = build_fast_tier(&parts.plans, &parts.blueprints, self.iterations)?;
-            halt_tick = halt_tick.max(tier.completion_tick(self.chip(chip))?);
-            tiers.push(tier);
-        }
-        if plan
-            .first_tick()
-            .is_some_and(|first| halt_tick.is_none_or(|t| t >= first))
-        {
-            return Ok(());
-        }
-        // The windowed loop would still be running when its budget ran
-        // out: predict its verdict before touching any chip.
-        if halt_tick.is_some_and(|t| t >= self.tick_budget) {
-            return Err(MapperError::Incomplete {
-                ticks: self.tick_budget,
-            });
-        }
-        for (chip, tier) in tiers.iter().enumerate() {
-            tier.run(self.chip_mut(chip))?;
-        }
-        // Publish the fleet's frontier as the board reference clock (a
-        // zero-tick run: every chip is already at or past it).
-        self.board.run(0)?;
-        Ok(())
     }
 
     fn chip(&self, chip: usize) -> &Chip {
@@ -2158,6 +2052,29 @@ mod tests {
             matches!(err, MapperError::Sdf(SdfError::Inconsistent { edge: 2 })),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn too_many_firings_per_iteration_are_an_error() {
+        // Seven actors at 1:1000 fire about 10^18 times per iteration: the
+        // schedule used to reserve that many entries and abort the process.
+        let mut graph = SdfGraph::new();
+        let actors: Vec<ActorId> = (0..7)
+            .map(|i| graph.add_actor(format!("a{i}"), 1, 1))
+            .collect();
+        let mut mapping = Mapping::new();
+        for pair in actors.windows(2) {
+            graph.add_edge(pair[0], pair[1], 1, 1000, 0).unwrap();
+        }
+        for &actor in &actors {
+            mapping.place(actor, 1, 1.0);
+        }
+        match compile(&graph, &mapping, &MapperOptions::default()) {
+            Err(MapperError::Sdf(SdfError::TooManyFirings { firings })) => {
+                assert_eq!(firings, 1_001_001_001_001_001_001)
+            }
+            other => panic!("expected too many firings, got {:?}", other.err()),
+        }
     }
 
     #[test]
@@ -2448,8 +2365,16 @@ mod tests {
         compiled.route().validate().unwrap();
     }
 
+    /// Every tile of every column of `chip`, statistics included.
+    fn tiles(chip: &Chip) -> Vec<&synchro_tile::Tile> {
+        (0..chip.columns())
+            .filter_map(|c| chip.column(c))
+            .flat_map(|column| (0..column.config().tiles).filter_map(move |t| column.tile(t)))
+            .collect()
+    }
+
     /// Execute the same `(graph, mapping, options)` on both tiers and
-    /// require bit-identical reports and chip statistics.
+    /// require bit-identical reports, chip statistics and tiles.
     fn assert_tiers_agree(graph: &SdfGraph, mapping: &Mapping, options: &MapperOptions) {
         let interpreted_options = MapperOptions {
             tier: ExecutionTier::Interpreted,
@@ -2480,6 +2405,7 @@ mod tests {
                 "column {i} vertical bus diverges"
             );
         }
+        assert_eq!(tiles(interpreted.chip()), tiles(fast.chip()));
         // A second execute covers an already-halted chip on both tiers.
         let a2 = interpreted.execute().unwrap();
         let b2 = fast.execute().unwrap();
@@ -2624,7 +2550,7 @@ mod tests {
     }
 
     /// Execute the same board mapping on both tiers and require
-    /// bit-identical reports and statistics, chip by chip.
+    /// bit-identical reports, statistics and tiles, chip by chip.
     fn assert_board_tiers_agree(graph: &SdfGraph, mapping: &Mapping, options: &MapperOptions) {
         let board_config = BoardConfig::default();
         let interpreted_options = MapperOptions {
@@ -2656,6 +2582,11 @@ mod tests {
                 interpreted.board().chip(c).unwrap().column_stats(),
                 fast.board().chip(c).unwrap().column_stats(),
                 "chip {c} column stats diverge"
+            );
+            assert_eq!(
+                tiles(interpreted.board().chip(c).unwrap()),
+                tiles(fast.board().chip(c).unwrap()),
+                "chip {c} tiles diverge"
             );
         }
         // A second execute covers an already-halted board on both tiers.
@@ -2891,7 +2822,6 @@ mod tests {
             }),
             MapperError::Route(RouteError::Unreachable { from: 0, to: 1 }),
             MapperError::Overflow { what: "test" },
-            MapperError::FastTier(FastTierError::NonUniform { firing: 2 }),
         ];
         for e in &neither {
             assert!(!e.is_resource_exhaustion(), "{e}");

@@ -242,19 +242,6 @@ impl BusStats {
         self.scheduled_slots.saturating_sub(self.occupied_slots)
     }
 
-    /// Accumulate `times` repetitions of `delta` into these counters.
-    ///
-    /// Every counter is a plain sum over cycles, so replaying a periodic
-    /// traffic pattern `times` times is exactly `times × delta` — the
-    /// identity the batched simulation tier relies on.
-    pub fn add_scaled(&mut self, delta: &BusStats, times: u64) {
-        self.active_cycles += delta.active_cycles * times;
-        self.word_transfers += delta.word_transfers * times;
-        self.deliveries += delta.deliveries * times;
-        self.scheduled_slots += delta.scheduled_slots * times;
-        self.occupied_slots += delta.occupied_slots * times;
-    }
-
     /// The counter-wise difference `self - earlier` — the traffic that
     /// occurred between two snapshots (execution reporting uses this to
     /// attribute per-window bus activity).
@@ -319,12 +306,29 @@ impl SegmentedBus {
         self.stats
     }
 
-    /// Accumulate `times` repetitions of a per-period traffic `delta`
-    /// without replaying the cycles (see [`BusStats::add_scaled`]).  The
-    /// batched simulation tier uses this to account a steady-state firing
-    /// pattern measured once by the interpreter.
-    pub fn accumulate(&mut self, delta: &BusStats, times: u64) {
-        self.stats.add_scaled(delta, times);
+    /// Account `times` more repetitions of the traffic since the snapshot
+    /// `since` of these statistics: `stats + times × (stats − since)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BusError::Overflow`], leaving the statistics unchanged,
+    /// when a count would pass `u64::MAX`.
+    pub fn repeat(&mut self, since: &BusStats, times: u64) -> Result<(), BusError> {
+        let (now, d) = (self.stats, self.stats.delta(since));
+        let add = |now: u64, delta: u64| delta.checked_mul(times)?.checked_add(now);
+        let stats = (|| {
+            Some(BusStats {
+                active_cycles: add(now.active_cycles, d.active_cycles)?,
+                word_transfers: add(now.word_transfers, d.word_transfers)?,
+                deliveries: add(now.deliveries, d.deliveries)?,
+                scheduled_slots: add(now.scheduled_slots, d.scheduled_slots)?,
+                occupied_slots: add(now.occupied_slots, d.occupied_slots)?,
+            })
+        })();
+        self.stats = stats.ok_or(BusError::Overflow {
+            what: "vertical bus traffic",
+        })?;
+        Ok(())
     }
 
     /// Account `cycles` scheduled bus cycles that carry no word: the
@@ -1031,18 +1035,26 @@ mod tests {
         let mut probe = SegmentedBus::isca2004();
         probe.cycle(&cfg, std::slice::from_ref(&op)).unwrap();
         probe.cycle(&cfg, &[]).unwrap();
-        let delta = probe.stats();
-        // Replay the period 7 times against bulk accumulation.
+        // Replay the period 7 times against the measured one repeated 6
+        // more times.
         let mut replayed = SegmentedBus::isca2004();
         for _ in 0..7 {
             replayed.cycle(&cfg, std::slice::from_ref(&op)).unwrap();
             replayed.cycle(&cfg, &[]).unwrap();
         }
-        let mut bulk = SegmentedBus::isca2004();
-        bulk.accumulate(&delta, 7);
+        let mut bulk = probe.clone();
+        bulk.repeat(&BusStats::default(), 6).unwrap();
         assert_eq!(bulk.stats(), replayed.stats());
         // Zero repetitions accumulate nothing.
-        bulk.accumulate(&delta, 0);
+        bulk.repeat(&BusStats::default(), 0).unwrap();
+        assert_eq!(bulk.stats(), replayed.stats());
+        // A repetition whose count passes `u64::MAX` changes nothing.
+        assert_eq!(
+            bulk.repeat(&BusStats::default(), u64::MAX),
+            Err(BusError::Overflow {
+                what: "vertical bus traffic"
+            })
+        );
         assert_eq!(bulk.stats(), replayed.stats());
     }
 

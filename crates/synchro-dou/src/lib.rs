@@ -323,6 +323,67 @@ impl Dou {
         self.cycles += stepped;
         stepped
     }
+
+    /// Repeat up to `max` more times the steps since `earlier`, a clone of
+    /// this DOU: the repetitions applied, or `None`, changing nothing, past
+    /// `u64::MAX`.  None apply unless the DOU is back in `earlier`'s state
+    /// and those steps took the path on which every test finds its counter
+    /// non-zero, setting no segments.  Each repetition tests each counter
+    /// as often, so they stop before one would be found at zero, and the
+    /// counters just count down.
+    pub fn repeat(&mut self, earlier: &Dou, max: u64) -> Option<u64> {
+        let Some(tests) = self
+            .tests_since(earlier)
+            .filter(|_| self.state == earlier.state)
+        else {
+            return Some(0);
+        };
+        let mut times = max;
+        for (c, &tested) in tests.iter().enumerate().filter(|(_, &t)| t > 0) {
+            // The steps since `earlier` found the counter non-zero at each
+            // of its tests exactly when it started at least that high.
+            if u64::from(earlier.counters[c]) < tested {
+                return Some(0);
+            }
+            times = times.min(u64::from(self.counters[c]) / tested);
+        }
+        let add = |now: u64, then: u64| (now - then).checked_mul(times)?.checked_add(now);
+        let cycles = add(self.cycles, earlier.cycles)?;
+        let transfers = add(self.transfers, earlier.transfers)?;
+        for (counter, tested) in self.counters.iter_mut().zip(tests) {
+            // At most the counter's value, so it fits.
+            *counter -= (tested * times) as u32;
+        }
+        (self.cycles, self.transfers) = (cycles, transfers);
+        Some(times)
+    }
+
+    /// Each counter's tests along the steps since `earlier`, taken as the
+    /// path from its state on which every test finds its counter
+    /// non-zero.  That path follows `next_if_nonzero`, so it returns to its
+    /// start every `length` steps or never; `None` when the steps are not
+    /// a whole number of such returns, or a state on it sets the segments.
+    fn tests_since(&self, earlier: &Dou) -> Option<[u64; NUM_COUNTERS]> {
+        let steps = self.cycles - earlier.cycles;
+        let mut tests = [0u64; NUM_COUNTERS];
+        if steps == 0 {
+            return Some(tests);
+        }
+        let mut state = earlier.state;
+        for length in 1..=self.program.len() as u64 {
+            let s = &self.program.states[state];
+            if s.output.segments.is_some() {
+                return None;
+            }
+            tests[s.counter] += 1;
+            state = s.next_if_nonzero;
+            if state == earlier.state {
+                let returns = steps.is_multiple_of(length).then_some(steps / length)?;
+                return Some(tests.map(|t| t * returns));
+            }
+        }
+        None
+    }
 }
 
 /// A down-counter at `value`, reloaded with `init` when a step finds it at

@@ -59,6 +59,13 @@ pub struct Edge {
     pub initial_tokens: u64,
 }
 
+/// The most firings one iteration may take: [`SdfGraph::schedule`], which
+/// lists every firing, rejects a larger graph with
+/// [`SdfError::TooManyFirings`].  Four times the largest iteration of any
+/// graph in this repository (1,048,556 firings); a schedule at the limit
+/// holds 4,194,304 actor ids, 32 MiB.
+pub const MAX_FIRINGS_PER_ITERATION: u64 = 1 << 22;
+
 /// Errors raised by graph analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SdfError {
@@ -93,6 +100,12 @@ pub enum SdfError {
         /// Description of the quantity that overflowed.
         quantity: &'static str,
     },
+    /// One iteration takes more firings than a schedule may list
+    /// ([`MAX_FIRINGS_PER_ITERATION`]).
+    TooManyFirings {
+        /// Firings per iteration: the sum of the repetition vector.
+        firings: u64,
+    },
 }
 
 impl fmt::Display for SdfError {
@@ -108,6 +121,12 @@ impl fmt::Display for SdfError {
             }
             SdfError::Empty => write!(f, "graph has no actors"),
             SdfError::Overflow { quantity } => write!(f, "{quantity} overflows 64 bits"),
+            SdfError::TooManyFirings { firings } => {
+                write!(
+                    f,
+                    "{firings} firings per iteration (limit {MAX_FIRINGS_PER_ITERATION})"
+                )
+            }
         }
     }
 }
@@ -317,7 +336,8 @@ impl SdfGraph {
     ///
     /// # Errors
     ///
-    /// Propagates rate-consistency errors and returns
+    /// Propagates rate-consistency errors, then returns
+    /// [`SdfError::TooManyFirings`] past [`MAX_FIRINGS_PER_ITERATION`] and
     /// [`SdfError::Deadlock`] when no actor can fire but firings remain.
     pub fn schedule(&self) -> Result<Vec<ActorId>, SdfError> {
         self.schedule_for(&self.repetition_vector()?)
@@ -333,8 +353,8 @@ impl SdfGraph {
     ///
     /// # Errors
     ///
-    /// Those of [`SdfGraph::repetition_vector`], then
-    /// [`SdfError::Deadlock`] from the schedule.
+    /// Those of [`SdfGraph::repetition_vector`], then those of
+    /// [`SdfGraph::schedule`].
     pub fn analyze(&self) -> Result<SdfAnalysis<'_>, SdfError> {
         let repetitions = self.repetition_vector()?;
         let order = self.schedule_for(&repetitions)?;
@@ -348,9 +368,18 @@ impl SdfGraph {
 
     /// [`SdfGraph::schedule`] for the graph's repetition vector `reps`.
     fn schedule_for(&self, reps: &[u64]) -> Result<Vec<ActorId>, SdfError> {
+        let firings = reps
+            .iter()
+            .try_fold(0u64, |sum, &r| sum.checked_add(r))
+            .ok_or(SdfError::Overflow {
+                quantity: "firings per iteration",
+            })?;
+        if firings > MAX_FIRINGS_PER_ITERATION {
+            return Err(SdfError::TooManyFirings { firings });
+        }
         let mut remaining: Vec<u64> = reps.to_vec();
         let mut tokens: Vec<u64> = self.edges.iter().map(|e| e.initial_tokens).collect();
-        let mut order = Vec::with_capacity(reps.iter().sum::<u64>() as usize);
+        let mut order = Vec::with_capacity(firings as usize);
 
         loop {
             if remaining.iter().all(|&r| r == 0) {
@@ -1229,6 +1258,61 @@ mod tests {
         g.add_edge(a, b, 1, 1, 0).unwrap();
         g.add_edge(b, a, 1, 1, 0).unwrap();
         assert!(matches!(g.schedule(), Err(SdfError::Deadlock { .. })));
+    }
+
+    /// A consistent chain of `actors` actors whose edges produce one token
+    /// and consume `consume`: actor 0 fires `consume^(actors - 1)` times
+    /// per iteration.
+    fn decimating_chain(actors: usize, consume: u64) -> SdfGraph {
+        let mut g = SdfGraph::new();
+        let ids: Vec<ActorId> = (0..actors)
+            .map(|i| g.add_actor(format!("a{i}"), 1, 1))
+            .collect();
+        for pair in ids.windows(2) {
+            g.add_edge(pair[0], pair[1], 1, consume, 0).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn iterations_past_the_firing_limit_are_errors_not_aborts() {
+        // Seven actors at 1:1000 fire 1,001,001,001,001,001,001 times per
+        // iteration: the schedule used to reserve that many entries and
+        // abort the process on the failed allocation.
+        let g = decimating_chain(7, 1000);
+        assert_eq!(g.repetition_vector().unwrap()[0], 1_000_000_000_000_000_000);
+        let expected = SdfError::TooManyFirings {
+            firings: 1_001_001_001_001_001_001,
+        };
+        assert_eq!(g.schedule(), Err(expected.clone()));
+        assert_eq!(g.buffer_bounds(), Err(expected.clone()));
+        assert_eq!(g.analyze().map(|a| a.repetitions().to_vec()), Err(expected));
+        // At the limit the schedule lists every firing; one past it is
+        // rejected.
+        let at_limit = decimating_chain(2, MAX_FIRINGS_PER_ITERATION - 1);
+        assert_eq!(
+            at_limit.schedule().unwrap().len() as u64,
+            MAX_FIRINGS_PER_ITERATION
+        );
+        assert_eq!(
+            decimating_chain(2, MAX_FIRINGS_PER_ITERATION).schedule(),
+            Err(SdfError::TooManyFirings {
+                firings: MAX_FIRINGS_PER_ITERATION + 1
+            })
+        );
+        // A repetition vector whose every entry fits but whose sum does not.
+        let mut wide = SdfGraph::new();
+        let (a, b) = (wide.add_actor("a", 1, 1), wide.add_actor("b", 1, 1));
+        wide.add_edge(a, b, u64::MAX - 1, u64::MAX, 0).unwrap();
+        assert_eq!(
+            wide.schedule(),
+            Err(SdfError::Overflow {
+                quantity: "firings per iteration"
+            })
+        );
+        assert!(SdfError::TooManyFirings { firings: 7 }
+            .to_string()
+            .contains(&MAX_FIRINGS_PER_ITERATION.to_string()));
     }
 
     #[test]

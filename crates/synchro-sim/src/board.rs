@@ -223,7 +223,7 @@ impl Board {
     /// Returns [`BusError::Overflow`] when a bulk count or a running total
     /// passes `u64::MAX`; the bridge statistics are then unspecified.
     pub fn finish_bridge_program(&mut self) -> Result<(), ColumnError> {
-        Ok(self.drain_program()?)
+        Ok(self.advance_program(u64::MAX)?)
     }
 
     /// Co-advance the fleet by up to `max_ticks` board reference ticks:
@@ -492,12 +492,13 @@ mod tests {
             other => panic!("expected an overflow, got {other:?}"),
         };
         assert_eq!(overflow(board.finish_bridge_program()), "bridge traffic");
-        // The failing charge left every total as the one before it did.
+        // The failing charge, lane 1's, left every total as lane 0's
+        // charge did.
         let stats = board.bridge_stats();
-        assert_eq!(stats.word_transfers, u64::MAX);
-        assert_eq!(stats.deliveries, u64::MAX);
-        assert_eq!(stats.occupied_slots, u64::MAX);
-        assert_eq!(board.lane_words(), &[u64::MAX - 1, 1]);
+        assert_eq!(stats.word_transfers, u64::MAX - 1);
+        assert_eq!(stats.deliveries, u64::MAX - 1);
+        assert_eq!(stats.occupied_slots, u64::MAX - 1);
+        assert_eq!(board.lane_words(), &[u64::MAX - 1, 0]);
 
         // Two scheduled cycles in the first period, then 2 × (2^63 − 1) for
         // the rest: again each charge fits and their sum does not.

@@ -206,7 +206,7 @@ impl Chip {
     /// returns [`BusError::Overflow`] when a bulk count or a running total
     /// passes `u64::MAX`; the chip's statistics are then unspecified.
     pub fn finish_bus_program(&mut self) -> Result<(), ColumnError> {
-        Ok(self.drain_program()?)
+        Ok(self.advance_program(u64::MAX)?)
     }
 
     /// True when every column has halted.
@@ -237,22 +237,6 @@ impl Chip {
     /// True when any column has been killed by a fault.
     pub fn any_failed(&self) -> bool {
         self.columns.iter().any(Column::is_failed)
-    }
-
-    /// Jump the reference clock forward to `to_tick` without stepping any
-    /// column (the fast tier's closed-form replacement for the empty and
-    /// already-accounted ticks of an interpreted run).  Never moves the
-    /// clock backwards.
-    pub(crate) fn fast_forward_reference(&mut self, to_tick: u64) {
-        if to_tick > self.stats.reference_cycles {
-            self.stats.reference_cycles = to_tick;
-        }
-    }
-
-    /// Fold closed-form column work into the chip-level cycle counter
-    /// (mirrors what [`Chip::tick`] accumulates per stepped column).
-    pub(crate) fn add_column_cycles(&mut self, cycles: u64) {
-        self.stats.column_cycles += cycles;
     }
 
     /// Chip statistics so far.
@@ -314,23 +298,21 @@ impl Chip {
     /// turn.  If every column has halted, the clock stops one tick after
     /// the latest halt-observing step, otherwise at the window's end.
     ///
-    /// Within a column's loop, each stretch of a zero-overhead NOP loop
-    /// (the compute phase of a mapped firing) is issued as one batch
-    /// whenever the column can take one: the least of the NOPs left in
-    /// the loop, the DOU's idle states ahead and the column's ticks left
-    /// in the window.  Every other cycle takes [`Column::step`].  A batch
-    /// leaves the state its cycles' steps would, trace events included,
-    /// and never halts or faults the column.
+    /// A column's loop is [`Column::run`]'s: NOP loops in batches, with
+    /// firing jumps on ([`Column::set_firing_jumps`]) repeated firings at
+    /// once, every other cycle by [`Column::step`].
     ///
     /// The produced [`ChipStats`], per-column, vertical- and
     /// horizontal-bus statistics, tile state and tick count are
     /// bit-identical to the tick-by-tick loop ([`Chip::run_ticked`]),
-    /// which steps every cycle and is kept as the differential-testing
-    /// reference, for any split of a run into windows.  Trace events
-    /// carry the same ticks, but one window's
+    /// which steps every cycle and never jumps, kept as the
+    /// differential-testing reference, for any split of a run into
+    /// windows.  Trace events carry the same ticks, but one window's
     /// events arrive grouped by column (then the bus slots) rather than
-    /// interleaved by tick; [`synchro_trace::normalize`], trace analysis
-    /// and the Chrome exporter key on each event's own tick, so only a
+    /// interleaved by tick, and a jump, or a bus slot over whole periods,
+    /// is one event stamped at its last; [`synchro_trace::normalize`],
+    /// trace analysis and the Chrome exporter key on each event's own tick
+    /// and count, so only a
     /// truncating ring buffer keeps a different tail.  After an error the
     /// trace may also hold events past the error tick, from columns that
     /// ran through the window before the failing one; the tick-by-tick
@@ -340,11 +322,23 @@ impl Chip {
     ///
     /// Returns the column error at the earliest reference tick, ties
     /// going to the lowest column — the error the tick-by-tick loop
-    /// meets first.  Chip state after an error is unspecified.
+    /// meets first — and [`BusError::Overflow`] when a count passes
+    /// `u64::MAX`, the reference clock among them: a window asked of a
+    /// clock at `u64::MAX` with a column still live.  Chip state after an
+    /// error is unspecified.
     pub fn run(&mut self, max_ticks: u64) -> Result<u64, ColumnError> {
         let start = self.stats.reference_cycles;
         let end = start.saturating_add(max_ticks);
-        if end == start || self.all_halted() {
+        if max_ticks == 0 || self.all_halted() {
+            return Ok(0);
+        }
+        if end == start {
+            let live = |c: &Column| !c.is_halted() && !c.is_failed();
+            if self.columns.iter().any(live) {
+                return Err(ColumnError::Bus(BusError::Overflow {
+                    what: "reference ticks",
+                }));
+            }
             return Ok(0);
         }
         let mut first_error: Option<(u64, ColumnError)> = None;
@@ -368,25 +362,16 @@ impl Chip {
             } else {
                 0
             };
-            let mut done = 0;
-            while done < steps {
-                let batched = column.step_nops(steps - done);
-                if batched > 0 {
-                    done += batched;
-                    continue;
+            match column.advance(steps) {
+                Ok(done) if column.is_halted() => {
+                    last_halt = last_halt.max(Some(first + done * divider));
                 }
-                let tick = first + done * divider;
-                if let Err(error) = column.step() {
-                    first_error = Some((tick, error));
-                    break;
-                }
-                if column.is_halted() {
-                    last_halt = last_halt.max(Some(tick));
-                    break;
-                }
-                done += 1;
+                Ok(_) => {}
+                Err((done, error)) => first_error = Some((first + done * divider, error)),
             }
-            self.stats.column_cycles += column.stats().cycles - before;
+            let cycles = column.stats().cycles - before;
+            self.stats.column_cycles =
+                checked_sum(self.stats.column_cycles, cycles, "chip column cycles")?;
         }
         if let Some((tick, error)) = first_error {
             self.stats.reference_cycles = tick + 1;

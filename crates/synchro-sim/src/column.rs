@@ -3,11 +3,11 @@
 use std::error::Error;
 use std::fmt;
 
-use synchro_bus::{BusError, SegmentConfig, SegmentedBus};
+use synchro_bus::{BusError, BusStats, SegmentConfig, SegmentedBus};
 use synchro_dou::{Dou, DouProgram};
 use synchro_isa::Program;
-use synchro_simd::{Issue, RateMatcher, SimdController, StallReason};
-use synchro_tile::{ExecError, Tile};
+use synchro_simd::{BackEdge, Issue, RateMatcher, SimdController, StallReason};
+use synchro_tile::{ExecError, Tile, TileMark};
 use synchro_trace::{Trace, TraceEvent};
 
 /// Errors surfaced while simulating a column.
@@ -141,6 +141,21 @@ pub struct Column {
     chip_id: u32,
     column_id: u32,
     failed: bool,
+    /// Whether [`Column::run`] and [`crate::Chip::run`] may jump firings.
+    jumps: bool,
+    /// The column at the last back-edge its run loop saw.
+    mark: Option<Mark>,
+}
+
+/// A column at the back-edge of its controller's outermost loop — the end
+/// of a firing — as a firing jump compares and repeats it.
+#[derive(Debug)]
+struct Mark {
+    controller: BackEdge,
+    tiles: Vec<TileMark>,
+    dou: Option<Dou>,
+    bus: BusStats,
+    stats: ColumnStats,
 }
 
 impl Column {
@@ -184,7 +199,15 @@ impl Column {
             chip_id: 0,
             column_id: 0,
             failed: false,
+            jumps: false,
+            mark: None,
         }
+    }
+
+    /// Let the run loop jump repeated firings (the fast tier); off by
+    /// default.
+    pub fn set_firing_jumps(&mut self, jumps: bool) {
+        self.jumps = jumps;
     }
 
     /// Install a trace sink and the `(chip, column)` identity stamped on
@@ -205,8 +228,10 @@ impl Column {
         &self.config
     }
 
-    /// Access a tile (e.g. to stage data into its local memory).
+    /// Access a tile (e.g. to stage data into its local memory); the next
+    /// jump then waits for two more firings.
     pub fn tile_mut(&mut self, index: usize) -> Option<&mut Tile> {
+        self.mark = None;
         self.tiles.get_mut(index)
     }
 
@@ -246,23 +271,6 @@ impl Column {
         self.bus.stats()
     }
 
-    /// Fold a closed-form execution delta into the column's counters and
-    /// halt the controller, as if the remaining firings had been stepped
-    /// by the interpreter (used by the fast tier; see `crate::fast`).
-    pub(crate) fn apply_batched(
-        &mut self,
-        stats_delta: ColumnStats,
-        bus_delta: &synchro_bus::BusStats,
-    ) {
-        self.stats.cycles += stats_delta.cycles;
-        self.stats.broadcasts += stats_delta.broadcasts;
-        self.stats.branch_stalls += stats_delta.branch_stalls;
-        self.stats.rate_match_stalls += stats_delta.rate_match_stalls;
-        self.stats.bus_word_transfers += stats_delta.bus_word_transfers;
-        self.bus.accumulate(bus_delta, 1);
-        self.controller.force_halt();
-    }
-
     /// Advance the column by one of its own clock cycles.
     ///
     /// # Errors
@@ -283,36 +291,7 @@ impl Column {
         }
         self.stats.cycles += 1;
         if self.trace.enabled() {
-            // A live column is stepped on exactly the reference ticks its
-            // divider selects (halt-observing steps are unbilled above),
-            // so the k-th billed cycle lands on reference tick
-            // (k-1) * divider — no reference clock needs threading in.
-            let slot = self.stats.cycles - 1;
-            let tick = slot * u64::from(self.config.clock_divider);
-            if let Some(rate) = self.config.rate_matcher {
-                if slot.is_multiple_of(u64::from(rate.period)) {
-                    self.trace.emit(|| TraceEvent::RateMatcherRelock {
-                        chip: self.chip_id,
-                        column: self.column_id,
-                        tick,
-                        count: 1,
-                    });
-                }
-            }
-            self.trace.emit(|| TraceEvent::DividerTick {
-                chip: self.chip_id,
-                column: self.column_id,
-                tick,
-                count: 1,
-            });
-            if issue == Issue::Stall(StallReason::RateMatch) {
-                self.trace.emit(|| TraceEvent::ZormStall {
-                    chip: self.chip_id,
-                    column: self.column_id,
-                    tick,
-                    cycles: 1,
-                });
-            }
+            self.trace_cycles(1, u64::from(issue == Issue::Stall(StallReason::RateMatch)));
         }
         match issue {
             Issue::Broadcast(inst) => {
@@ -407,32 +386,167 @@ impl Column {
         k
     }
 
+    /// Trace the last `cycles` billed cycles, `stalls` of them ZORM
+    /// stalls, as one event per track stamped at the last.  A live column
+    /// steps on exactly the ticks its divider selects (halt-observing
+    /// steps are unbilled), so billed cycle k lands on tick (k-1) ×
+    /// divider, and the matcher re-locks on each multiple of its period.
+    fn trace_cycles(&self, cycles: u64, stalls: u64) {
+        let (chip, column, end) = (self.chip_id, self.column_id, self.stats.cycles);
+        let tick = (end - 1).saturating_mul(u64::from(self.config.clock_divider));
+        if let Some(rate) = self.config.rate_matcher {
+            let period = u64::from(rate.period);
+            let count = end.div_ceil(period) - (end - cycles).div_ceil(period);
+            if count > 0 {
+                self.trace.emit(|| TraceEvent::RateMatcherRelock {
+                    chip,
+                    column,
+                    tick,
+                    count,
+                });
+            }
+        }
+        self.trace.emit(|| TraceEvent::DividerTick {
+            chip,
+            column,
+            tick,
+            count: cycles,
+        });
+        if stalls > 0 {
+            self.trace.emit(|| TraceEvent::ZormStall {
+                chip,
+                column,
+                tick,
+                cycles: stalls,
+            });
+        }
+    }
+
     /// Run the column until it halts or `max_cycles` of its own clock
-    /// elapse.  Returns the number of cycles consumed.
-    ///
-    /// The NOPs of a zero-overhead loop whose body is a single `Nop` are
-    /// issued in batches, each as long as the DOU stays idle (columns
-    /// with a rate matcher step every cycle); every other cycle takes
-    /// [`Column::step`].  The result — controller, tiles, DOU, bus,
-    /// statistics and trace — is the state `max_cycles` calls of
-    /// [`Column::step`] leave, which stays the per-cycle reference.
+    /// elapse, as that many [`Column::step`] calls would; returns the
+    /// cycles consumed.
     ///
     /// # Errors
     ///
     /// Propagates the first [`ColumnError`] encountered.
     pub fn run(&mut self, max_cycles: u64) -> Result<u64, ColumnError> {
         let start = self.stats.cycles;
-        let mut left = max_cycles;
-        while left > 0 && !self.failed && !self.controller.is_halted() {
-            let k = self.step_nops(left);
-            if k > 0 {
-                left -= k;
+        self.advance(max_cycles).map_err(|(_, error)| error)?;
+        Ok(self.stats.cycles - start)
+    }
+
+    /// The loop of [`Column::run`] and [`crate::Chip::run`]: up to `steps`
+    /// steps, as batches, single steps and jumps; returns the steps before
+    /// the HALT-observing one (or, with the error, the failing one).
+    pub(crate) fn advance(&mut self, steps: u64) -> Result<u64, (u64, ColumnError)> {
+        match (self.failed, self.jumps) {
+            (true, _) => Ok(0),
+            (false, true) => self.advance_with::<true>(steps),
+            (false, false) => self.advance_with::<false>(steps),
+        }
+    }
+
+    fn advance_with<const JUMPS: bool>(&mut self, steps: u64) -> Result<u64, (u64, ColumnError)> {
+        let mut done = 0;
+        while done < steps {
+            let batched = self.step_nops(steps - done);
+            if batched > 0 {
+                done += batched;
                 continue;
             }
-            self.step()?;
-            left -= 1;
+            self.step().map_err(|error| (done, error))?;
+            if self.controller.is_halted() {
+                break;
+            }
+            done += 1;
+            if JUMPS {
+                done += self.jump(steps - done).map_err(|error| (done, error))?;
+            }
         }
-        Ok(self.stats.cycles - start)
+        Ok(done)
+    }
+
+    /// At the back-edge of the controller's outermost loop — the end of a
+    /// firing — jump the firings within `left` steps that repeat the last
+    /// one ([`Column::repeat`]), then mark the column for the next
+    /// back-edge.  Returns the steps jumped.
+    fn jump(&mut self, left: u64) -> Result<u64, ColumnError> {
+        if self.controller.back_edge().is_none() {
+            return Ok(0);
+        }
+        let mark = self.mark.take();
+        let jumped = mark
+            .as_ref()
+            .map_or(Ok(0), |mark| self.repeat(mark, left))?;
+        let mut tiles = mark.map_or_else(Vec::new, |mark| mark.tiles);
+        tiles.clear();
+        tiles.extend(self.tiles.iter().map(Tile::mark));
+        self.mark = self.controller.back_edge().map(|controller| Mark {
+            controller,
+            tiles,
+            dou: self.dou.clone(),
+            bus: self.bus.stats(),
+            stats: self.stats,
+        });
+        Ok(jumped)
+    }
+
+    /// Apply at once the firings within `left` steps that repeat the one
+    /// since `mark`, and return the steps they take.
+    ///
+    /// They do when the column stands where it stood at `mark` — the
+    /// controller (its loop counter aside), every tile's datapath, the DOU
+    /// state — and that firing touched no tile memory and set no segment
+    /// switches.  `j` of them apply at once, `j` short of the loop's last
+    /// iteration, of a DOU counter reaching zero and of `left`: statistics
+    /// grow by `j ×` the firing's, loop and DOU counters count down, ZORM
+    /// stalls follow the matcher's schedule, and a trace gets one event per
+    /// track.  A DOU under ZORM never jumps: the stalls shift its pattern.
+    ///
+    /// # Errors
+    ///
+    /// [`BusError::Overflow`] when a count would pass `u64::MAX`; the
+    /// column's state is then unspecified, but no count has wrapped.
+    fn repeat(&mut self, mark: &Mark, left: u64) -> Result<u64, ColumnError> {
+        let overflow = |what| ColumnError::Bus(BusError::Overflow { what });
+        let zorm = self.config.rate_matcher.is_some_and(|m| m.stalls > 0);
+        let mut times = self.controller.repeats(&mark.controller, left);
+        let mut tiles = self.tiles.iter().zip(&mark.tiles);
+        if times == 0 || (zorm && self.dou.is_some()) || !tiles.all(|(t, m)| t.repeats(m)) {
+            return Ok(0);
+        }
+        if let (Some(dou), Some(m)) = (&mut self.dou, &mark.dou) {
+            times = dou.repeat(m, times).ok_or(overflow("DOU statistics"))?;
+            if times == 0 {
+                return Ok(0);
+            }
+        }
+        let (cycles, stalls) = self
+            .controller
+            .repeat(&mark.controller, times)
+            .ok_or(overflow("controller statistics"))?;
+        for (tile, m) in self.tiles.iter_mut().zip(&mark.tiles) {
+            if !tile.repeat(m, times) {
+                return Err(overflow("tile statistics"));
+            }
+        }
+        self.bus.repeat(&mark.bus, times)?;
+        let (now, then) = (self.stats, mark.stats);
+        let add = |now: u64, then: u64| (now - then).checked_mul(times)?.checked_add(now);
+        let stats = (|| {
+            Some(ColumnStats {
+                cycles: now.cycles.checked_add(cycles)?,
+                broadcasts: add(now.broadcasts, then.broadcasts)?,
+                branch_stalls: add(now.branch_stalls, then.branch_stalls)?,
+                rate_match_stalls: now.rate_match_stalls.checked_add(stalls)?,
+                bus_word_transfers: add(now.bus_word_transfers, then.bus_word_transfers)?,
+            })
+        })();
+        self.stats = stats.ok_or(overflow("column statistics"))?;
+        if self.trace.enabled() {
+            self.trace_cycles(cycles, stalls);
+        }
+        Ok(cycles)
     }
 }
 
@@ -444,7 +558,7 @@ pub(crate) mod tests {
     use synchro_bus::BusOp;
     use synchro_dou::{PatternCycle, ScheduleCompiler};
     use synchro_isa::{assemble, DataReg, ProgramBuilder};
-    use synchro_trace::RingBufferSink;
+    use synchro_trace::{normalize, RingBufferSink};
 
     #[test]
     fn simd_broadcast_executes_on_all_enabled_tiles() {
@@ -727,7 +841,8 @@ pub(crate) mod tests {
         assert_eq!(throttled.step_nops(100), 0);
     }
 
-    /// Every piece of state a batch touches, plus the segment switches.
+    /// Every piece of state a batch or a jump touches, plus the segment
+    /// switches.
     fn assert_same_column(batched: &Column, stepped: &Column) -> Result<(), TestCaseError> {
         prop_assert_eq!(&batched.controller, &stepped.controller);
         prop_assert_eq!(&batched.dou, &stepped.dou);
@@ -821,5 +936,172 @@ pub(crate) mod tests {
             }
             prop_assert_eq!(batched_ring.dropped() + stepped_ring.dropped(), 0);
         }
+    }
+
+    /// A column program of `iters` firings: the mapper's (`kind` 0 or 1),
+    /// one whose tiles count firings in `r1` so no two firings end alike
+    /// (2), or one that stores to tile memory in every firing (3).
+    fn jump_program(kind: u32, iters: u32, nops: u32) -> Program {
+        let tail = match kind {
+            2 => "add r1, r1, r7\n",
+            3 => "st r2, p0, 3\n",
+            _ => "",
+        };
+        let body = 5 + u32::from(!tail.is_empty());
+        let src = format!(
+            "loop {iters}, {body}\nli r7, 5\nsend\nloop {nops}, 1\nnop\nrecv r2\n{tail}halt\n"
+        );
+        synchro_isa::assemble(&src).unwrap()
+    }
+
+    proptest! {
+        /// A chip whose column jumps firings ([`Column::jump`]) leaves the
+        /// controller, every tile (random enable bits), the DOU, the
+        /// segment switches, the column, vertical-bus and chip statistics
+        /// and the normalised trace equal to `Chip::run_ticked`, which
+        /// steps every cycle, after every window of a run cut at random
+        /// ticks, mid-firing included.  Columns are the mapper's: 1–4
+        /// tiles, divider 1–4, no DOU, the mapper's DOU or a random one
+        /// (transfers, segment changes, idle cycles), one in three behind a
+        /// ZORM matcher.  Programs whose firings differ, or that touch
+        /// tile memory, must match without ever jumping.
+        #[test]
+        fn firing_jumps_match_single_steps(
+            kind in 0u32..4,
+            iters in 1u32..40,
+            nops in 0u32..10,
+            tiles in 1usize..5,
+            enabled in any::<u8>(),
+            dou_kind in 0u32..3,
+            pattern in prop::collection::vec(any::<u8>(), 1..8),
+            zorm in 0u32..3,
+            period in 2u32..9,
+            divider in 1u32..5,
+            windows in prop::collection::vec(0u64..400, 1..8),
+        ) {
+            let slots = nops as usize + 3 + usize::from(kind >= 2);
+            let dou = match dou_kind {
+                0 => None,
+                1 => Some(firing_dou(slots, tiles, iters)),
+                _ => {
+                    let mut schedule = ScheduleCompiler::new();
+                    for byte in &pattern {
+                        schedule.push(match byte % 4 {
+                            0 => PatternCycle {
+                                segments: Some(SegmentConfig::all_closed(8, tiles)),
+                                ops: vec![BusOp {
+                                    split: usize::from(byte >> 5),
+                                    producer: 0,
+                                    consumers: (1..tiles).collect(),
+                                }],
+                            },
+                            1 => PatternCycle {
+                                segments: Some(SegmentConfig::all_open(8, tiles)),
+                                ops: Vec::new(),
+                            },
+                            _ => PatternCycle::default(),
+                        });
+                    }
+                    Some(schedule.compile(u32::from(pattern[0]) % 4).unwrap())
+                }
+            };
+            let config = ColumnConfig {
+                tiles,
+                clock_divider: divider,
+                enabled_tiles: (0..tiles).map(|i| enabled >> i & 1 == 1).collect(),
+                rate_matcher: (zorm == 0).then_some(RateMatcher {
+                    period,
+                    stalls: 1 + u32::from(enabled) % (period - 1),
+                }),
+                ..ColumnConfig::isca2004()
+            };
+            let build = |jumps: bool, ring: &Arc<RingBufferSink>| {
+                let mut column = Column::new(config.clone(), jump_program(kind, iters, nops), dou.clone());
+                column.set_firing_jumps(jumps);
+                let mut chip = crate::Chip::new();
+                chip.set_trace(Trace::to(ring.clone()), 0);
+                chip.add_column(column);
+                chip
+            };
+            let (jumped_ring, stepped_ring) =
+                (Arc::new(RingBufferSink::new(1 << 16)), Arc::new(RingBufferSink::new(1 << 16)));
+            let mut jumped = build(true, &jumped_ring);
+            let mut stepped = build(false, &stepped_ring);
+            for window in windows.into_iter().chain([u64::MAX]) {
+                let result = jumped.run(window);
+                let reference = stepped.run_ticked(window);
+                prop_assert_eq!(format!("{result:?}"), format!("{reference:?}"));
+                if result.is_err() {
+                    return Ok(());
+                }
+                prop_assert_eq!(jumped.stats(), stepped.stats());
+                let (a, b) = (jumped.column(0).unwrap(), stepped.column(0).unwrap());
+                assert_same_column(a, b)?;
+            }
+            prop_assert!(jumped.all_halted());
+            let (events, reference) = (jumped_ring.events(), stepped_ring.events());
+            prop_assert_eq!(jumped_ring.dropped() + stepped_ring.dropped(), 0);
+            prop_assert_eq!(normalize(&events), normalize(&reference));
+            let jumps = events
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::DividerTick { count, .. } if *count > 1))
+                .count();
+            // (Disabled tiles execute nothing, so on a column without an
+            // enabled tile every firing is alike and may jump.)
+            if kind >= 2 && config.enabled_tiles.contains(&true) {
+                prop_assert_eq!(jumps, 0, "firings that differ or touch memory never jump");
+            }
+        }
+    }
+
+    #[test]
+    fn steady_firings_jump_and_the_rest_step() {
+        // 40 mapper firings with the mapper's DOU: the first two step, the
+        // jump covers all but the last, which steps to the HALT.
+        let firing = |jumps| {
+            let mut column = Column::new(
+                ColumnConfig::isca2004(),
+                firing_program(40, 6),
+                Some(firing_dou(9, 4, 40)),
+            );
+            column.set_firing_jumps(jumps);
+            column
+        };
+        let (mut jumped, mut stepped) = (firing(true), firing(false));
+        let ring = Arc::new(RingBufferSink::new(1 << 12));
+        jumped.set_trace(Trace::to(ring.clone()), 0, 0);
+        assert_eq!(jumped.run(u64::MAX).unwrap(), 40 * 9);
+        assert_eq!(stepped.run(u64::MAX).unwrap(), 40 * 9);
+        assert!(jumped.is_halted());
+        assert_same_column(&jumped, &stepped).unwrap();
+        let jumps: Vec<TraceEvent> = ring
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e, TraceEvent::DividerTick { count, .. } if *count > 1))
+            .collect();
+        let last_jumped_cycle = 39 * 9 - 1;
+        assert_eq!(
+            jumps,
+            [TraceEvent::DividerTick {
+                chip: 0,
+                column: 0,
+                tick: last_jumped_cycle,
+                count: 37 * 9,
+            }]
+        );
+        // A window that ends mid-jump jumps only the firings that fit.
+        let mut cut = firing(true);
+        assert_eq!(cut.run(9 * 10 + 4).unwrap(), 9 * 10 + 4);
+        assert_eq!(
+            cut.controller.back_edge(),
+            None,
+            "four cycles into firing 11"
+        );
+        // Staging a tile forgets the last firing: the next jump waits for
+        // two more.
+        cut.tile_mut(0);
+        assert!(cut.mark.is_none());
+        assert_eq!(cut.run(u64::MAX).unwrap(), 40 * 9 - 94);
+        assert_same_column(&cut, &stepped).unwrap();
     }
 }

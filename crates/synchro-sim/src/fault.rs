@@ -85,11 +85,6 @@ impl FaultPlan {
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
-
-    /// The earliest scheduled tick, if any.
-    pub fn first_tick(&self) -> Option<u64> {
-        self.events.first().map(|e| e.at_tick)
-    }
 }
 
 /// The structured outcome of a run that could not complete because of
@@ -131,12 +126,12 @@ mod tests {
     fn plans_sort_events_by_tick_and_keep_insertion_order_on_ties() {
         let mut plan = FaultPlan::none();
         assert!(plan.is_empty());
-        assert_eq!(plan.first_tick(), None);
+        assert!(plan.events().is_empty());
         plan.kill_lane(1, 500)
             .kill_column(0, 2, 100)
             .kill_column(1, 0, 500);
         assert!(!plan.is_empty());
-        assert_eq!(plan.first_tick(), Some(100));
+        assert_eq!(plan.events()[0].at_tick, 100);
         let ticks: Vec<u64> = plan.events().iter().map(|e| e.at_tick).collect();
         assert_eq!(ticks, vec![100, 500, 500]);
         // Ties keep insertion order: the lane kill was scheduled first.

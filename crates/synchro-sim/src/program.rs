@@ -91,22 +91,36 @@ impl<S: Slot> SlotProgram<S> {
     }
 
     /// Issue every occurrence whose absolute reference tick lies before
-    /// `end`, one at a time in tick order, and charge each fully elapsed
-    /// period's scheduled slots.  Drivers call this as the reference clock
-    /// moves; it reads nothing but reference time, so the windowed and
-    /// tick-by-tick drivers stay bit-identical.
+    /// `end` and charge each elapsed period's scheduled slots, in O(slots)
+    /// work: whole periods from the cursor on as one bulk occurrence per
+    /// slot, stamped at the last, and one charge; a period begun earlier or
+    /// cut by `end` one occurrence at a time.  The statistics are those of
+    /// playing every occurrence alone, by the linearity of the accounting.
+    /// `advance(u64::MAX)` plays out the program.  It reads nothing but
+    /// reference time, so the windowed and tick-by-tick drivers agree.
     fn advance<K: SlotSink<S>>(&mut self, end: u64, sink: &mut K) -> Result<(), BusError> {
         while self.iteration < self.iterations {
-            if let Some(slot) = self.slots.get(self.next_slot) {
+            // Periods from the cursor's on that have elapsed by `end`.
+            let elapsed = match end {
+                u64::MAX => u64::MAX,
+                end => end.saturating_sub(self.origin) / self.period,
+            };
+            let whole = elapsed.min(self.iterations).saturating_sub(self.iteration);
+            if self.next_slot == 0 && whole > 0 {
+                for slot in &self.slots {
+                    self.issue(sink, slot, self.iteration, whole)?;
+                }
+                let per_period = self.scheduled_slots_per_period;
+                sink.schedule(checked_product(per_period, whole, K::SCHEDULED)?)?;
+                self.iteration += whole;
+            } else if let Some(slot) = self.slots.get(self.next_slot) {
                 let at = self.tick_at(self.iteration, slot.tick());
                 if at >= end {
                     return Ok(());
                 }
-                if sink.dead_from(slot).is_none_or(|dead| at < dead) {
-                    sink.issue(slot, 1, at)?;
-                }
+                self.issue(sink, slot, self.iteration, 1)?;
                 self.next_slot += 1;
-            } else if self.tick_at(self.iteration + 1, 0) <= end {
+            } else if whole > 0 {
                 // The period's window has fully elapsed: charge its
                 // scheduled TDM slots and roll over.
                 sink.schedule(self.scheduled_slots_per_period)?;
@@ -115,33 +129,6 @@ impl<S: Slot> SlotProgram<S> {
                 return Ok(());
             }
         }
-        Ok(())
-    }
-
-    /// Issue everything that remains in closed form, however far the
-    /// reference clock has come, in O(slots) work however many periods
-    /// remain, dead hardware included: the current period's pending slots
-    /// one at a time, then each slot once for all remaining full periods,
-    /// then the remaining periods' scheduled slots in one charge.  The
-    /// statistics equal `advance(u64::MAX)`'s by the linearity of the
-    /// accounting (playing a slot over `n` periods moves `n ×` its words
-    /// between the same endpoints); a bulk trace event counts the
-    /// occurrences it covers and is stamped at the last of them.  A
-    /// finished program is a no-op.
-    fn drain<K: SlotSink<S>>(&mut self, sink: &mut K) -> Result<(), BusError> {
-        // The full periods after the current one; none left when finished.
-        let Some(full) = (self.iterations - self.iteration).checked_sub(1) else {
-            return Ok(());
-        };
-        for slot in &self.slots[self.next_slot..] {
-            self.issue(sink, slot, self.iteration, 1)?;
-        }
-        for slot in &self.slots {
-            self.issue(sink, slot, self.iteration + 1, full)?;
-        }
-        let scheduled = checked_product(self.scheduled_slots_per_period, full + 1, K::SCHEDULED)?;
-        sink.schedule(scheduled)?;
-        (self.iteration, self.next_slot) = (self.iterations, 0);
         Ok(())
     }
 
@@ -200,14 +187,10 @@ pub(crate) trait SlotSink<S: Slot>: Sized {
         None
     }
 
-    /// Play the loaded program to tick `end` ([`SlotProgram::advance`]).
+    /// Play the loaded program to tick `end` ([`SlotProgram::advance`]);
+    /// `u64::MAX` plays out all that remains.
     fn advance_program(&mut self, end: u64) -> Result<(), BusError> {
         self.play_program(|program, sink| program.advance(end, sink))
-    }
-
-    /// Play all that remains of the loaded program ([`SlotProgram::drain`]).
-    fn drain_program(&mut self) -> Result<(), BusError> {
-        self.play_program(SlotProgram::drain)
     }
 
     /// Run `play` on the loaded program, taken out of the sink while it
@@ -247,44 +230,77 @@ mod tests {
 
     const COLUMNS: usize = 4;
 
-    /// A traced chip of `COLUMNS` halted columns whose reference clock
-    /// stands at `origin`.
-    fn traced_chip(origin: u64) -> (Chip, Arc<RingBufferSink>) {
-        let ring = Arc::new(RingBufferSink::new(1 << 16));
+    /// A chip of `columns` dead columns: it never halts, so its reference
+    /// clock runs through any window without stepping a column.
+    fn dead_chip(columns: usize) -> Chip {
         let mut chip = Chip::new();
-        chip.set_trace(Trace::to(ring.clone()), 0);
-        for _ in 0..COLUMNS {
+        for c in 0..columns {
             let program = synchro_isa::assemble("halt\n").unwrap();
             chip.add_column(Column::new(ColumnConfig::isca2004(), program, None));
+            chip.fail_column(c, 0);
         }
-        chip.fast_forward_reference(origin);
+        chip
+    }
+
+    /// A traced chip of `COLUMNS` columns whose reference clock stands at
+    /// `origin`.
+    fn traced_chip(origin: u64) -> (Chip, Arc<RingBufferSink>) {
+        let ring = Arc::new(RingBufferSink::new(1 << 16));
+        let mut chip = dead_chip(COLUMNS);
+        chip.run(origin).unwrap();
+        chip.set_trace(Trace::to(ring.clone()), 0);
         (chip, ring)
     }
 
-    /// A traced board of two empty chips whose reference clock stands at
+    /// A traced board of two chips whose reference clock stands at
     /// `origin`.
     fn traced_board(origin: u64) -> (Board, Arc<RingBufferSink>) {
         let ring = Arc::new(RingBufferSink::new(1 << 16));
         let mut board = Board::new();
         board.set_trace(Trace::to(ring.clone()));
         for _ in 0..2 {
-            let mut chip = Chip::new();
-            chip.fast_forward_reference(origin);
-            board.add_chip(chip);
+            board.add_chip(dead_chip(1));
         }
-        board.run(0).unwrap();
+        board.run(origin).unwrap();
         (board, ring)
     }
 
-    /// Play the loaded program to the `cut` tick one occurrence at a time,
-    /// then the rest with the drain or, as the reference, with
-    /// `advance(u64::MAX)`.
-    fn play<S: Slot>(sink: &mut impl SlotSink<S>, cut: u64, drain: bool) {
-        sink.advance_program(cut).unwrap();
-        if drain {
-            sink.drain_program().unwrap();
-        } else {
-            sink.advance_program(u64::MAX).unwrap();
+    impl<S: Slot> SlotProgram<S> {
+        /// The playback `advance` replaced, kept as its oracle: every
+        /// occurrence before `end` on its own, in tick order, and each
+        /// elapsed period's scheduled slots in its own charge.
+        fn advance_each<K: SlotSink<S>>(&mut self, end: u64, sink: &mut K) -> Result<(), BusError> {
+            while self.iteration < self.iterations {
+                if let Some(slot) = self.slots.get(self.next_slot) {
+                    let at = self.tick_at(self.iteration, slot.tick());
+                    if at >= end {
+                        return Ok(());
+                    }
+                    if sink.dead_from(slot).is_none_or(|dead| at < dead) {
+                        sink.issue(slot, 1, at)?;
+                    }
+                    self.next_slot += 1;
+                } else if self.tick_at(self.iteration + 1, 0) <= end {
+                    sink.schedule(self.scheduled_slots_per_period)?;
+                    (self.iteration, self.next_slot) = (self.iteration + 1, 0);
+                } else {
+                    return Ok(());
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Play the loaded program to the `cut` tick, then to its end: with
+    /// `advance` or, as the reference, one occurrence at a time.
+    fn play<S: Slot>(sink: &mut impl SlotSink<S>, cut: u64, closed_form: bool) {
+        for end in [cut, u64::MAX] {
+            if closed_form {
+                sink.advance_program(end).unwrap();
+            } else {
+                sink.play_program(|program, sink| program.advance_each(end, sink))
+                    .unwrap();
+            }
         }
     }
 
@@ -326,13 +342,13 @@ mod tests {
     }
 
     proptest! {
-        /// The closed-form drain issues exactly what playing the program
-        /// one occurrence at a time to its end does: equal chip, bus,
-        /// bridge and lane statistics and the same occurrences in the
-        /// trace, batched or not.  Each program is first played to a
-        /// random cut (mid-period included); bridge lanes die at random
-        /// ticks before the program, inside it and past its end.  A second
-        /// drain is a no-op.
+        /// The closed-form `advance`, to a random cut (mid-period
+        /// included) and then to the end, issues exactly what playing the
+        /// program one occurrence at a time does: equal chip, bus, bridge
+        /// and lane statistics and the same occurrences in the trace,
+        /// batched or not.  Bridge lanes die at random ticks before the
+        /// program, inside it and past its end.  A second drain is a
+        /// no-op.
         #[test]
         fn drain_matches_advancing_to_the_end(
             period in 1u64..65,

@@ -105,6 +105,16 @@ pub struct ControllerStats {
     pub branches: u64,
 }
 
+/// A controller at the back-edge of its outermost zero-overhead loop with
+/// no inner loop open — the end of an iteration, a mapped column's firing
+/// — with its statistics: what a firing jump compares and repeats from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BackEdge {
+    frame: LoopFrame,
+    condition: i32,
+    stats: ControllerStats,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LoopFrame {
     /// First instruction of the body.
@@ -165,15 +175,6 @@ impl SimdController {
     /// Has the program halted?
     pub fn is_halted(&self) -> bool {
         self.halted
-    }
-
-    /// Halt the controller immediately, as if the next fetch had observed a
-    /// `HALT`.  The batched simulation tier uses this after accounting a
-    /// program's remaining firings in closed form; a halted controller
-    /// issues [`Issue::Halted`] forever, exactly like one that ran to its
-    /// `HALT` instruction.
-    pub fn force_halt(&mut self) {
-        self.halted = true;
     }
 
     /// The current program counter.
@@ -334,6 +335,106 @@ impl SimdController {
             self.slot_in_period = (slot % u64::from(self.rate.period)) as u32;
         }
         issued
+    }
+
+    /// The controller's [`BackEdge`] when it sits at the back-edge of its
+    /// outermost loop with no inner loop open; `None` anywhere else.
+    #[inline]
+    pub fn back_edge(&self) -> Option<BackEdge> {
+        match self.loops[..] {
+            [frame] if !self.halted && self.pc == frame.end => Some(BackEdge {
+                frame,
+                condition: self.condition,
+                stats: self.stats,
+            }),
+            _ => None,
+        }
+    }
+
+    /// How many more times the iteration since `since` can repeat within
+    /// `slots` issue slots, stopping short of the loop's last iteration: 0
+    /// unless the controller is back at the same loop's back-edge, one
+    /// iteration later, with the same condition.
+    pub fn repeats(&self, since: &BackEdge, slots: u64) -> u64 {
+        let Some(now) = self.back_edge() else {
+            return 0;
+        };
+        let useful = self.useful_since(since);
+        let (frame, then) = (now.frame, since.frame);
+        if (frame.start, frame.end, now.condition) != (then.start, then.end, since.condition)
+            || frame.remaining.checked_add(1) != Some(then.remaining)
+            || useful == 0
+        {
+            return 0;
+        }
+        (self.useful_within(slots) / useful).min(u64::from(frame.remaining.saturating_sub(1)))
+    }
+
+    /// Repeat the iteration since `since` `times` more times, at most what
+    /// [`SimdController::repeats`] allows: the loop counter counts down,
+    /// each statistic grows by `times ×` the iteration's, but the issue
+    /// slots and ZORM stalls come from the matcher's schedule, whose slot
+    /// counter moves past them.  Returns those slots and stalls, or `None`,
+    /// changing nothing, when a count would pass `u64::MAX`.
+    pub fn repeat(&mut self, since: &BackEdge, times: u64) -> Option<(u64, u64)> {
+        let useful = self.useful_since(since).checked_mul(times)?;
+        let slots = self.slots_for(useful)?;
+        let (now, then) = (self.stats, since.stats);
+        let add = |now: u64, then: u64| (now - then).checked_mul(times)?.checked_add(now);
+        let stats = ControllerStats {
+            cycles: now.cycles.checked_add(slots)?,
+            broadcasts: add(now.broadcasts, then.broadcasts)?,
+            branch_stalls: add(now.branch_stalls, then.branch_stalls)?,
+            rate_match_stalls: now.rate_match_stalls.checked_add(slots - useful)?,
+            loop_iterations: add(now.loop_iterations, then.loop_iterations)?,
+            branches: add(now.branches, then.branches)?,
+        };
+        let frame = self.loops.first_mut()?;
+        frame.remaining = frame.remaining.checked_sub(u32::try_from(times).ok()?)?;
+        self.stats = stats;
+        if self.rate.stalls > 0 {
+            let slot = u128::from(self.slot_in_period) + u128::from(slots);
+            self.slot_in_period = (slot % u128::from(self.rate.period)) as u32;
+        }
+        Some((slots, slots - useful))
+    }
+
+    /// Issue slots since `since` that the matcher did not stall.
+    fn useful_since(&self, since: &BackEdge) -> u64 {
+        let (now, then) = (self.stats, since.stats);
+        (now.cycles - then.cycles) - (now.rate_match_stalls - then.rate_match_stalls)
+    }
+
+    /// Useful slots among the next `slots`: ZORM stalls the first `stalls`
+    /// of every `period` slots, so `(a ÷ period) × (period − stalls) + (a
+    /// mod period − stalls)⁺` of the slots before slot `a` are useful.
+    fn useful_within(&self, slots: u64) -> u64 {
+        let (period, stalls) = (u128::from(self.rate.period), u128::from(self.rate.stalls));
+        if stalls == 0 {
+            return slots;
+        }
+        if stalls >= period {
+            return 0;
+        }
+        let before = |a: u128| a / period * (period - stalls) + (a % period).saturating_sub(stalls);
+        let at = u128::from(self.slot_in_period);
+        (before(at + u128::from(slots)) - before(at)) as u64
+    }
+
+    /// Slots, stalls included, up to the end of the `useful`-th useful one
+    /// from here (`None` past `u64::MAX`): the `n`-th useful slot
+    /// (1-indexed) is `(n−1) ÷ (period − stalls) × period + stalls + (n−1)
+    /// mod (period − stalls)`.
+    fn slots_for(&self, useful: u64) -> Option<u64> {
+        let (period, stalls) = (u128::from(self.rate.period), u128::from(self.rate.stalls));
+        if stalls == 0 || useful == 0 {
+            return Some(useful);
+        }
+        let useful_period = period.checked_sub(stalls).filter(|&u| u > 0)?;
+        let at = u128::from(self.slot_in_period);
+        let n = at.saturating_sub(stalls) + u128::from(useful) - 1;
+        let end = n / useful_period * period + stalls + n % useful_period + 1;
+        u64::try_from(end - at).ok()
     }
 
     /// Run until the program halts or `max_cycles` elapse, returning every
@@ -596,19 +697,6 @@ mod tests {
         assert_eq!(c.step(), Issue::Halted);
         assert_eq!(c.step(), Issue::Halted);
         assert!(c.is_halted());
-    }
-
-    #[test]
-    fn forced_halt_is_indistinguishable_from_a_fetched_halt() {
-        let p = assemble("loop 30, 1\nli r0, 1\nhalt\n").unwrap();
-        let mut c = SimdController::new(p);
-        assert!(!c.is_halted());
-        c.force_halt();
-        assert!(c.is_halted());
-        assert_eq!(c.step(), Issue::Halted);
-        // A forced halt bills nothing: the halted fast path returns before
-        // the cycle counter, same as a controller that already fetched HALT.
-        assert_eq!(c.stats().cycles, 0);
     }
 
     #[test]

@@ -69,6 +69,17 @@ pub struct TileStats {
     pub comm_ops: u64,
 }
 
+/// A tile's datapath state and statistics, without its memory: what a
+/// firing jump compares and repeats from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileMark {
+    regs: [i32; 8],
+    ptrs: [u32; 6],
+    accs: [i64; 2],
+    buffers: [Option<i32>; 2],
+    stats: TileStats,
+}
+
 /// One Synchroscalar tile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tile {
@@ -144,6 +155,47 @@ impl Tile {
     /// Execution statistics accumulated so far.
     pub fn stats(&self) -> TileStats {
         self.stats
+    }
+
+    /// The tile's [`TileMark`] now.
+    pub fn mark(&self) -> TileMark {
+        TileMark {
+            regs: self.regs,
+            ptrs: self.ptrs,
+            accs: self.accs,
+            buffers: [self.write_buffer, self.read_buffer],
+            stats: self.stats,
+        }
+    }
+
+    /// True when the registers, pointers, accumulators and bus buffers are
+    /// back where `mark` left them and the activity since touched no
+    /// memory, so repeating it ends in this state again.
+    pub fn repeats(&self, mark: &TileMark) -> bool {
+        let same = TileMark {
+            stats: mark.stats,
+            ..self.mark()
+        } == *mark;
+        same && self.stats.memory_ops == mark.stats.memory_ops
+    }
+
+    /// Bill `times` more repetitions of the activity since `mark` (see
+    /// [`Tile::repeats`]).  Returns `false`, billing nothing, when a count
+    /// would pass `u64::MAX`.
+    #[must_use]
+    pub fn repeat(&mut self, mark: &TileMark, times: u64) -> bool {
+        let (now, then) = (self.stats, mark.stats);
+        let add = |now: u64, then: u64| (now - then).checked_mul(times)?.checked_add(now);
+        let stats = (|| {
+            Some(TileStats {
+                instructions: add(now.instructions, then.instructions)?,
+                nops: add(now.nops, then.nops)?,
+                macs: add(now.macs, then.macs)?,
+                memory_ops: add(now.memory_ops, then.memory_ops)?,
+                comm_ops: add(now.comm_ops, then.comm_ops)?,
+            })
+        })();
+        stats.map(|stats| self.stats = stats).is_some()
     }
 
     /// Deliver a value into the tile's bus read buffer (performed by the

@@ -14,5 +14,5 @@
 pub mod datapath;
 pub mod memory;
 
-pub use datapath::{ExecError, Tile, TileEvent, TileStats};
+pub use datapath::{ExecError, Tile, TileEvent, TileMark, TileStats};
 pub use memory::LocalMemory;

@@ -300,9 +300,28 @@ proptest! {
             }
             let (fast_events, slow_events) = (fast_ring.events(), slow_ring.events());
             prop_assert_eq!(normalize(&fast_events), normalize(&slow_events));
-            // The same events with the same ticks, in any order.
+            // The same events with the same ticks, in any order.  A window
+            // issues a bus slot over its whole periods as one event that
+            // counts them, stamped at the last, so each such event is
+            // first expanded into its occurrences, one period apart.
             let sorted = |events: &[TraceEvent]| {
-                let mut keys: Vec<String> = events.iter().map(|e| format!("{e:?}")).collect();
+                let mut keys = Vec::new();
+                for event in events {
+                    let TraceEvent::BusSlot { chip, tick, from, to, words, count } = event else {
+                        keys.push(format!("{event:?}"));
+                        continue;
+                    };
+                    for k in 0..*count {
+                        keys.push(format!("{:?}", TraceEvent::BusSlot {
+                            chip: *chip,
+                            tick: tick - k * bus_period,
+                            from: *from,
+                            to: to.clone(),
+                            words: words / count,
+                            count: 1,
+                        }));
+                    }
+                }
                 keys.sort();
                 keys
             };

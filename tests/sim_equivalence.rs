@@ -1,20 +1,24 @@
 //! Differential equivalence suite for the fast execution tier: for
 //! generated `(SdfGraph, Mapping, MapperOptions)` triples, executing the
-//! compiled chip on the batched fast tier must produce bit-identical
-//! statistics — `ChipStats`, per-column `ColumnStats`, per-column vertical
-//! `BusStats` and the horizontal-bus counters — to the cycle-level
-//! interpreter, and identical error values where the interpreter fails.
+//! compiled chip on the fast tier, which jumps repeated firings, must
+//! produce bit-identical statistics — `ChipStats`, per-column
+//! `ColumnStats`, per-column vertical `BusStats`, the horizontal-bus
+//! counters and every tile — to the interpreter that steps them, and
+//! identical error values where the interpreter fails.
 //!
 //! Pinned regressions cover the halt-boundary tick, the ZORM fallback
-//! (whose stall pattern is not uniform per firing) and `BusProgram`
-//! tail-drain semantics when a program outlives its columns.
+//! (whose stall pattern is not uniform per firing), `BusProgram`
+//! tail-drain semantics when a program outlives its columns, and jumps
+//! before a fault.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use synchroscalar::mapper::{self, ExecutionTier, MapperOptions};
 use synchroscalar::sdf::{Mapping, SdfGraph};
-use synchroscalar::trace::{normalize, RingBufferSink, Trace};
+use synchroscalar::sim::Chip;
+use synchroscalar::tile::Tile;
+use synchroscalar::trace::{normalize, RingBufferSink, Trace, TraceEvent};
 
 /// Small produce/consume pairs keep repetition vectors (and hyperperiods)
 /// bounded while still exercising co-prime divider pairs.
@@ -37,9 +41,18 @@ fn chain(cycles: &[u64], caps: &[u32], rates: &[(u64, u64)]) -> (SdfGraph, Mappi
     (graph, mapping)
 }
 
+/// Every tile of every column of `chip`, statistics included: what the
+/// two tiers must leave equal.
+fn tiles(chip: &Chip) -> Vec<&Tile> {
+    (0..chip.columns())
+        .filter_map(|c| chip.column(c))
+        .flat_map(|column| (0..column.config().tiles).filter_map(move |t| column.tile(t)))
+        .collect()
+}
+
 /// Compile and execute `(graph, mapping, options)` on both tiers and
-/// require bit-identical outcomes: equal execution reports and chip
-/// statistics on success, equal error values on failure.
+/// require bit-identical outcomes: equal execution reports, chip
+/// statistics and tiles on success, equal error values on failure.
 fn check_tiers(
     graph: &SdfGraph,
     mapping: &Mapping,
@@ -87,6 +100,7 @@ fn check_tiers(
                     i
                 );
             }
+            prop_assert_eq!(tiles(interpreted.chip()), tiles(fast.chip()));
             prop_assert!(fast.chip().all_halted());
             // A rerun covers the already-halted entry path on both tiers.
             let a2 = interpreted.execute();
@@ -95,8 +109,8 @@ fn check_tiers(
             prop_assert_eq!(interpreted.chip().stats(), fast.chip().stats());
             // Both tiers must emit the same event stream modulo batching:
             // the interpreter records each occurrence, the fast tier one
-            // aggregated event per track; normalization folds both to the
-            // same canonical totals.
+            // event per track for each jump; normalization folds both to
+            // the same canonical totals.
             prop_assert_eq!(interpreted_ring.dropped(), 0, "trace ring overflowed");
             prop_assert_eq!(
                 normalize(&interpreted_ring.events()),
@@ -107,8 +121,8 @@ fn check_tiers(
         }
         (a, b) => {
             // The fast tier must reproduce the interpreter's error value
-            // (stats are compared only on success: the interpreter leaves
-            // a failed chip partially run, the fast tier untouched).
+            // (stats are compared only on success: a failed chip's state
+            // is unspecified).
             prop_assert_eq!(format!("{:?}", a.err()), format!("{:?}", b.err()));
         }
     }
@@ -271,33 +285,35 @@ fn zorm_fallback_stall_totals_are_bit_identical() {
     );
 }
 
-/// Bus-tail pin: a `BusProgram` that outlives its columns.  The
-/// interpreter plays the slots due while its columns run, one at a time,
-/// and the fast tier plays none; both then end with the same closed-form
-/// drain (`finish_bus_program`).  The horizontal counters must agree bit
-/// for bit and hold all 40 periods.  This is not an independent oracle
-/// for the drain itself: `program::tests::drain_matches_advancing_to_the_end`
-/// in `synchro-sim` checks it against per-occurrence playback.
+/// Bus-tail pin: a `BusProgram` that outlives its columns.  Both chips
+/// play the slots due while their columns run — the jumping chip in bulk
+/// over whole periods — and then the rest with `finish_bus_program`.  The
+/// horizontal counters, the columns and their tiles must agree bit for
+/// bit and hold all 40 periods.  This is not an independent oracle for the
+/// drain itself: `program::tests::drain_matches_advancing_to_the_end` in
+/// `synchro-sim` checks it against per-occurrence playback.
 #[test]
 fn bus_program_tail_drain_is_bit_identical() {
     use synchroscalar::isa::{DataReg, ProgramBuilder};
-    use synchroscalar::sim::fast::{ColumnBatch, FastTier, FiringProfile};
-    use synchroscalar::sim::{BusProgram, BusSlot, Chip, Column, ColumnConfig};
+    use synchroscalar::sim::{BusProgram, BusSlot, Column, ColumnConfig};
 
-    let build = || {
+    let build = |jumps| {
         let mut builder = ProgramBuilder::new();
-        builder.counted_loop(5, |b| {
+        builder.counted_loop(50, |b| {
             b.load_imm(DataReg::new(7), 1);
             b.send();
             b.recv(DataReg::new(2));
         });
         builder.halt();
         let program = builder.build().unwrap();
-        let config = ColumnConfig::isca2004().with_divider(2);
         let mut chip = Chip::new();
-        chip.add_column(Column::new(config.clone(), program.clone(), None));
-        chip.add_column(Column::new(config.clone(), program.clone(), None));
-        // 40 periods of 11 ticks: the columns halt after ~31 reference
+        for _ in 0..2 {
+            let config = ColumnConfig::isca2004().with_divider(2);
+            let mut column = Column::new(config, program.clone(), None);
+            column.set_firing_jumps(jumps);
+            chip.add_column(column);
+        }
+        // 400 periods of 11 ticks: the columns halt after ~301 reference
         // ticks, leaving most of the program as tail.
         let slots = vec![
             BusSlot {
@@ -313,41 +329,34 @@ fn bus_program_tail_drain_is_bit_identical() {
                 words: 1,
             },
         ];
-        chip.load_bus_program(BusProgram::new(11, 40, 5, slots))
+        chip.load_bus_program(BusProgram::new(11, 400, 5, slots))
             .unwrap();
-        (chip, config, program)
+        while !chip.all_halted() {
+            chip.run(1024).unwrap();
+        }
+        chip.finish_bus_program().unwrap();
+        chip
     };
 
-    let (mut interpreted, ..) = build();
-    while !interpreted.all_halted() {
-        interpreted.run(1024).unwrap();
-    }
-    interpreted.finish_bus_program().unwrap();
-
-    let (mut batched, config, program) = build();
-    let profile = FiringProfile::measure(&config, &program, None, 3, 5).unwrap();
-    let mut tier = FastTier::new();
-    for column in 0..2 {
-        tier.push(ColumnBatch {
-            column,
-            firings: 5,
-            profile: profile.clone(),
-        });
-    }
-    tier.run(&mut batched).unwrap();
-
-    assert_eq!(interpreted.stats(), batched.stats());
-    assert_eq!(interpreted.horizontal_stats(), batched.horizontal_stats());
-    assert_eq!(interpreted.column_stats(), batched.column_stats());
-    let horizontal = batched.horizontal_stats().unwrap();
-    assert_eq!(horizontal.word_transfers, 40 * 3, "all 40 periods drained");
-    assert_eq!(horizontal.scheduled_slots, 40 * 5);
+    let (interpreted, jumped) = (build(false), build(true));
+    assert_eq!(interpreted.stats(), jumped.stats());
+    assert_eq!(interpreted.horizontal_stats(), jumped.horizontal_stats());
+    assert_eq!(interpreted.column_stats(), jumped.column_stats());
+    assert_eq!(tiles(&interpreted), tiles(&jumped));
+    assert_eq!(interpreted.stats().reference_cycles, 301);
+    let horizontal = jumped.horizontal_stats().unwrap();
+    assert_eq!(
+        horizontal.word_transfers,
+        400 * 3,
+        "all 400 periods drained"
+    );
+    assert_eq!(horizontal.scheduled_slots, 400 * 5);
 }
 
 /// Compile a chip-qualified mapping as a board and execute it on both
 /// tiers, requiring bit-identical outcomes: equal board execution
-/// reports, equal per-chip statistics and bridge counters on success,
-/// equal error values on failure.
+/// reports, equal per-chip statistics, tiles and bridge counters on
+/// success, equal error values on failure.
 fn check_board_tiers(
     graph: &SdfGraph,
     mapping: &Mapping,
@@ -391,6 +400,7 @@ fn check_board_tiers(
                 prop_assert_eq!(ic.stats(), fc.stats(), "chip {} stats diverge", chip);
                 prop_assert_eq!(ic.column_stats(), fc.column_stats());
                 prop_assert_eq!(ic.horizontal_stats(), fc.horizontal_stats());
+                prop_assert_eq!(tiles(ic), tiles(fc), "chip {} tiles diverge", chip);
             }
             prop_assert!(fast.board().all_halted());
             // A rerun covers the already-halted entry path on both tiers.
@@ -448,9 +458,9 @@ proptest! {
 }
 
 /// Execute `(graph, mapping, options)` under `plan` on all three chip
-/// drivers — windowed interpreted, naive ticked, and the fast tier
-/// (which falls back to the interpreted driver whenever an event could
-/// fire) — and require bit-identical `FaultedRun`s and chip statistics.
+/// drivers — windowed interpreted, naive ticked, and the fast tier (which
+/// jumps repeated firings up to the event and after it) — and require
+/// bit-identical `FaultedRun`s, chip statistics and tiles.
 /// The structured outcome must also match the machine state: `fault:
 /// None` ⇔ every column halted, `Some(Stalled)` ⇔ a survivor starved.
 /// That the proptest returns at all is the watchdog's termination
@@ -519,6 +529,8 @@ fn check_faulted_tiers(
             interpreted.chip().horizontal_stats(),
             fast.chip().horizontal_stats()
         );
+        prop_assert_eq!(tiles(interpreted.chip()), tiles(fast.chip()));
+        prop_assert_eq!(tiles(interpreted.chip()), tiles(ticked.chip()));
     }
     Ok(())
 }
@@ -596,9 +608,8 @@ proptest! {
 /// Board-level fault differential: kill a column of either chip or a
 /// bridge lane mid-run; the windowed interpreted, naive ticked and fast
 /// board drivers must produce bit-identical `FaultedBoardRun`s, per-chip
-/// statistics and bridge counters, and the structured outcome must match
-/// the board state.  Once a fault fires the fast tier runs the windowed
-/// interpreter, so the ticked driver is what keeps this differential.
+/// statistics, tiles and bridge counters, and the structured outcome must
+/// match the board state.
 fn check_faulted_board_tiers(
     graph: &SdfGraph,
     mapping: &Mapping,
@@ -669,6 +680,8 @@ fn check_faulted_board_tiers(
             prop_assert_eq!(ic.stats(), tc.stats(), "chip {} ticked stats diverge", chip);
             prop_assert_eq!(ic.column_stats(), fc.column_stats());
             prop_assert_eq!(ic.column_stats(), tc.column_stats());
+            prop_assert_eq!(tiles(ic), tiles(fc), "chip {} tiles diverge", chip);
+            prop_assert_eq!(tiles(ic), tiles(tc), "chip {} ticked tiles diverge", chip);
         }
     }
     Ok(())
@@ -764,4 +777,54 @@ fn reference_profiles_emit_identical_event_streams_on_both_tiers() {
             "{app:?}: the fast tier must batch, not expand, the stream"
         );
     }
+}
+
+/// The fast tier jumps firings on its way to a fault: a late column kill
+/// on the DDC runs to the kill tick in one window, in which every column
+/// steps its first firings and jumps the rest.  A jump is the only thing
+/// that emits a `DividerTick` of more than one cycle; the run itself must
+/// equal the interpreted one.
+#[test]
+fn fast_tier_jumps_firings_before_a_fault() {
+    let (graph, mapping, rate) = mapper::ddc_reference();
+    let kill_tick = 6 * mapper::compile(&graph, &mapping, &MapperOptions::default())
+        .unwrap()
+        .hyperperiod();
+    let mut plan = synchroscalar::sim::FaultPlan::none();
+    plan.kill_column(0, 3, kill_tick);
+    let run = |tier| {
+        let ring = Arc::new(RingBufferSink::new(1 << 20));
+        let options = MapperOptions {
+            iterations: 8,
+            iteration_rate_hz: rate,
+            tier,
+            trace: Trace::to(ring.clone()),
+            ..MapperOptions::default()
+        };
+        let mut compiled = mapper::compile(&graph, &mapping, &options).unwrap();
+        let run = compiled.execute_faulted(&plan).unwrap();
+        assert_eq!(ring.dropped(), 0);
+        (
+            run,
+            ring.events(),
+            tiles(compiled.chip())
+                .into_iter()
+                .cloned()
+                .collect::<Vec<_>>(),
+        )
+    };
+    let (interpreted, interpreted_events, interpreted_tiles) = run(ExecutionTier::Interpreted);
+    let (fast, fast_events, fast_tiles) = run(ExecutionTier::Fast);
+    assert!(fast.fault.is_some(), "the kill starves the chip");
+    assert_eq!(fast, interpreted);
+    assert_eq!(fast_tiles, interpreted_tiles);
+    assert_eq!(normalize(&fast_events), normalize(&interpreted_events));
+    let jumped = |events: &[TraceEvent]| {
+        events.iter().any(|event| {
+            matches!(event, TraceEvent::DividerTick { tick, count, .. }
+                if *count > 1 && *tick < kill_tick)
+        })
+    };
+    assert!(jumped(&fast_events), "the fast tier jumps before the kill");
+    assert!(!jumped(&interpreted_events), "the interpreter never jumps");
 }
