@@ -24,7 +24,7 @@
 use crate::model::{check_inputs, Evaluator, GraphContext};
 use crate::{
     explore_board, plan_search, run_search, search, BoardSearch, CommSpec, ExplorerConfig,
-    ExplorerError,
+    ExplorerError, ExplorerSolution, SearchStats, Searched,
 };
 use synchro_sdf::SdfGraph;
 
@@ -187,6 +187,20 @@ impl DegradationCurve {
     }
 }
 
+/// `num/den` of `rate_hz`: `rate_hz × num / den` wherever that product is
+/// finite, and `rate_hz / den × num` where it overflows.  Ladder
+/// fractions are at most 1, so the rung's rate stays finite for every
+/// finite `rate_hz`, where the plain product turns a rate near
+/// `f64::MAX` into +inf.
+fn rung_rate(rate_hz: f64, (num, den): (u64, u64)) -> f64 {
+    let rate = rate_hz * num as f64 / den as f64;
+    if rate.is_finite() {
+        rate
+    } else {
+        rate_hz / den as f64 * num as f64
+    }
+}
+
 /// `config` shrunk by `loss` and re-rated to `num/den` of the full
 /// rate.  The comm frame loses `splits_lost` splits (floor 0 — a frame
 /// with no splits left prunes every grouping with cross-column
@@ -207,7 +221,7 @@ fn degraded_config(
         ..c
     });
     ExplorerConfig {
-        iteration_rate_hz: config.iteration_rate_hz * num as f64 / den as f64,
+        iteration_rate_hz: rung_rate(config.iteration_rate_hz, (num, den)),
         tile_budget: config.tile_budget.saturating_sub(loss.tiles_lost),
         comm,
         ..config.clone()
@@ -263,31 +277,21 @@ pub fn explore_degraded(
         if points.iter().all(Option::is_some) {
             break;
         }
-        let rate_hz = config.iteration_rate_hz * num as f64 / den as f64;
+        let rate_hz = rung_rate(config.iteration_rate_hz, (num, den));
         let evaluator = Evaluator::new(&config.tech, rate_hz, config.efficiency)?;
         for (slot, loss) in points.iter_mut().zip(losses) {
             if slot.is_some() {
                 continue;
             }
             let swept = degraded_config(config, loss, (num, den));
-            let outcome = plan_search(graph, &ctx, &swept).and_then(|max_group_size| {
-                let arena = search::IntervalArena::build(
-                    &ctx,
-                    &evaluator,
-                    swept.candidates,
-                    swept.tile_budget,
-                    max_group_size,
-                );
-                run_search(&swept, &ctx, &evaluator, &arena, max_group_size, swept.comm)
-            });
-            match outcome {
-                Ok(exploration) if exploration.best.feasible => {
+            match rung_best(graph, &ctx, &evaluator, &swept) {
+                Ok((best, _)) if best.feasible => {
                     *slot = Some(point_for(
                         loss,
                         (num, den),
                         rate_hz,
-                        exploration.best.power_mw,
-                        exploration.best.total_tiles,
+                        best.power_mw,
+                        best.total_tiles,
                     ));
                 }
                 // An infeasible best (envelope violated everywhere) is
@@ -306,6 +310,25 @@ pub fn explore_degraded(
             .map(|(p, loss)| p.unwrap_or_else(|| DegradationPoint::infeasible(loss)))
             .collect(),
     })
+}
+
+/// One rung's search under `swept`, with `evaluator` pricing at its
+/// rate: the best winner alone, packaged, and the search counters.
+fn rung_best(
+    graph: &SdfGraph,
+    ctx: &GraphContext,
+    evaluator: &Evaluator,
+    swept: &ExplorerConfig,
+) -> Result<(ExplorerSolution, SearchStats), ExplorerError> {
+    let max_group_size = plan_search(graph, ctx, swept)?;
+    let arena = search::IntervalArena::build(
+        ctx,
+        evaluator,
+        swept.candidates,
+        swept.tile_budget,
+        max_group_size,
+    );
+    run_search(swept, ctx, evaluator, &arena, max_group_size, swept.comm).map(Searched::best)
 }
 
 /// Board-level [`explore_degraded`]: each loss shrinks every chip's
@@ -332,7 +355,7 @@ pub fn explore_degraded_board(
         if points.iter().all(Option::is_some) {
             break;
         }
-        let rate_hz = config.iteration_rate_hz * num as f64 / den as f64;
+        let rate_hz = rung_rate(config.iteration_rate_hz, (num, den));
         for (slot, loss) in points.iter_mut().zip(losses) {
             if slot.is_some() {
                 continue;
@@ -376,7 +399,8 @@ pub fn explore_degraded_board(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore;
+    use crate::{explore, VoltagePolicy};
+    use proptest::prelude::*;
 
     /// One actor whose per-tile frequency is `1000 / tiles` MHz at the
     /// full 1 M iterations/s rate (the FO4-20 envelope tops out at
@@ -555,5 +579,134 @@ mod tests {
         assert_eq!((p.rate_num, p.rate_den), (1, 2));
         assert_eq!(p.tiles_used, 4);
         assert!(curve.is_monotone());
+    }
+
+    #[test]
+    fn rates_near_f64_max_walk_the_ladder_instead_of_overflowing() {
+        // At `f64::MAX` the 7/8 rung's product `rate × 7` is +inf, which
+        // the explorer rejects as a rate the caller never passed.  Every
+        // rung's rate must stay finite, so both walkers return the
+        // infeasible curve (every option costs +inf there).
+        for rate in [f64::MAX, f64::MAX / 7.0] {
+            for (num, den) in RATE_LADDER {
+                let rung = rung_rate(rate, (num, den));
+                assert!(rung.is_finite() && rung > 0.0, "{rate:e} × {num}/{den}");
+            }
+        }
+        let loss = ResourceLoss::column("1 tile down", 1);
+        let chip = explore_degraded(
+            &hungry_actor(),
+            &ExplorerConfig::new(f64::MAX, 8),
+            std::slice::from_ref(&loss),
+        )
+        .expect("a finite rate walks the ladder");
+        let board = explore_degraded_board(
+            &board_pair(),
+            &ExplorerConfig {
+                iteration_rate_hz: f64::MAX,
+                ..board_config()
+            },
+            std::slice::from_ref(&loss),
+        )
+        .expect("a finite rate walks the ladder");
+        for curve in [&chip, &board] {
+            assert_eq!(curve.full_rate_hz, f64::MAX);
+            assert_eq!(curve.points.len(), 1);
+            assert!(!curve.points[0].feasible, "{:?}", curve.points[0]);
+        }
+        // Where the product is finite its bits are kept.
+        for (num, den) in RATE_LADDER {
+            assert_eq!(
+                rung_rate(16e6, (num, den)).to_bits(),
+                (16e6 * num as f64 / den as f64).to_bits()
+            );
+        }
+    }
+
+    proptest! {
+        /// Each rung's winner-only search is `explore(..).best` of the
+        /// rung's configuration bit for bit (its `Debug` text prints every
+        /// float exactly), with the same counters and the same errors,
+        /// under both voltage policies: random 1–6-actor chains, fused or
+        /// single-actor, with no frame or a 1-split frame of 0–11 cycles,
+        /// budgets 1–31 and 0–7 tiles lost, at every ladder rate.  The
+        /// walker's point then matches the first rung whose best is
+        /// feasible.
+        #[test]
+        fn rung_winners_match_the_explored_best(
+            cycles in prop::collection::vec(1u64..2_000, 6),
+            caps in prop::collection::vec(1u32..9, 6),
+            n in 1usize..7,
+            fused in any::<bool>(),
+            single_voltage in any::<bool>(),
+            budget in 1u32..32,
+            tiles_lost in 0u32..8,
+            frame_pick in 0u64..24,
+        ) {
+            let mut graph = SdfGraph::new();
+            let mut prev = None;
+            for i in 0..n {
+                let actor = graph.add_actor(format!("a{i}"), cycles[i], caps[i]);
+                if let Some(p) = prev {
+                    graph.add_edge(p, actor, 1, 1, 0).unwrap();
+                }
+                prev = Some(actor);
+            }
+            let policy = if single_voltage {
+                VoltagePolicy::SingleVoltage
+            } else {
+                VoltagePolicy::PerColumn
+            };
+            let mut config = ExplorerConfig::new(1e6, budget).with_voltage_policy(policy);
+            if !fused {
+                config = config.single_actor_columns();
+            }
+            if frame_pick < 12 {
+                config = config.with_comm(CommSpec::new(1, frame_pick));
+            }
+            let loss = ResourceLoss::column("lost", tiles_lost);
+            let ctx = GraphContext::new(&graph).unwrap();
+            let show = |s: &ExplorerSolution| format!("{s:?}");
+            let mut first_feasible = None;
+            for rung in RATE_LADDER {
+                let swept = degraded_config(&config, &loss, rung);
+                let evaluator =
+                    Evaluator::new(&swept.tech, swept.iteration_rate_hz, swept.efficiency)
+                        .unwrap();
+                match (rung_best(&graph, &ctx, &evaluator, &swept), explore(&graph, &swept)) {
+                    (Ok((best, stats)), Ok(full)) => {
+                        prop_assert_eq!(show(&best), show(&full.best));
+                        prop_assert_eq!(stats.mappings_evaluated, full.stats.mappings_evaluated);
+                        prop_assert_eq!(stats.states_pruned, full.stats.states_pruned);
+                        prop_assert_eq!(
+                            stats.groupings_comm_pruned,
+                            full.stats.groupings_comm_pruned
+                        );
+                        if best.feasible && first_feasible.is_none() {
+                            first_feasible = Some((rung, best));
+                        }
+                    }
+                    (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+                    (a, b) => {
+                        return Err(TestCaseError::fail(format!(
+                            "rung {rung:?}: winner only {:?} vs explore {:?}",
+                            a.map(|(best, _)| best),
+                            b.map(|full| full.best)
+                        )));
+                    }
+                }
+            }
+            let curve = explore_degraded(&graph, &config, std::slice::from_ref(&loss)).unwrap();
+            let point = &curve.points[0];
+            match first_feasible {
+                Some(((num, den), best)) => {
+                    prop_assert!(point.feasible);
+                    prop_assert_eq!((point.rate_num, point.rate_den), (num, den));
+                    prop_assert_eq!(point.power_mw.to_bits(), best.power_mw.to_bits());
+                    prop_assert_eq!(point.tiles_used, best.total_tiles);
+                }
+                None => prop_assert!(!point.feasible),
+            }
+        }
     }
 }

@@ -604,7 +604,19 @@ impl Exploration {
 /// ([`ExplorerError::InvalidConfig`]), unanalyzable graphs, impossible
 /// budgets, or an exhausted search space.
 pub fn explore(graph: &SdfGraph, config: &ExplorerConfig) -> Result<Exploration, ExplorerError> {
-    let result = explore_impl(graph, config);
+    let result = explore_impl(graph, config, |searched| searched.exploration());
+    reject_on_err(&config.trace, &result);
+    result
+}
+
+/// [`explore`] packaging only the best winner: its solution and the
+/// search counters.  The trace sees the same spans, counters and
+/// rejection as an [`explore`] call.
+fn explore_best(
+    graph: &SdfGraph,
+    config: &ExplorerConfig,
+) -> Result<(ExplorerSolution, SearchStats), ExplorerError> {
+    let result = explore_impl(graph, config, |searched| searched.best());
     reject_on_err(&config.trace, &result);
     result
 }
@@ -620,7 +632,13 @@ fn reject_on_err<T>(trace: &Trace, result: &Result<T, ExplorerError>) {
     }
 }
 
-fn explore_impl(graph: &SdfGraph, config: &ExplorerConfig) -> Result<Exploration, ExplorerError> {
+/// Plan, build the arena, search, and hand the finished search to
+/// `package`, which picks what of it the caller reads.
+fn explore_impl<T>(
+    graph: &SdfGraph,
+    config: &ExplorerConfig,
+    package: impl FnOnce(Searched<'_>) -> T,
+) -> Result<T, ExplorerError> {
     let trace = &config.trace;
     let (ctx, max_group_size, evaluator) = {
         let _span = trace.span("explore.plan");
@@ -639,30 +657,29 @@ fn explore_impl(graph: &SdfGraph, config: &ExplorerConfig) -> Result<Exploration
             max_group_size,
         )
     };
-    let result = {
+    let (packaged, s) = {
         let _span = trace.span("explore.search");
-        run_search(
+        let searched = run_search(
             config,
             &ctx,
             &evaluator,
             &arena,
             max_group_size,
             config.comm,
-        )
+        )?;
+        let stats = searched.outcome.stats.clone();
+        (package(searched), stats)
     };
-    if let Ok(exploration) = &result {
-        // Unify the ad-hoc SearchStats counters into the metrics registry.
-        let s = &exploration.stats;
-        for (name, delta) in [
-            ("explore.mappings_evaluated", s.mappings_evaluated),
-            ("explore.groupings_examined", s.groupings_examined),
-            ("explore.states_pruned", s.states_pruned),
-            ("explore.groupings_comm_pruned", s.groupings_comm_pruned),
-        ] {
-            trace.counter(name, delta);
-        }
+    // Unify the ad-hoc SearchStats counters into the metrics registry.
+    for (name, delta) in [
+        ("explore.mappings_evaluated", s.mappings_evaluated),
+        ("explore.groupings_examined", s.groupings_examined),
+        ("explore.states_pruned", s.states_pruned),
+        ("explore.groupings_comm_pruned", s.groupings_comm_pruned),
+    ] {
+        trace.counter(name, delta);
     }
-    result
+    Ok(packaged)
 }
 
 /// Validate `config` against the analysed graph and return the largest
@@ -697,19 +714,19 @@ fn plan_search(
     Ok(max_group_size)
 }
 
-/// Run the search over a prebuilt arena and package the outcome.
-/// `comm` is explicit (rather than read from `config`) so comm sweeps
-/// reuse one arena — interval costs do not depend on the frame.
-fn run_search(
-    config: &ExplorerConfig,
-    ctx: &GraphContext,
-    evaluator: &Evaluator,
-    arena: &search::IntervalArena,
+/// Run the search over a prebuilt arena.  `comm` is explicit (rather
+/// than read from `config`) so comm sweeps reuse one arena — interval
+/// costs do not depend on the frame.
+fn run_search<'a>(
+    config: &'a ExplorerConfig,
+    ctx: &'a GraphContext,
+    evaluator: &'a Evaluator,
+    arena: &'a search::IntervalArena,
     max_group_size: usize,
     comm: Option<CommSpec>,
-) -> Result<Exploration, ExplorerError> {
+) -> Result<Searched<'a>, ExplorerError> {
     let outcome = search::prefix_dp(ctx, arena, config.tile_budget, max_group_size, comm);
-    if outcome.curve.is_empty() {
+    if outcome.winners().next().is_none() {
         // `plan_search` admits only budgets that host the fewest-group
         // grouping at one tile per group, and every interval offers a
         // 1-tile option, so only the frame can empty the last boundary.
@@ -721,79 +738,170 @@ fn run_search(
             None => ExplorerError::NoSolutions,
         });
     }
-
-    // The search yields one candidate per tile count, tiles ascending.
-    // Each is packaged from the arena's stored evaluations of the options
-    // the DP chose; nothing is evaluated again.
-    let mut evals = Vec::new();
-    let curve: Vec<ExplorerSolution> = outcome
-        .curve
-        .iter()
-        .map(|c| {
-            evals.clear();
-            evals.extend(
-                c.groups
-                    .iter()
-                    .zip(&c.allocation)
-                    .map(|(&(start, end), &tiles)| {
-                        *arena
-                            .eval(start, end, tiles)
-                            .expect("the DP only picks options the arena holds")
-                    }),
-            );
-            let solution = package(ctx, evaluator, &c.groups, &evals, config.voltage_policy);
-            // The DP summed the same stored evaluations group by group, in
-            // the order packaging sums them, so the totals must agree bit
-            // for bit.  This checks the back-pointer walk and the
-            // packaging, not the cost model: `evaluate_mapping`'s
-            // independent re-pricing is pinned by the explorer property
-            // tests.  Under the single-voltage policy the packaged cost is
-            // deliberately re-priced at the shared supply, so the identity
-            // only holds for the per-column relaxation the search ran on.
-            if config.voltage_policy == VoltagePolicy::PerColumn {
-                debug_assert_eq!(
-                    solution.power_mw.to_bits(),
-                    c.power_mw.to_bits(),
-                    "search cost diverged from packaged cost"
-                );
-                debug_assert_eq!(solution.feasible, c.feasible);
-            }
-            solution
-        })
-        .collect();
-
-    // The Pareto frontier covers achievable (feasible) designs; only when
-    // nothing fits the envelope does it fall back to the whole curve.
-    let frontier_pool: Vec<&ExplorerSolution> = {
-        let feasible: Vec<&ExplorerSolution> = curve.iter().filter(|s| s.feasible).collect();
-        if feasible.is_empty() {
-            curve.iter().collect()
-        } else {
-            feasible
-        }
-    };
-    let points: Vec<(u32, f64)> = frontier_pool
-        .iter()
-        .map(|s| (s.total_tiles, s.power_mw))
-        .collect();
-    let frontier: Vec<ExplorerSolution> = pareto::frontier_indices(&points)
-        .into_iter()
-        .map(|i| frontier_pool[i].clone())
-        .collect();
-    let min_power = |solutions: &mut dyn Iterator<Item = &ExplorerSolution>| {
-        solutions
-            .min_by(|a, b| a.power_mw.partial_cmp(&b.power_mw).expect("finite power"))
-            .cloned()
-    };
-    let best = min_power(&mut curve.iter().filter(|s| s.feasible))
-        .or_else(|| min_power(&mut curve.iter()))
-        .expect("curve is non-empty");
-    Ok(Exploration {
-        best,
-        curve,
-        frontier,
-        stats: outcome.stats,
+    Ok(Searched {
+        config,
+        ctx,
+        evaluator,
+        arena,
+        outcome,
     })
+}
+
+/// A search with at least one winner, and what packaging its winners
+/// reads.  Winners are packaged from the arena's stored evaluations of
+/// the options the DP chose; nothing is evaluated again.
+struct Searched<'a> {
+    config: &'a ExplorerConfig,
+    ctx: &'a GraphContext,
+    evaluator: &'a Evaluator,
+    arena: &'a search::IntervalArena,
+    outcome: search::SearchOutcome,
+}
+
+impl Searched<'_> {
+    /// Rebuild `winner`'s groups and their stored evaluations, pipeline
+    /// order, into `groups` and `evals`.
+    fn rebuild(
+        &self,
+        winner: &search::Entry,
+        groups: &mut space::Grouping,
+        evals: &mut Vec<ColumnEval>,
+    ) {
+        groups.clear();
+        evals.clear();
+        for (start, end, tiles) in self.outcome.groups(winner) {
+            groups.push((start, end));
+            evals.push(
+                *self
+                    .arena
+                    .eval(start, end, tiles)
+                    .expect("the DP only picks options the arena holds"),
+            );
+        }
+        groups.reverse();
+        evals.reverse();
+    }
+
+    /// `winner` packaged as a public solution; `groups` and `evals` are
+    /// reused buffers.
+    fn solution(
+        &self,
+        winner: &search::Entry,
+        groups: &mut space::Grouping,
+        evals: &mut Vec<ColumnEval>,
+    ) -> ExplorerSolution {
+        self.rebuild(winner, groups, evals);
+        let solution = package(
+            self.ctx,
+            self.evaluator,
+            groups,
+            evals,
+            self.config.voltage_policy,
+        );
+        // The DP summed the same stored evaluations group by group, in
+        // the order packaging sums them, so the totals must agree bit
+        // for bit.  This checks the back-pointer walk and the packaging,
+        // not the cost model: `evaluate_mapping`'s independent re-pricing
+        // is pinned by the explorer property tests.  Under the
+        // single-voltage policy the packaged cost is deliberately
+        // re-priced at the shared supply, so the identity only holds for
+        // the per-column relaxation the search ran on.
+        if self.config.voltage_policy == VoltagePolicy::PerColumn {
+            debug_assert_eq!(
+                solution.power_mw.to_bits(),
+                winner.power.to_bits(),
+                "search cost diverged from packaged cost"
+            );
+            debug_assert_eq!(solution.feasible, winner.feasible);
+        }
+        solution
+    }
+
+    /// Package every winner: the curve (one solution per reachable tile
+    /// count, tiles ascending), its Pareto frontier and the best.
+    fn exploration(self) -> Exploration {
+        let (mut groups, mut evals) = (Vec::new(), Vec::new());
+        let curve: Vec<ExplorerSolution> = self
+            .outcome
+            .winners()
+            .map(|winner| self.solution(winner, &mut groups, &mut evals))
+            .collect();
+
+        // The Pareto frontier covers achievable (feasible) designs; only
+        // when nothing fits the envelope does it fall back to the whole
+        // curve.
+        let frontier_pool: Vec<&ExplorerSolution> = {
+            let feasible: Vec<&ExplorerSolution> = curve.iter().filter(|s| s.feasible).collect();
+            if feasible.is_empty() {
+                curve.iter().collect()
+            } else {
+                feasible
+            }
+        };
+        let points: Vec<(u32, f64)> = frontier_pool
+            .iter()
+            .map(|s| (s.total_tiles, s.power_mw))
+            .collect();
+        let frontier: Vec<ExplorerSolution> = pareto::frontier_indices(&points)
+            .into_iter()
+            .map(|i| frontier_pool[i].clone())
+            .collect();
+        let best = pick_best(curve.iter().map(|s| (s, s.power_mw, s.feasible)))
+            .expect("a search has winners")
+            .clone();
+        Exploration {
+            best,
+            curve,
+            frontier,
+            stats: self.outcome.stats,
+        }
+    }
+
+    /// Package the best winner alone: the one [`Searched::exploration`]
+    /// would pick, by packaged price.  Under the per-column policy that
+    /// is the DP's own sum; under the single-voltage policy each winner
+    /// is re-priced, and only the best is packaged.
+    fn best(self) -> (ExplorerSolution, SearchStats) {
+        let (mut groups, mut evals) = (Vec::new(), Vec::new());
+        let mut price = |winner: &search::Entry| match self.config.voltage_policy {
+            VoltagePolicy::PerColumn => winner.power,
+            VoltagePolicy::SingleVoltage => {
+                self.rebuild(winner, &mut groups, &mut evals);
+                packaged_evals(
+                    self.ctx,
+                    self.evaluator,
+                    &groups,
+                    &evals,
+                    VoltagePolicy::SingleVoltage,
+                )
+                .fold(0.0, |power, (_, eval)| power + eval.power.total_mw())
+            }
+        };
+        let winner = pick_best(
+            self.outcome
+                .winners()
+                .map(|winner| (winner, price(winner), winner.feasible)),
+        )
+        .expect("a search has winners");
+        let solution = self.solution(winner, &mut groups, &mut evals);
+        (solution, self.outcome.stats)
+    }
+}
+
+/// The first cheapest feasible point, or the first cheapest point when
+/// none is feasible: the one rule every search picks its best by.
+/// Points are `(point, power, feasible)`.
+fn pick_best<T>(points: impl Iterator<Item = (T, f64, bool)>) -> Option<T> {
+    let mut best: Option<(T, f64, bool)> = None;
+    for (point, power, feasible) in points {
+        let better = best
+            .as_ref()
+            .is_none_or(|&(_, p, f)| (feasible && !f) || (feasible == f && power < p));
+        if better {
+            best = Some((point, power, feasible));
+        }
+    }
+    best.map(|(point, ..)| point)
 }
 
 /// Evaluate a hand-built mapping (one actor per placement, every actor
@@ -907,6 +1015,7 @@ pub fn explore_bus_widths(
             let outcome = match &shared {
                 Some((ctx, max_group_size, evaluator, arena)) => {
                     run_search(config, ctx, evaluator, arena, *max_group_size, Some(comm))
+                        .map(Searched::exploration)
                 }
                 // Validation, analysis or planning failed: fall back to
                 // the plain path so every point reports the structured
@@ -972,6 +1081,7 @@ pub fn explore_budget_sweep(
                     max_group_size,
                 );
                 run_search(&swept, &ctx, &evaluator, &arena, max_group_size, swept.comm)
+                    .map(Searched::exploration)
             });
             BudgetPoint { budget, outcome }
         })
@@ -1193,41 +1303,45 @@ fn explore_split(
         let Some((sub, rate_factor)) = chip_subgraph(graph, reps, start, end) else {
             return Ok(None);
         };
-        // The subgraph iterates `rate_factor` times per board iteration and
-        // counts its cross words per its own iteration, so its frame is the
-        // bus cycles of one of those: what `CommSpec::from_clock` gives at
-        // the scaled rate.
-        let sub_config = ExplorerConfig {
-            iteration_rate_hz: config.iteration_rate_hz * rate_factor as f64,
-            max_group_size: 1,
-            comm: config.comm.map(|comm| CommSpec {
-                period: comm.period / rate_factor,
-                ..comm
-            }),
-            board: None,
-            ..config.clone()
-        };
-        let exploration = match explore(&sub, &sub_config) {
-            Ok(exploration) => exploration,
+        let (best, chip_stats) = match explore_best(&sub, &chip_config(config, rate_factor)) {
+            Ok(found) => found,
             Err(e @ ExplorerError::InvalidConfig { .. }) => return Err(e),
             Err(_) => return Ok(None),
         };
-        if !exploration.best.feasible {
+        if !best.feasible {
             return Ok(None);
         }
-        stats.mappings_evaluated += exploration.stats.mappings_evaluated;
-        stats.groupings_examined += exploration.stats.groupings_examined;
-        stats.states_pruned += exploration.stats.states_pruned;
-        stats.groupings_comm_pruned += exploration.stats.groupings_comm_pruned;
-        stats.threads_used = stats.threads_used.max(exploration.stats.threads_used);
-        stats.elapsed_seconds += exploration.stats.elapsed_seconds;
+        stats.mappings_evaluated += chip_stats.mappings_evaluated;
+        stats.groupings_examined += chip_stats.groupings_examined;
+        stats.states_pruned += chip_stats.states_pruned;
+        stats.groupings_comm_pruned += chip_stats.groupings_comm_pruned;
+        stats.threads_used = stats.threads_used.max(chip_stats.threads_used);
+        stats.elapsed_seconds += chip_stats.elapsed_seconds;
         chips.push(ChipExploration {
             start,
             end,
-            solution: exploration.best,
+            solution: best,
         });
     }
     Ok(Some((chips, stats)))
+}
+
+/// The configuration one chip of a split is searched under: single-actor
+/// columns at `rate_factor` times the board's rate.  The chip's subgraph
+/// iterates `rate_factor` times per board iteration and counts its cross
+/// words per its own iteration, so its frame is the bus cycles of one of
+/// those: what `CommSpec::from_clock` gives at the scaled rate.
+fn chip_config(config: &ExplorerConfig, rate_factor: u64) -> ExplorerConfig {
+    ExplorerConfig {
+        iteration_rate_hz: config.iteration_rate_hz * rate_factor as f64,
+        max_group_size: 1,
+        comm: config.comm.map(|comm| CommSpec {
+            period: comm.period / rate_factor,
+            ..comm
+        }),
+        board: None,
+        ..config.clone()
+    }
 }
 
 /// Extract the contiguous actor range `start..end` as a standalone graph
@@ -1364,22 +1478,11 @@ fn package(
     evals: &[ColumnEval],
     policy: VoltagePolicy,
 ) -> ExplorerSolution {
-    let shared = (policy == VoltagePolicy::SingleVoltage)
-        .then(|| evals.iter().map(|e| e.voltage).fold(0.0, f64::max));
     let mut columns = Vec::with_capacity(groups.len());
     let mut total_tiles = 0;
     let mut power_mw = 0.0;
     let mut feasible = true;
-    for (&(start, end), eval) in groups.iter().zip(evals) {
-        let eval = match shared {
-            Some(voltage) => evaluator.reprice_at_voltage(
-                eval,
-                ctx.group_cap(start, end),
-                ctx.boundary_tokens(start, end),
-                voltage,
-            ),
-            None => *eval,
-        };
+    for ((start, end), eval) in packaged_evals(ctx, evaluator, groups, evals, policy) {
         total_tiles += eval.tiles;
         power_mw += eval.power.total_mw();
         feasible &= eval.within_envelope;
@@ -1399,6 +1502,32 @@ fn package(
         feasible,
         efficiency: evaluator.efficiency(),
     }
+}
+
+/// Each group of `groups` with the evaluation [`package`] prices it at:
+/// its own under [`VoltagePolicy::PerColumn`], re-priced at the chip-wide
+/// maximum required voltage under [`VoltagePolicy::SingleVoltage`].
+fn packaged_evals<'a>(
+    ctx: &'a GraphContext,
+    evaluator: &'a Evaluator,
+    groups: &'a [(usize, usize)],
+    evals: &'a [ColumnEval],
+    policy: VoltagePolicy,
+) -> impl Iterator<Item = ((usize, usize), ColumnEval)> + 'a {
+    let shared = (policy == VoltagePolicy::SingleVoltage)
+        .then(|| evals.iter().map(|e| e.voltage).fold(0.0, f64::max));
+    groups.iter().zip(evals).map(move |(&(start, end), eval)| {
+        let eval = match shared {
+            Some(voltage) => evaluator.reprice_at_voltage(
+                eval,
+                ctx.group_cap(start, end),
+                ctx.boundary_tokens(start, end),
+                voltage,
+            ),
+            None => *eval,
+        };
+        ((start, end), eval)
+    })
 }
 
 #[cfg(test)]
@@ -2101,6 +2230,99 @@ mod tests {
                     "actor {global}: {} vs {want}",
                     col.frequency_mhz
                 );
+            }
+        }
+    }
+
+    /// A pipeline chain; edge `i → i + 1` produces and consumes
+    /// `rates[i]` tokens per firing.
+    fn rated_chain(cycles: &[u64], caps: &[u32], rates: &[(u64, u64)]) -> SdfGraph {
+        let mut graph = SdfGraph::new();
+        let mut prev = None;
+        for (i, (&c, &cap)) in cycles.iter().zip(caps).enumerate() {
+            let actor = graph.add_actor(format!("a{i}"), c, cap);
+            if let Some(p) = prev {
+                let (produce, consume) = rates[i - 1];
+                graph.add_edge(p, actor, produce, consume, 0).unwrap();
+            }
+            prev = Some(actor);
+        }
+        graph
+    }
+
+    /// Every search counter but the time.
+    fn counters(stats: &SearchStats) -> [u64; 5] {
+        [
+            stats.mappings_evaluated,
+            stats.groupings_examined,
+            stats.states_pruned,
+            stats.groupings_comm_pruned,
+            stats.threads_used as u64,
+        ]
+    }
+
+    proptest::proptest! {
+        /// The best winner packaged alone, as a board split's chips are,
+        /// is `explore(..).best` bit for bit (its `Debug` text prints
+        /// every float exactly), with the same counters and the same
+        /// errors, under both voltage policies: on random 1–8-actor
+        /// chains with 1:1, 2:1 and 1:2 edges, fused or single-actor,
+        /// with no frame or a 0–11-slot one.  A board of up to two chips
+        /// then keeps, per chip, `explore(..).best` of that chip's
+        /// subgraph and configuration.
+        #[test]
+        fn winner_only_best_matches_the_explored_best(
+            cycles in proptest::collection::vec(1u64..600, 8),
+            cap_picks in proptest::collection::vec(0usize..6, 8),
+            rate_picks in proptest::collection::vec(0usize..4, 8),
+            n in 1usize..9,
+            fused in proptest::prelude::any::<bool>(),
+            single_voltage in proptest::prelude::any::<bool>(),
+            budget in 1u32..48,
+            frame_pick in 0u64..24,
+        ) {
+            const CAPS: [u32; 6] = [1, 2, 4, 8, 16, 32];
+            const RATES: [(u64, u64); 4] = [(1, 1), (1, 1), (2, 1), (1, 2)];
+            let caps: Vec<u32> = cap_picks[..n].iter().map(|&i| CAPS[i]).collect();
+            let rates: Vec<(u64, u64)> = rate_picks.iter().map(|&i| RATES[i]).collect();
+            let graph = rated_chain(&cycles[..n], &caps, &rates);
+            let policy = if single_voltage {
+                VoltagePolicy::SingleVoltage
+            } else {
+                VoltagePolicy::PerColumn
+            };
+            let mut config = ExplorerConfig::new(1e6, budget).with_voltage_policy(policy);
+            if !fused {
+                config = config.single_actor_columns();
+            }
+            if frame_pick < 12 {
+                config = config.with_comm(CommSpec::new(1, frame_pick));
+            }
+            let show = |s: &ExplorerSolution| format!("{s:?}");
+            match (explore_best(&graph, &config), explore(&graph, &config)) {
+                (Ok((best, stats)), Ok(full)) => {
+                    proptest::prop_assert_eq!(show(&best), show(&full.best));
+                    proptest::prop_assert_eq!(counters(&stats), counters(&full.stats));
+                }
+                (Err(a), Err(b)) => proptest::prop_assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => {
+                    return Err(proptest::prelude::TestCaseError::fail(format!(
+                        "winner only {:?} vs explore {:?}",
+                        a.map(|(best, _)| best),
+                        b.map(|full| full.best)
+                    )));
+                }
+            }
+
+            let board = config.clone().with_board(BoardSearch::new(2));
+            if let Ok(found) = explore_board(&graph, &board) {
+                let reps = graph.repetition_vector().unwrap();
+                for chip in &found.chips {
+                    let (sub, rate_factor) =
+                        chip_subgraph(&graph, &reps, chip.start, chip.end).unwrap();
+                    let full = explore(&sub, &chip_config(&board, rate_factor)).unwrap();
+                    proptest::prop_assert_eq!(show(&chip.solution), show(&full.best));
+                }
             }
         }
     }

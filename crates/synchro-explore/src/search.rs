@@ -8,21 +8,34 @@
 //! cross-column words, and feasible whenever the covered one is.  The
 //! kept set is the union of two Pareto fronts over `(power, cross
 //! words)`: one over all partials and one over feasible partials only,
-//! so a cheaper infeasible prefix never hides a feasible one.  Without a
-//! [`CommSpec`] every cross-word count is 0, so a cell keeps at most one
-//! feasible partial and one cheaper infeasible one, and is held inline as
-//! a fixed two-slot [`Pair`]; with one, a cell is a growable front.  One
-//! relaxation loop, generic over the [`Cell`] type, serves both.
+//! so a cheaper infeasible prefix never hides a feasible one.
 //!
 //! Cells are relaxed in boundary order from the pre-evaluated
 //! [`IntervalArena`]: every kept partial of boundary `start` is extended
 //! by every tile option of the group `start..end`.  Dominance across a
 //! cell is exact, because a group's cost, tiles and cross words do not
-//! depend on how the prefix before it was grouped.  Each kept partial
-//! is one back-pointer node, and allocations are rebuilt only for the
-//! winners at the last boundary.  The work is O(n·g·B·k): actors × max
-//! group size × tile budget × tile options per group (times the front
-//! size under a `CommSpec`).
+//! depend on how the prefix before it was grouped.  Two relaxations
+//! apply that rule:
+//!
+//! * [`relax_flat`], when every partial of a boundary commits the same
+//!   cross words: always without a [`CommSpec`], and with one when each
+//!   column holds one actor.  Then of two feasible (or two infeasible)
+//!   partials one covers the other, so a cell keeps its cheapest
+//!   feasible partial and, when strictly cheaper, its cheapest
+//!   infeasible one.  The boundary being built is one flat table of two
+//!   slots per tile count, allocated once per search, and an offer is
+//!   one comparison.
+//! * [`relax_fronts`], under a frame with fusion, where partials trade
+//!   power against cross words: each cell is a growable front.  It is
+//!   also the oracle a property test pins the flat table to.
+//!
+//! Each kept partial is one back-pointer node.  The search returns the
+//! winner of every last-boundary tile count without rebuilding it; a
+//! caller walks back-pointers only for the winners it packages (the
+//! whole curve for `explore`, the best alone for a board split or a
+//! degraded rung).  The work is O(n·g·B·k): actors × max group size ×
+//! tile budget × tile options per group (times the front size under a
+//! frame with fusion).
 //!
 //! Ties are deterministic.  Boundaries are built in order; within one,
 //! sources run by group start ascending, then by kept order, then by
@@ -36,7 +49,9 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use crate::model::{ColumnEval, Evaluator, GraphContext};
-use crate::space::{Grouping, TileCandidates};
+#[cfg(test)]
+use crate::space::Grouping;
+use crate::space::TileCandidates;
 use crate::CommSpec;
 
 /// Counters describing one search run.
@@ -65,21 +80,15 @@ pub struct SearchStats {
     pub elapsed_seconds: f64,
 }
 
-/// One search result: a grouping plus a tile allocation and its evaluated
-/// cost.
+/// One search result of the exhaustive oracle: a grouping plus a tile
+/// allocation and its evaluated cost.
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub(crate) struct Candidate {
     pub groups: Grouping,
     pub allocation: Vec<u32>,
     pub power_mw: f64,
     pub feasible: bool,
-}
-
-/// The raw outcome of a search: the best candidate at every reachable
-/// exact tile count, tiles ascending.
-pub(crate) struct SearchOutcome {
-    pub curve: Vec<Candidate>,
-    pub stats: SearchStats,
 }
 
 /// One pre-evaluated tile option of a contiguous interval.
@@ -200,8 +209,9 @@ const ROOT: u32 = u32::MAX;
 /// `parent` indexes the kept entry it extends, so every kept entry is
 /// also a back-pointer node.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    power: f64,
+pub(crate) struct Entry {
+    /// Summed power of the partial's groups (mW), in pipeline order.
+    pub power: f64,
     /// Cross-column words per iteration committed by the completed
     /// groups (always 0 without a `CommSpec`).
     cross: u64,
@@ -209,7 +219,8 @@ struct Entry {
     parent: u32,
     start: u32,
     group_tiles: u32,
-    feasible: bool,
+    /// Whether every group's operating point fits the envelope.
+    pub feasible: bool,
 }
 
 impl Entry {
@@ -232,98 +243,81 @@ impl Entry {
     }
 }
 
-/// One DP cell: the partials of one boundary and exact tile count that
-/// no other partial of the cell covers.
-trait Cell: Default {
-    /// Offer `entry`: drop it if a kept entry covers it (the incumbent
-    /// wins exact ties), otherwise evict every kept entry it covers and
-    /// keep it last, after the survivors in their order.  Returns the
-    /// number of entries discarded.
-    fn offer(&mut self, entry: Entry) -> u64;
-
-    /// Append the kept entries, in order, to `kept` and empty the cell.
-    fn drain_into(&mut self, kept: &mut Vec<Entry>);
+/// The outcome of a search: every partial the DP kept, as back-pointer
+/// nodes, and its counters.  The winners are read from the last
+/// boundary; nothing is rebuilt until a caller asks for a winner's
+/// groups.
+pub(crate) struct SearchOutcome {
+    /// Every kept partial, boundary by boundary, tiles ascending within a
+    /// boundary; `kept[0]` is the root.
+    kept: Vec<Entry>,
+    /// `kept[bounds[i]..bounds[i + 1]]` is boundary `i`.
+    bounds: Vec<usize>,
+    pub stats: SearchStats,
 }
 
-/// A cell under a [`CommSpec`]: partials trade power against committed
-/// cross words, so the front has no fixed size.
-impl Cell for Vec<Entry> {
-    fn offer(&mut self, entry: Entry) -> u64 {
-        if self.iter().any(|kept| kept.covers(&entry)) {
-            return 1;
-        }
-        let before = self.len();
-        self.retain(|kept| !entry.covers(kept));
-        self.push(entry);
-        (before + 1 - self.len()) as u64
+impl SearchOutcome {
+    /// The winner of every reachable exact tile count at the last
+    /// boundary, tiles ascending: its cheapest feasible partial, or its
+    /// cheapest partial when none is feasible.  Empty when no complete
+    /// mapping fits.
+    pub fn winners(&self) -> impl Iterator<Item = &Entry> + '_ {
+        let last = self.bounds[self.bounds.len() - 2];
+        self.kept[last..]
+            .chunk_by(|a, b| a.tiles == b.tiles)
+            .filter(|cell| cell[0].tiles > 0)
+            .map(winner)
     }
 
-    fn drain_into(&mut self, kept: &mut Vec<Entry>) {
-        kept.append(self);
-    }
-}
-
-/// A cell without a [`CommSpec`], held inline.  Every cross count is
-/// then 0, so of two feasible (or two infeasible) partials one covers
-/// the other: a cell keeps at most one feasible partial and one strictly
-/// cheaper infeasible one.
-#[derive(Debug, Clone)]
-struct Pair {
-    len: u8,
-    slots: [Entry; 2],
-}
-
-impl Default for Pair {
-    fn default() -> Self {
-        Pair {
-            len: 0,
-            slots: [Entry::ROOT; 2],
-        }
-    }
-}
-
-impl Cell for Pair {
-    /// Same return and order as the growable front's `offer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entry` covers neither of two kept entries and neither
-    /// covers it.  With every cross count 0 that is unreachable: it
-    /// means an entry carried cross words or a NaN power.
-    fn offer(&mut self, entry: Entry) -> u64 {
-        let len = usize::from(self.len);
-        if self.slots[..len].iter().any(|kept| kept.covers(&entry)) {
-            return 1;
-        }
-        let mut survivors = 0;
-        for i in 0..len {
-            if !entry.covers(&self.slots[i]) {
-                self.slots[survivors] = self.slots[i];
-                survivors += 1;
+    /// `winner`'s groups as `(start, end, tiles)`, last group first: a
+    /// walk up its back-pointer chain.
+    pub fn groups<'a>(&'a self, winner: &Entry) -> impl Iterator<Item = (usize, usize, u32)> + 'a {
+        let mut node = *winner;
+        let mut end = self.bounds.len() - 2;
+        std::iter::from_fn(move || {
+            if node.parent == ROOT {
+                return None;
             }
-        }
-        assert!(
-            survivors < 2,
-            "a frameless DP cell keeps at most two partials"
-        );
-        self.slots[survivors] = entry;
-        self.len = survivors as u8 + 1;
-        (len - survivors) as u64
-    }
-
-    fn drain_into(&mut self, kept: &mut Vec<Entry>) {
-        kept.extend_from_slice(&self.slots[..usize::from(self.len)]);
-        self.len = 0;
+            let group = (node.start as usize, end, node.group_tiles);
+            end = node.start as usize;
+            node = self.kept[node.parent as usize];
+            Some(group)
+        })
     }
 }
 
-/// Run the prefix DP over `arena` and return the best candidate at every
-/// reachable exact tile count: the cheapest feasible one, or the cheapest
-/// overall when none is feasible.  Under `comm`, extensions whose
-/// committed cross-column words overflow the frame are dropped as they
-/// form (cross words only grow), so every candidate fits the frame.
-/// Without `comm` the cells are inline [`Pair`]s; with it, growable
-/// fronts.
+/// The cheapest offer of one kind, feasible or infeasible, at one tile
+/// count of the boundary being built.
+#[derive(Debug, Clone, Copy)]
+struct Offer {
+    /// Set by the first offer.  An offer of +inf power is a real offer
+    /// (every option costs +inf at an overflowing rate), so +inf cannot
+    /// stand for "empty".
+    filled: bool,
+    power: f64,
+    parent: u32,
+    start: u32,
+    group_tiles: u32,
+}
+
+impl Offer {
+    const EMPTY: Offer = Offer {
+        filled: false,
+        power: 0.0,
+        parent: ROOT,
+        start: 0,
+        group_tiles: 0,
+    };
+}
+
+/// Run the prefix DP over `arena` and keep, per boundary and exact tile
+/// count, the partials no other partial covers.  Under `comm`,
+/// extensions whose committed cross-column words overflow the frame are
+/// dropped as they form (cross words only grow), so every winner fits the
+/// frame.  Without `comm`, or with single-actor columns, every partial of
+/// a boundary commits the same cross words and the flat table
+/// ([`relax_flat`]) runs; otherwise each cell is a growable front
+/// ([`relax_fronts`]).
 ///
 /// `arena` must have been built for `ctx` with the same `budget` and
 /// `max_group_size` (see [`IntervalArena::build`]).
@@ -334,17 +328,167 @@ pub(crate) fn prefix_dp(
     max_group_size: usize,
     comm: Option<CommSpec>,
 ) -> SearchOutcome {
-    match comm {
-        None => relax::<Pair>(ctx, arena, budget, max_group_size, None),
-        Some(comm) => {
-            relax::<Vec<Entry>>(ctx, arena, budget, max_group_size, Some(comm.capacity()))
-        }
+    let capacity = comm.map(|comm| comm.capacity());
+    if capacity.is_none() || max_group_size == 1 {
+        relax_flat(ctx, arena, budget, max_group_size, capacity)
+    } else {
+        relax_fronts(ctx, arena, budget, max_group_size, capacity)
     }
 }
 
-/// The relaxation loop of [`prefix_dp`] over cells of type `C`, with
-/// the frame `capacity` in cross words when a `CommSpec` is set.
-fn relax<C: Cell>(
+/// The options of `options` (tiles ascending) that fit in `headroom`
+/// tiles.
+#[inline]
+fn fitting(options: &[IntervalOption], headroom: u32) -> &[IntervalOption] {
+    &options[..options.partition_point(|opt| opt.tiles <= headroom)]
+}
+
+/// The prefix DP when every partial of a boundary commits the same cross
+/// words: none are tracked without a frame (`capacity` is `None`), and
+/// with one, single-actor columns (`max_group_size == 1`) leave a single
+/// grouping per boundary.  Of two feasible (or two infeasible) partials
+/// of one cell one then covers the other, so a cell keeps its cheapest
+/// feasible partial and, when strictly cheaper, its cheapest infeasible
+/// one.
+///
+/// The boundary being built is one table of two [`Offer`] slots per
+/// tile count, allocated once.  Offers run in the fronts' order and only
+/// a strictly cheaper offer replaces a slot's, so the earliest offer wins
+/// a tie.  Draining a tile count keeps the feasible slot, and the
+/// infeasible one when strictly cheaper, in offer order (the smaller
+/// parent first): the entries, counters and order [`relax_fronts`]
+/// produces, which a property test pins.
+fn relax_flat(
+    ctx: &GraphContext,
+    arena: &IntervalArena,
+    budget: u32,
+    max_group_size: usize,
+    capacity: Option<u64>,
+) -> SearchOutcome {
+    debug_assert!(capacity.is_none() || max_group_size == 1);
+    let started = Instant::now();
+    let n = ctx.n;
+    let mut stats = SearchStats {
+        threads_used: 1,
+        ..SearchStats::default()
+    };
+    let mut kept = vec![Entry::ROOT];
+    let mut bounds = Vec::with_capacity(n + 2);
+    bounds.extend([0usize, 1]);
+    let mut paths = vec![0u64; n + 1];
+    paths[0] = 1;
+    // `table[t]` holds tile count `t`'s cheapest feasible and cheapest
+    // infeasible offer.
+    let mut table = vec![[Offer::EMPTY; 2]; budget as usize + 1];
+    for end in 1..=n {
+        // The cross words of the boundary's partials, and the tile counts
+        // its offers reached.
+        let mut cross = 0;
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for start in end.saturating_sub(max_group_size)..end {
+            paths[end] = paths[end].saturating_add(paths[start]);
+            let first = bounds[start];
+            let sources = &kept[first..bounds[start + 1]];
+            let options = arena.options(start, end);
+            if let (Some(cap), Some(head)) = (capacity, sources.first()) {
+                cross = head.cross.saturating_add(ctx.group_cross_out(start, end));
+                if cross > cap {
+                    for source in sources {
+                        stats.groupings_comm_pruned +=
+                            fitting(options, budget - source.tiles).len() as u64;
+                    }
+                    continue;
+                }
+            }
+            // Sources run tiles ascending, so the options that fit only
+            // shrink: `fits` walks down once per start.
+            let mut fits = options.len();
+            for (offset, source) in sources.iter().enumerate() {
+                while fits > 0 && options[fits - 1].tiles > budget - source.tiles {
+                    fits -= 1;
+                }
+                if fits == 0 {
+                    break;
+                }
+                let fit = &options[..fits];
+                stats.mappings_evaluated += fits as u64;
+                lo = lo.min((source.tiles + fit[0].tiles) as usize);
+                hi = hi.max((source.tiles + fit[fits - 1].tiles) as usize);
+                let parent = (first + offset) as u32;
+                for opt in fit {
+                    let power = source.power + opt.power;
+                    let feasible = source.feasible && opt.feasible;
+                    let slot =
+                        &mut table[(source.tiles + opt.tiles) as usize][usize::from(!feasible)];
+                    if !slot.filled || power < slot.power {
+                        *slot = Offer {
+                            filled: true,
+                            power,
+                            parent,
+                            start: start as u32,
+                            group_tiles: opt.tiles,
+                        };
+                    }
+                }
+            }
+        }
+        for (tiles, slots) in table.iter_mut().enumerate().take(hi + 1).skip(lo) {
+            let [feasible, infeasible] = std::mem::replace(slots, [Offer::EMPTY; 2]);
+            let keep_infeasible =
+                infeasible.filled && (!feasible.filled || infeasible.power < feasible.power);
+            let mut pair = [
+                (feasible, feasible.filled, true),
+                (infeasible, keep_infeasible, false),
+            ];
+            if infeasible.parent < feasible.parent {
+                pair.swap(0, 1);
+            }
+            for (offer, keep, feasible) in pair {
+                if keep {
+                    kept.push(Entry {
+                        power: offer.power,
+                        cross,
+                        tiles: tiles as u32,
+                        parent: offer.parent,
+                        start: offer.start,
+                        group_tiles: offer.group_tiles,
+                        feasible,
+                    });
+                }
+            }
+        }
+        bounds.push(kept.len());
+    }
+    // Every offer was kept or discarded, once.
+    stats.states_pruned = stats.mappings_evaluated - (kept.len() as u64 - 1);
+    stats.groupings_examined = paths[n];
+    stats.elapsed_seconds = started.elapsed().as_secs_f64();
+    SearchOutcome {
+        kept,
+        bounds,
+        stats,
+    }
+}
+
+/// Offer `entry` to a growable front: drop it if a kept entry covers it
+/// (the incumbent wins exact ties), otherwise evict every kept entry it
+/// covers and keep it last, after the survivors in their order.  Returns
+/// the number of entries discarded.
+fn offer(front: &mut Vec<Entry>, entry: Entry) -> u64 {
+    if front.iter().any(|kept| kept.covers(&entry)) {
+        return 1;
+    }
+    let before = front.len();
+    front.retain(|kept| !entry.covers(kept));
+    front.push(entry);
+    (before + 1 - front.len()) as u64
+}
+
+/// The prefix DP with one growable front per cell: under a frame with
+/// fusion, partials of one cell trade power against committed cross
+/// words, so a front has no fixed size.  `capacity` is the frame in cross
+/// words when a `CommSpec` is set.
+fn relax_fronts(
     ctx: &GraphContext,
     arena: &IntervalArena,
     budget: u32,
@@ -357,13 +501,12 @@ fn relax<C: Cell>(
         threads_used: 1,
         ..SearchStats::default()
     };
-    // `kept[bounds[i]..bounds[i + 1]]` is boundary i, tiles ascending.
     let mut kept = vec![Entry::ROOT];
     let mut bounds = vec![0usize, 1];
     let mut paths = vec![0u64; n + 1];
     paths[0] = 1;
-    // The cells of the boundary being built, one per exact tile count.
-    let mut cells: Vec<C> = (0..=budget).map(|_| C::default()).collect();
+    // The fronts of the boundary being built, one per exact tile count.
+    let mut fronts: Vec<Vec<Entry>> = vec![Vec::new(); budget as usize + 1];
     for end in 1..=n {
         for start in end.saturating_sub(max_group_size)..end {
             paths[end] = paths[end].saturating_add(paths[start]);
@@ -375,14 +518,13 @@ fn relax<C: Cell>(
             };
             let first = bounds[start];
             for (offset, source) in kept[first..bounds[start + 1]].iter().enumerate() {
-                let headroom = budget - source.tiles;
-                let fitting = options.iter().take_while(|opt| opt.tiles <= headroom);
+                let fit = fitting(options, budget - source.tiles);
                 let cross = source.cross.saturating_add(delta);
                 if capacity.is_some_and(|cap| cross > cap) {
-                    stats.groupings_comm_pruned += fitting.count() as u64;
+                    stats.groupings_comm_pruned += fit.len() as u64;
                     continue;
                 }
-                for opt in fitting {
+                for opt in fit {
                     stats.mappings_evaluated += 1;
                     let tiles = source.tiles + opt.tiles;
                     let entry = Entry {
@@ -394,28 +536,26 @@ fn relax<C: Cell>(
                         group_tiles: opt.tiles,
                         feasible: source.feasible && opt.feasible,
                     };
-                    stats.states_pruned += cells[tiles as usize].offer(entry);
+                    stats.states_pruned += offer(&mut fronts[tiles as usize], entry);
                 }
             }
         }
-        for cell in &mut cells {
-            cell.drain_into(&mut kept);
+        for front in &mut fronts {
+            kept.append(front);
         }
         bounds.push(kept.len());
     }
-
-    let curve = kept[bounds[n]..]
-        .chunk_by(|a, b| a.tiles == b.tiles)
-        .filter(|cell| cell[0].tiles > 0)
-        .map(|cell| reconstruct(&kept, winner(cell), n))
-        .collect();
     stats.groupings_examined = paths[n];
     stats.elapsed_seconds = started.elapsed().as_secs_f64();
-    SearchOutcome { curve, stats }
+    SearchOutcome {
+        kept,
+        bounds,
+        stats,
+    }
 }
 
-/// The curve entry of a non-empty last-boundary cell: its cheapest
-/// feasible partial, or its cheapest partial when none is feasible.
+/// The winner of a non-empty last-boundary cell: its cheapest feasible
+/// partial, or its cheapest partial when none is feasible.
 fn winner(cell: &[Entry]) -> &Entry {
     let by_power = |a: &&Entry, b: &&Entry| a.power.total_cmp(&b.power);
     cell.iter()
@@ -423,29 +563,6 @@ fn winner(cell: &[Entry]) -> &Entry {
         .min_by(by_power)
         .or_else(|| cell.iter().min_by(by_power))
         .expect("cells are non-empty")
-}
-
-/// Walk `entry`'s back-pointer chain into explicit grouping and
-/// allocation vectors (pipeline order).
-fn reconstruct(kept: &[Entry], entry: &Entry, n: usize) -> Candidate {
-    let mut groups = Vec::new();
-    let mut allocation = Vec::new();
-    let mut node = entry;
-    let mut end = n;
-    while node.parent != ROOT {
-        groups.push((node.start as usize, end));
-        allocation.push(node.group_tiles);
-        end = node.start as usize;
-        node = &kept[node.parent as usize];
-    }
-    groups.reverse();
-    allocation.reverse();
-    Candidate {
-        groups,
-        allocation,
-        power_mw: entry.power,
-        feasible: entry.feasible,
-    }
 }
 
 /// Count the contiguous groupings of `ctx` (groups of at most
@@ -677,6 +794,27 @@ mod tests {
             .fold(f64::INFINITY, f64::min)
     }
 
+    /// Every winner of `outcome`, rebuilt.
+    fn curve(outcome: &SearchOutcome) -> Vec<Candidate> {
+        outcome
+            .winners()
+            .map(|winner| {
+                let (mut groups, mut allocation): (Grouping, Vec<u32>) = outcome
+                    .groups(winner)
+                    .map(|(start, end, tiles)| ((start, end), tiles))
+                    .unzip();
+                groups.reverse();
+                allocation.reverse();
+                Candidate {
+                    groups,
+                    allocation,
+                    power_mw: winner.power,
+                    feasible: winner.feasible,
+                }
+            })
+            .collect()
+    }
+
     const CAP_CHOICES: [u32; 6] = [1, 2, 4, 8, 16, 32];
     /// Edge rates, weighted towards 1:1 so that most chains keep some
     /// feasible tile counts.
@@ -757,8 +895,8 @@ mod tests {
             } else {
                 TileCandidates::PowersOfTwo
             };
-            // 8 and above stand for "no frame": half the cases run the
-            // two-slot cells.
+            // 8 and above stand for "no frame": half the cases, and the
+            // framed single-actor ones, run the flat table.
             let capacity = (capacity_pick < 8).then_some(capacity_pick);
             let mut config = ExplorerConfig::new(1e6, budget).with_candidates(candidates);
             config.max_group_size = max_group;
@@ -848,19 +986,19 @@ mod tests {
             feasible,
         };
         let mut cell: Vec<Entry> = Vec::new();
-        assert_eq!(cell.offer(partial(10.0, 2, true)), 0);
+        assert_eq!(offer(&mut cell, partial(10.0, 2, true)), 0);
         // A cheaper infeasible partial joins the cell without evicting
         // the feasible one, and so does a pricier one with fewer cross
         // words.
-        assert_eq!(cell.offer(partial(8.0, 2, false)), 0);
-        assert_eq!(cell.offer(partial(12.0, 1, true)), 0);
+        assert_eq!(offer(&mut cell, partial(8.0, 2, false)), 0);
+        assert_eq!(offer(&mut cell, partial(12.0, 1, true)), 0);
         assert_eq!(cell.len(), 3);
         assert_eq!(winner(&cell).power, 10.0, "feasible first, then power");
         // Covered offers are dropped; on an exact tie the incumbent stays.
-        assert_eq!(cell.offer(partial(9.0, 2, false)), 1);
-        assert_eq!(cell.offer(partial(10.0, 2, true)), 1);
+        assert_eq!(offer(&mut cell, partial(9.0, 2, false)), 1);
+        assert_eq!(offer(&mut cell, partial(10.0, 2, true)), 1);
         // At equal power and cross words, feasible covers infeasible.
-        assert_eq!(cell.offer(partial(8.0, 2, true)), 2);
+        assert_eq!(offer(&mut cell, partial(8.0, 2, true)), 2);
         let kept: Vec<(f64, u64, bool)> = cell
             .iter()
             .map(|e| (e.power, e.cross, e.feasible))
@@ -868,46 +1006,146 @@ mod tests {
         assert_eq!(kept, vec![(12.0, 1, true), (8.0, 2, true)]);
     }
 
-    /// The entries a cell keeps, in order, as `(power bits, feasible,
-    /// parent)`; `parent` tags each offer with its position.
-    fn drained<C: Cell + Clone>(cell: &C) -> Vec<(u64, bool, u32)> {
-        let mut kept = Vec::new();
-        cell.clone().drain_into(&mut kept);
-        kept.iter()
-            .map(|e| (e.power.to_bits(), e.feasible, e.parent))
+    /// Every field of every kept entry, powers as bits.
+    fn entries(outcome: &SearchOutcome) -> Vec<(u64, u64, u32, u32, u32, u32, bool)> {
+        outcome
+            .kept
+            .iter()
+            .map(|e| {
+                let Entry {
+                    power,
+                    cross,
+                    tiles,
+                    parent,
+                    start,
+                    group_tiles,
+                    feasible,
+                } = *e;
+                (
+                    power.to_bits(),
+                    cross,
+                    tiles,
+                    parent,
+                    start,
+                    group_tiles,
+                    feasible,
+                )
+            })
             .collect()
     }
 
-    proptest! {
-        /// Without cross words, the two-slot cell and the growable front
-        /// agree offer by offer: the same discard count and the same
-        /// kept entries in the same order.  Powers come from a set of
-        /// four, so exact ties occur, with random feasibility.
-        #[test]
-        fn pair_cells_match_growable_fronts_without_cross_words(
-            powers in prop::collection::vec(0usize..4, 1..40),
-            feasible in prop::collection::vec(any::<bool>(), 40),
-            drain_at in 0usize..40,
-        ) {
-            let mut pair = Pair::default();
-            let mut front: Vec<Entry> = Vec::new();
-            for (i, &p) in powers.iter().enumerate() {
-                let entry = Entry {
-                    power: [1.0, 2.0, 2.5, 4.0][p],
-                    feasible: feasible[i],
-                    parent: i as u32,
-                    ..Entry::ROOT
-                };
-                prop_assert_eq!(pair.offer(entry), front.offer(entry), "offer {}", i);
-                prop_assert_eq!(drained(&pair), drained(&front), "after offer {}", i);
-                prop_assert!(front.len() <= 2);
-                if i == drain_at {
-                    // A drained cell starts over empty, like a new one.
-                    let mut kept = Vec::new();
-                    pair.drain_into(&mut kept);
-                    front.drain_into(&mut kept);
-                    prop_assert!(drained(&pair).is_empty() && front.is_empty());
+    /// Every search counter but the time.
+    fn counters(stats: &SearchStats) -> [u64; 5] {
+        [
+            stats.mappings_evaluated,
+            stats.groupings_examined,
+            stats.states_pruned,
+            stats.groupings_comm_pruned,
+            stats.threads_used as u64,
+        ]
+    }
+
+    /// Cycle counts and caps for the flat-cell property, few enough that
+    /// intervals often cost exactly the same.
+    const TIED_CYCLES: [u64; 3] = [40, 80, 160];
+    const TIED_CAPS: [u32; 3] = [1, 2, 4];
+    /// Iteration rates for the flat-cell property: at 1 M iterations/s
+    /// every option fits the envelope, at 4 M and 16 M the narrow ones do
+    /// not, and at `f64::MAX` every option costs +inf.
+    const TIED_RATES: [f64; 4] = [1e6, 4e6, 16e6, f64::MAX];
+
+    /// An arena for `ctx` whose options are drawn from `draws`, in turn,
+    /// instead of priced by the cost model: every usable interval offers
+    /// the power-of-two tile counts up to `budget`, each at a power from
+    /// a set of four and randomly feasible, so partials of both kinds tie
+    /// exactly.
+    fn drawn_arena(
+        ctx: &GraphContext,
+        budget: u32,
+        max_group_size: usize,
+        draws: &[u8],
+    ) -> IntervalArena {
+        let stride = ctx.n + 1;
+        let mut offsets = vec![0u32];
+        let mut options = Vec::new();
+        let mut draws = draws.iter().cycle();
+        for start in 0..ctx.n {
+            for end in 0..stride {
+                if end > start && end <= (start + max_group_size).min(ctx.n) {
+                    for tiles in (0..32).map(|k| 1u32 << k).take_while(|&t| t <= budget) {
+                        let draw = draws.next().copied().unwrap_or(0);
+                        options.push(IntervalOption {
+                            tiles,
+                            feasible: draw & 4 == 0,
+                            power: [1.0, 2.0, 2.5, 4.0][usize::from(draw % 4)],
+                        });
+                    }
                 }
+                offsets.push(options.len() as u32);
+            }
+        }
+        IntervalArena {
+            stride,
+            offsets,
+            options,
+            evals: Vec::new(),
+        }
+    }
+
+    proptest! {
+        /// Wherever every partial of a boundary commits the same cross
+        /// words, the flat table keeps exactly what the growable fronts
+        /// keep: the same entries in the same order (powers bit for bit),
+        /// the same boundaries and the same counters.  Random 1–9-actor
+        /// chains, about evenly frameless (max group sizes {1, 2, n}) or
+        /// single-actor under a 0–16-word frame; budgets 1–64; both
+        /// candidate sets.  Costs come from three cycle counts and three
+        /// caps so exact ties occur, at rates where every option, some or
+        /// none fits the envelope, and at `f64::MAX`, where every option
+        /// costs +inf and every offer ties.  One case in three prices the
+        /// options from a set of four powers with random feasibility
+        /// instead, so feasible and infeasible partials tie too.
+        #[test]
+        fn flat_cells_match_growable_fronts(
+            cycle_picks in prop::collection::vec(0usize..3, 9),
+            cap_picks in prop::collection::vec(0usize..3, 9),
+            rate_picks in prop::collection::vec(0usize..4, 9),
+            n in 1usize..10,
+            group_pick in 0usize..3,
+            all_candidates in any::<bool>(),
+            budget in 1u32..65,
+            frame_pick in 0u64..34,
+            price_pick in 0usize..6,
+            draws in prop::collection::vec(0u8..8, 64),
+        ) {
+            // 17 and above stand for "no frame".
+            let frame = (frame_pick < 17).then_some(frame_pick);
+            let cycles: Vec<u64> = cycle_picks[..n].iter().map(|&i| TIED_CYCLES[i]).collect();
+            let caps: Vec<u32> = cap_picks[..n].iter().map(|&i| TIED_CAPS[i]).collect();
+            let rates: Vec<(u64, u64)> = rate_picks.iter().map(|&i| RATE_CHOICES[i]).collect();
+            let graph = chain_with_rates(&cycles, &caps, &rates);
+            let ctx = GraphContext::new(&graph).unwrap();
+            let max_group = if frame.is_some() { 1 } else { [1, 2, n][group_pick] };
+            let candidates = if all_candidates {
+                TileCandidates::All
+            } else {
+                TileCandidates::PowersOfTwo
+            };
+            let arena = match TIED_RATES.get(price_pick) {
+                Some(&rate) => {
+                    let evaluator =
+                        Evaluator::new(&synchro_power::Technology::isca2004(), rate, 1.0).unwrap();
+                    IntervalArena::build(&ctx, &evaluator, candidates, budget, max_group)
+                }
+                None => drawn_arena(&ctx, budget, max_group, &draws),
+            };
+            let flat = relax_flat(&ctx, &arena, budget, max_group, frame);
+            let fronts = relax_fronts(&ctx, &arena, budget, max_group, frame);
+            prop_assert_eq!(entries(&flat), entries(&fronts));
+            prop_assert_eq!(&flat.bounds, &fronts.bounds);
+            prop_assert_eq!(counters(&flat.stats), counters(&fronts.stats));
+            if TIED_RATES.get(price_pick) == Some(&f64::MAX) {
+                prop_assert!(flat.kept[1..].iter().all(|e| e.power == f64::INFINITY));
             }
         }
     }
@@ -924,15 +1162,16 @@ mod tests {
         let arena = IntervalArena::build(&ctx, &evaluator, candidates, 24, 4);
         let kept = prefix_dp(&ctx, &arena, 24, 4, Some(CommSpec::new(1, 2)));
         assert!(kept.stats.groupings_comm_pruned > 0);
-        assert!(!kept.curve.is_empty());
-        for c in &kept.curve {
+        let kept_curve = curve(&kept);
+        assert!(!kept_curve.is_empty());
+        for c in &kept_curve {
             assert!(ctx.grouping_cross_words(&c.groups) <= 2, "{:?}", c.groups);
         }
         // The surviving best cost agrees with the exhaustive oracle.
         let (oracle, rejected) =
             reference::exhaustive(&ctx, &evaluator, candidates, 24, 4, Some(2));
         assert_eq!(
-            best_feasible_power(&kept.curve).to_bits(),
+            best_feasible_power(&kept_curve).to_bits(),
             best_feasible_power(&oracle).to_bits()
         );
         assert_eq!(comm_rejected_groupings(&ctx, 4, 2), rejected);
@@ -941,7 +1180,7 @@ mod tests {
         // all 5 groupings into groups of 1–2 actors are rejected.
         let arena2 = IntervalArena::build(&ctx, &evaluator, candidates, 24, 2);
         let none = prefix_dp(&ctx, &arena2, 24, 2, Some(CommSpec::new(1, 0)));
-        assert!(none.curve.is_empty());
+        assert!(curve(&none).is_empty());
         assert!(none.stats.groupings_comm_pruned > 0);
         assert_eq!(none.stats.groupings_examined, 5);
         assert_eq!(comm_rejected_groupings(&ctx, 2, 0), 5);
@@ -959,15 +1198,11 @@ mod tests {
             singles.stats.mappings_evaluated > 0,
             "partial prefixes are still explored"
         );
-        assert!(singles.curve.is_empty(), "no complete assignment fits");
+        assert!(curve(&singles).is_empty(), "no complete assignment fits");
         let arena = IntervalArena::build(&ctx, &evaluator, TileCandidates::All, 2, 3);
-        let fused = prefix_dp(&ctx, &arena, 2, 3, None);
-        let tiles: Vec<u32> = fused
-            .curve
-            .iter()
-            .map(|c| c.allocation.iter().sum())
-            .collect();
+        let fused = curve(&prefix_dp(&ctx, &arena, 2, 3, None));
+        let tiles: Vec<u32> = fused.iter().map(|c| c.allocation.iter().sum()).collect();
         assert_eq!(tiles, vec![1, 2], "one entry per reachable tile count");
-        assert!(fused.curve.iter().all(|c| c.groups.len() <= 2));
+        assert!(fused.iter().all(|c| c.groups.len() <= 2));
     }
 }
