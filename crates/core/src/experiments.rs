@@ -1,7 +1,7 @@
 //! Regeneration of every table and figure in the paper's evaluation
 //! (Section 5).  Each function returns structured data; the `bench` crate's
-//! binaries print them in the paper's row/series format, and
-//! `EXPERIMENTS.md` records paper-versus-measured values.
+//! binaries print them in the paper's row/series format (the README's
+//! "Regenerating the paper's tables and figures" section lists them).
 
 use crate::mapper::{self, MapperOptions};
 use crate::pipeline::{
@@ -821,17 +821,6 @@ pub fn try_trace_scale_summary(
             try_trace_scale_row(tech, app, rate, frames)
         })
         .collect()
-}
-
-/// Eager wrapper of [`try_trace_scale_summary`].
-///
-/// # Panics
-///
-/// Panics when a reference application fails to schedule at its own
-/// reference rate (a broken model, not a data-dependent condition).
-pub fn trace_scale_summary(tech: &Technology, frames: u64) -> Vec<TraceScaleRow> {
-    try_trace_scale_summary(tech, frames)
-        .expect("reference applications schedule at their reference rates")
 }
 
 /// One row of the multi-chip board summary: the 24-stage deep pipeline

@@ -13,9 +13,9 @@
 //! block is re-mapped onto more or fewer tiles, which is how the
 //! parallelisation sweeps of Figures 7–10 are generated.  Bus traffic at
 //! the reference mapping was calibrated so that the power model reproduces
-//! the Table 4 rows (see `EXPERIMENTS.md`); when a block spreads over more
-//! tiles its traffic grows proportionally, modelling the communication
-//! overhead the paper identifies as a source of diminishing returns.
+//! the Table 4 rows; when a block spreads over more tiles its traffic
+//! grows proportionally, modelling the communication overhead the paper
+//! identifies as a source of diminishing returns.
 
 /// The applications evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

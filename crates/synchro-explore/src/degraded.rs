@@ -99,20 +99,6 @@ impl ResourceLoss {
             bridge_capacity: Some(remaining_words),
         }
     }
-
-    /// Add a tile loss to this loss (compound failures).
-    #[must_use]
-    pub fn with_tiles_lost(mut self, tiles: u32) -> Self {
-        self.tiles_lost = tiles;
-        self
-    }
-
-    /// Add a split loss to this loss (compound failures).
-    #[must_use]
-    pub fn with_splits_lost(mut self, splits: u32) -> Self {
-        self.splits_lost = splits;
-        self
-    }
 }
 
 /// The outcome of re-exploring under one [`ResourceLoss`]: the highest
@@ -208,7 +194,8 @@ fn rung_rate(rate_hz: f64, (num, den): (u64, u64)) -> f64 {
 /// unchanged, so a slower iteration earns proportionally more bus
 /// cycles per iteration.  The rescale is exact in 128 bits; only a
 /// period past `u64::MAX`, a frame no demand can fill anyway, saturates.
-/// Board bounds are handled by the board walker, not here.
+/// A loss's bridge capacity caps the board's (adding a default board
+/// when none is set), which only [`explore_board`] reads.
 fn degraded_config(
     config: &ExplorerConfig,
     loss: &ResourceLoss,
@@ -220,32 +207,74 @@ fn degraded_config(
             .unwrap_or(u64::MAX),
         ..c
     });
+    let board = loss.bridge_capacity.map(|cap| {
+        let board = config.board.unwrap_or_default();
+        let capacity = board.bridge_capacity.map_or(cap, |have| have.min(cap));
+        BoardSearch {
+            bridge_capacity: Some(capacity),
+            ..board
+        }
+    });
     ExplorerConfig {
         iteration_rate_hz: rung_rate(config.iteration_rate_hz, (num, den)),
         tile_budget: config.tile_budget.saturating_sub(loss.tiles_lost),
         comm,
+        board: board.or(config.board),
         ..config.clone()
     }
 }
 
-fn point_for(
-    loss: &ResourceLoss,
-    (num, den): (u64, u64),
-    rate_hz: f64,
-    power_mw: f64,
-    tiles_used: u32,
-) -> DegradationPoint {
-    DegradationPoint {
-        label: loss.label.clone(),
-        tiles_lost: loss.tiles_lost,
-        splits_lost: loss.splits_lost,
-        rate_num: num,
-        rate_den: den,
-        rate_hz,
-        power_mw,
-        tiles_used,
-        feasible: true,
+/// Walk [`RATE_LADDER`] from full rate down for every loss, and return
+/// the curve.  At each rung with a loss left unresolved, `rung` is called
+/// once with the rung's rate; the search it returns is called with each
+/// such loss's [`degraded_config`] and answers with the power and tiles
+/// of its feasible best, if any.  A loss resolves at the first rung with
+/// one; resource exhaustion walks on, any other error is returned.
+fn walk_ladder<S>(
+    config: &ExplorerConfig,
+    losses: &[ResourceLoss],
+    mut rung: impl FnMut(f64) -> Result<S, ExplorerError>,
+) -> Result<DegradationCurve, ExplorerError>
+where
+    S: FnMut(&ExplorerConfig) -> Result<Option<(f64, u32)>, ExplorerError>,
+{
+    let mut points: Vec<Option<DegradationPoint>> = vec![None; losses.len()];
+    for &(num, den) in RATE_LADDER.iter() {
+        if points.iter().all(Option::is_some) {
+            break;
+        }
+        let rate_hz = rung_rate(config.iteration_rate_hz, (num, den));
+        let mut search = rung(rate_hz)?;
+        for (slot, loss) in points.iter_mut().zip(losses) {
+            if slot.is_some() {
+                continue;
+            }
+            match search(&degraded_config(config, loss, (num, den))) {
+                Ok(Some((power_mw, tiles_used))) => {
+                    *slot = Some(DegradationPoint {
+                        rate_num: num,
+                        rate_den: den,
+                        rate_hz,
+                        power_mw,
+                        tiles_used,
+                        feasible: true,
+                        ..DegradationPoint::infeasible(loss)
+                    });
+                }
+                Ok(None) => {}
+                Err(e) if e.is_resource_exhaustion() => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
+    Ok(DegradationCurve {
+        full_rate_hz: config.iteration_rate_hz,
+        points: points
+            .into_iter()
+            .zip(losses)
+            .map(|(p, loss)| p.unwrap_or_else(|| DegradationPoint::infeasible(loss)))
+            .collect(),
+    })
 }
 
 /// Re-explore `graph` under each loss in `losses`, walking
@@ -272,43 +301,15 @@ pub fn explore_degraded(
 ) -> Result<DegradationCurve, ExplorerError> {
     check_inputs(&config.tech, config.iteration_rate_hz, config.efficiency)?;
     let ctx = GraphContext::new(graph)?;
-    let mut points: Vec<Option<DegradationPoint>> = vec![None; losses.len()];
-    for &(num, den) in RATE_LADDER.iter() {
-        if points.iter().all(Option::is_some) {
-            break;
-        }
-        let rate_hz = rung_rate(config.iteration_rate_hz, (num, den));
+    walk_ladder(config, losses, |rate_hz| {
         let evaluator = Evaluator::new(&config.tech, rate_hz, config.efficiency)?;
-        for (slot, loss) in points.iter_mut().zip(losses) {
-            if slot.is_some() {
-                continue;
-            }
-            let swept = degraded_config(config, loss, (num, den));
-            match rung_best(graph, &ctx, &evaluator, &swept) {
-                Ok((best, _)) if best.feasible => {
-                    *slot = Some(point_for(
-                        loss,
-                        (num, den),
-                        rate_hz,
-                        best.power_mw,
-                        best.total_tiles,
-                    ));
-                }
-                // An infeasible best (envelope violated everywhere) is
-                // exhaustion in kind: keep walking the ladder.
-                Ok(_) => {}
-                Err(e) if e.is_resource_exhaustion() => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    Ok(DegradationCurve {
-        full_rate_hz: config.iteration_rate_hz,
-        points: points
-            .into_iter()
-            .zip(losses)
-            .map(|(p, loss)| p.unwrap_or_else(|| DegradationPoint::infeasible(loss)))
-            .collect(),
+        let ctx = &ctx;
+        Ok(move |swept: &ExplorerConfig| {
+            let (best, _) = rung_best(graph, ctx, &evaluator, swept)?;
+            // An infeasible best (envelope violated everywhere) is
+            // exhaustion in kind: keep walking the ladder.
+            Ok(best.feasible.then_some((best.power_mw, best.total_tiles)))
+        })
     })
 }
 
@@ -333,10 +334,10 @@ fn rung_best(
 
 /// Board-level [`explore_degraded`]: each loss shrinks every chip's
 /// tile budget by `tiles_lost`, the comm frame by `splits_lost`, and —
-/// when [`ResourceLoss::bridge_capacity`] is set — caps the
-/// partitioner's inter-chip words per iteration, then re-runs
-/// [`explore_board`] down the rate ladder.  A severed bridge
-/// (`bridge_capacity: Some(0)`) prunes every multi-chip split, so
+/// when [`ResourceLoss::bridge_capacity`] is set — caps the board's
+/// inter-chip words per iteration, then re-runs [`explore_board`] down
+/// the rate ladder.  A severed bridge (`bridge_capacity: Some(0)`) makes
+/// every multi-chip split of a connected graph inadmissible, so
 /// recovery — if any — comes from squeezing onto fewer chips at a
 /// reduced rate.
 ///
@@ -350,49 +351,12 @@ pub fn explore_degraded_board(
     losses: &[ResourceLoss],
 ) -> Result<DegradationCurve, ExplorerError> {
     check_inputs(&config.tech, config.iteration_rate_hz, config.efficiency)?;
-    let mut points: Vec<Option<DegradationPoint>> = vec![None; losses.len()];
-    for &(num, den) in RATE_LADDER.iter() {
-        if points.iter().all(Option::is_some) {
-            break;
-        }
-        let rate_hz = rung_rate(config.iteration_rate_hz, (num, den));
-        for (slot, loss) in points.iter_mut().zip(losses) {
-            if slot.is_some() {
-                continue;
-            }
-            let mut swept = degraded_config(config, loss, (num, den));
-            if let Some(cap) = loss.bridge_capacity {
-                let board = swept.board.unwrap_or_default();
-                let capacity = Some(board.bridge_capacity.map_or(cap, |have| have.min(cap)));
-                swept.board = Some(BoardSearch {
-                    bridge_capacity: capacity,
-                    ..board
-                });
-            }
-            match explore_board(graph, &swept) {
-                // `explore_board` only returns partitions feasible on
-                // every chip, so a success is a feasible point.
-                Ok(exploration) => {
-                    *slot = Some(point_for(
-                        loss,
-                        (num, den),
-                        rate_hz,
-                        exploration.total_power_mw(),
-                        exploration.total_tiles(),
-                    ));
-                }
-                Err(e) if e.is_resource_exhaustion() => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    Ok(DegradationCurve {
-        full_rate_hz: config.iteration_rate_hz,
-        points: points
-            .into_iter()
-            .zip(losses)
-            .map(|(p, loss)| p.unwrap_or_else(|| DegradationPoint::infeasible(loss)))
-            .collect(),
+    walk_ladder(config, losses, |_| {
+        // `explore_board` only returns partitions feasible on every chip.
+        Ok(|swept: &ExplorerConfig| {
+            explore_board(graph, swept)
+                .map(|board| Some((board.total_power_mw(), board.total_tiles())))
+        })
     })
 }
 

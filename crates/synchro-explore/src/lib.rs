@@ -70,7 +70,7 @@ pub use pareto::dominates;
 pub use search::SearchStats;
 pub use space::{cluster, TileCandidates};
 
-use model::{check_inputs, Evaluator, GraphContext};
+use model::{Evaluator, GraphContext};
 
 /// Errors raised by the explorer.
 #[derive(Debug)]
@@ -106,13 +106,13 @@ pub enum ExplorerError {
         /// over the grouping DAG, saturating at `u64::MAX`).
         pruned: u64,
     },
-    /// No contiguous partition of the graph across the permitted chip
-    /// count produced a feasible per-chip exploration (see
-    /// [`explore_board`]).
+    /// No admissible contiguous split of the graph across the permitted
+    /// chip counts was feasible on every chip (see [`explore_board`]).
     BoardInfeasible {
         /// Most chips the partitioner was allowed to use.
         max_chips: usize,
-        /// Candidate splits whose per-chip explorations were attempted.
+        /// Admissible splits priced (see
+        /// [`BoardExploration::splits_tried`]).
         splits_tried: usize,
     },
     /// A configuration value the cost model cannot price: an iteration
@@ -298,22 +298,18 @@ impl CommSpec {
     }
 }
 
-/// The board-partitioning stage searched when [`ExplorerConfig::board`]
-/// is set: [`explore_board`] shards the graph across up to `max_chips`
-/// chips by a min-cut-flavoured contiguous split, running one per-chip
-/// exploration (with the per-chip comm prune) for each candidate split
-/// until every chip is feasible.
+/// The bounds of the board search run when [`ExplorerConfig::board`] is
+/// set: [`explore_board`] splits the graph into contiguous actor ranges
+/// across up to `max_chips` chips and returns the cheapest split at the
+/// fewest chips that admit a feasible one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoardSearch {
-    /// Most chips a partition may use (1 tries the single-chip path
-    /// first; the partitioner always prefers fewer chips).
+    /// Most chips a partition may use.  Chip counts are searched from 1
+    /// up, so the fewest chips with a feasible split win.
     pub max_chips: usize,
-    /// Candidate splits attempted per chip count, in ranked order
-    /// (fewest cut words first, then best work balance).
-    pub splits_per_chip_count: usize,
-    /// Optional cap on inter-chip words per iteration: splits whose cut
-    /// exceeds it are pruned before any per-chip search runs, mirroring
-    /// the intra-chip comm prune at the bridge level.
+    /// Optional cap on inter-chip words per iteration: a split whose cut
+    /// exceeds it is not admissible, as a chip whose internal words
+    /// exceed the frame is not.
     pub bridge_capacity: Option<u64>,
 }
 
@@ -321,14 +317,13 @@ impl Default for BoardSearch {
     fn default() -> Self {
         BoardSearch {
             max_chips: 4,
-            splits_per_chip_count: 8,
             bridge_capacity: None,
         }
     }
 }
 
 impl BoardSearch {
-    /// A board of up to `max_chips` chips with default split ranking.
+    /// A board of up to `max_chips` chips with no bridge cap.
     pub fn new(max_chips: usize) -> Self {
         BoardSearch {
             max_chips: max_chips.max(1),
@@ -340,13 +335,6 @@ impl BoardSearch {
     #[must_use]
     pub fn with_bridge_capacity(mut self, words: u64) -> Self {
         self.bridge_capacity = Some(words);
-        self
-    }
-
-    /// Override how many ranked splits are attempted per chip count.
-    #[must_use]
-    pub fn with_splits_per_chip_count(mut self, splits: usize) -> Self {
-        self.splits_per_chip_count = splits.max(1);
         self
     }
 }
@@ -383,10 +371,10 @@ pub struct ExplorerConfig {
     /// Supply-voltage policy the reported costs are computed under.
     pub voltage_policy: VoltagePolicy,
     /// Optional board-partitioning stage: when set, [`explore_board`]
-    /// shards the graph across up to `max_chips` chips (each chip budgeted
-    /// and comm-pruned independently with this configuration).  [`explore`]
-    /// itself ignores the field — single-chip exploration is the board
-    /// path's size-1 special case.
+    /// splits the graph across up to `max_chips` chips, each with this
+    /// configuration's tile budget and frame and single-actor columns.
+    /// [`explore`] itself ignores the field; a board of one chip is its
+    /// single-actor search.
     pub board: Option<BoardSearch>,
     /// Trace handle the search reports into: phase spans
     /// (`explore.plan` / `explore.arena` / `explore.search`) and
@@ -609,18 +597,6 @@ pub fn explore(graph: &SdfGraph, config: &ExplorerConfig) -> Result<Exploration,
     result
 }
 
-/// [`explore`] packaging only the best winner: its solution and the
-/// search counters.  The trace sees the same spans, counters and
-/// rejection as an [`explore`] call.
-fn explore_best(
-    graph: &SdfGraph,
-    config: &ExplorerConfig,
-) -> Result<(ExplorerSolution, SearchStats), ExplorerError> {
-    let result = explore_impl(graph, config, |searched| searched.best());
-    reject_on_err(&config.trace, &result);
-    result
-}
-
 /// Emit a structured rejection event for a failed exploration, mirroring
 /// the router's convention so one `RejectionLedger` aggregates both.
 fn reject_on_err<T>(trace: &Trace, result: &Result<T, ExplorerError>) {
@@ -657,7 +633,7 @@ fn explore_impl<T>(
             max_group_size,
         )
     };
-    let (packaged, s) = {
+    let (packaged, stats) = {
         let _span = trace.span("explore.search");
         let searched = run_search(
             config,
@@ -670,7 +646,12 @@ fn explore_impl<T>(
         let stats = searched.outcome.stats.clone();
         (package(searched), stats)
     };
-    // Unify the ad-hoc SearchStats counters into the metrics registry.
+    count_search(trace, &stats);
+    Ok(packaged)
+}
+
+/// Unify the ad-hoc [`SearchStats`] counters into the metrics registry.
+fn count_search(trace: &Trace, s: &SearchStats) {
     for (name, delta) in [
         ("explore.mappings_evaluated", s.mappings_evaluated),
         ("explore.groupings_examined", s.groupings_examined),
@@ -679,7 +660,6 @@ fn explore_impl<T>(
     ] {
         trace.counter(name, delta);
     }
-    Ok(packaged)
 }
 
 /// Validate `config` against the analysed graph and return the largest
@@ -726,7 +706,7 @@ fn run_search<'a>(
     comm: Option<CommSpec>,
 ) -> Result<Searched<'a>, ExplorerError> {
     let outcome = search::prefix_dp(ctx, arena, config.tile_budget, max_group_size, comm);
-    if outcome.winners().next().is_none() {
+    if outcome.winners_at(outcome.last()).next().is_none() {
         // `plan_search` admits only budgets that host the fewest-group
         // grouping at one tile per group, and every interval offers a
         // 1-tile option, so only the frame can empty the last boundary.
@@ -759,17 +739,18 @@ struct Searched<'a> {
 }
 
 impl Searched<'_> {
-    /// Rebuild `winner`'s groups and their stored evaluations, pipeline
-    /// order, into `groups` and `evals`.
+    /// Rebuild `winner`'s groups, a partial of boundary `end`, and their
+    /// stored evaluations, pipeline order, into `groups` and `evals`.
     fn rebuild(
         &self,
         winner: &search::Entry,
+        end: usize,
         groups: &mut space::Grouping,
         evals: &mut Vec<ColumnEval>,
     ) {
         groups.clear();
         evals.clear();
-        for (start, end, tiles) in self.outcome.groups(winner) {
+        for (start, end, tiles) in self.outcome.groups(winner, end) {
             groups.push((start, end));
             evals.push(
                 *self
@@ -782,15 +763,16 @@ impl Searched<'_> {
         evals.reverse();
     }
 
-    /// `winner` packaged as a public solution; `groups` and `evals` are
-    /// reused buffers.
+    /// `winner`, a partial of boundary `end`, packaged as a public
+    /// solution; `groups` and `evals` are reused buffers.
     fn solution(
         &self,
         winner: &search::Entry,
+        end: usize,
         groups: &mut space::Grouping,
         evals: &mut Vec<ColumnEval>,
     ) -> ExplorerSolution {
-        self.rebuild(winner, groups, evals);
+        self.rebuild(winner, end, groups, evals);
         let solution = package(
             self.ctx,
             self.evaluator,
@@ -821,10 +803,11 @@ impl Searched<'_> {
     /// count, tiles ascending), its Pareto frontier and the best.
     fn exploration(self) -> Exploration {
         let (mut groups, mut evals) = (Vec::new(), Vec::new());
+        let last = self.outcome.last();
         let curve: Vec<ExplorerSolution> = self
             .outcome
-            .winners()
-            .map(|winner| self.solution(winner, &mut groups, &mut evals))
+            .winners_at(last)
+            .map(|winner| self.solution(winner, last, &mut groups, &mut evals))
             .collect();
 
         // The Pareto frontier covers achievable (feasible) designs; only
@@ -857,33 +840,46 @@ impl Searched<'_> {
         }
     }
 
-    /// Package the best winner alone: the one [`Searched::exploration`]
-    /// would pick, by packaged price.  Under the per-column policy that
-    /// is the DP's own sum; under the single-voltage policy each winner
-    /// is re-priced, and only the best is packaged.
-    fn best(self) -> (ExplorerSolution, SearchStats) {
-        let (mut groups, mut evals) = (Vec::new(), Vec::new());
+    /// The winner of boundary `end` that [`Searched::exploration`] would
+    /// pick as best, by packaged price, with that price: under the
+    /// per-column policy the DP's own sum, under the single-voltage
+    /// policy each winner re-priced at its shared supply.  `None` when
+    /// the boundary has no winner.
+    fn best_at(
+        &self,
+        end: usize,
+        groups: &mut space::Grouping,
+        evals: &mut Vec<ColumnEval>,
+    ) -> Option<(search::Entry, f64)> {
         let mut price = |winner: &search::Entry| match self.config.voltage_policy {
             VoltagePolicy::PerColumn => winner.power,
             VoltagePolicy::SingleVoltage => {
-                self.rebuild(winner, &mut groups, &mut evals);
+                self.rebuild(winner, end, groups, evals);
                 packaged_evals(
                     self.ctx,
                     self.evaluator,
-                    &groups,
-                    &evals,
+                    groups,
+                    evals,
                     VoltagePolicy::SingleVoltage,
                 )
                 .fold(0.0, |power, (_, eval)| power + eval.power.total_mw())
             }
         };
-        let winner = pick_best(
-            self.outcome
-                .winners()
-                .map(|winner| (winner, price(winner), winner.feasible)),
-        )
-        .expect("a search has winners");
-        let solution = self.solution(winner, &mut groups, &mut evals);
+        pick_best(self.outcome.winners_at(end).map(|winner| {
+            let power = price(winner);
+            ((*winner, power), power, winner.feasible)
+        }))
+    }
+
+    /// Package the best winner alone: the one [`Searched::exploration`]
+    /// would pick, by packaged price.
+    fn best(self) -> (ExplorerSolution, SearchStats) {
+        let (mut groups, mut evals) = (Vec::new(), Vec::new());
+        let last = self.outcome.last();
+        let (winner, _) = self
+            .best_at(last, &mut groups, &mut evals)
+            .expect("a search has winners");
+        let solution = self.solution(&winner, last, &mut groups, &mut evals);
         (solution, self.outcome.stats)
     }
 }
@@ -1096,9 +1092,9 @@ pub struct ChipExploration {
     pub start: usize,
     /// One past the last actor of the chip's range.
     pub end: usize,
-    /// The chip-local winner: single-actor columns over the chip's
-    /// subgraph, actor ids local to the range (add `start` to recover
-    /// the original ids).
+    /// The chip's winner: single-actor columns priced on the whole graph,
+    /// with actor ids local to the range (add `start` to recover the
+    /// original ids).
     pub solution: ExplorerSolution,
 }
 
@@ -1112,10 +1108,11 @@ pub struct BoardExploration {
     /// Words per graph iteration crossing chip boundaries (the demand
     /// the chip-to-chip bridge lanes must carry).
     pub bridge_words_per_iteration: u64,
-    /// Candidate splits whose per-chip explorations were attempted
-    /// before (and including) the winner.
+    /// Admissible splits priced, over every chip count searched: those
+    /// whose every chip fits the frame and whose cut fits the bridge.
     pub splits_tried: usize,
-    /// Search counters summed over the winning split's per-chip runs.
+    /// Search counters summed over every range search the call ran (one
+    /// per chip start a priced split used), not only the winner's.
     pub stats: SearchStats,
 }
 
@@ -1130,9 +1127,11 @@ impl BoardExploration {
         self.chips.iter().map(|c| c.solution.total_tiles).sum()
     }
 
-    /// Total compute power across every chip (mW, excluding bridge
-    /// transfer energy — that is priced by `synchro-power` from the
-    /// simulated bridge slot activity).
+    /// Total compute power across every chip (mW), summed in chip order:
+    /// what the search minimised.  Each column is priced on the whole
+    /// graph, so an edge column pays for the words it stages for the
+    /// bridge; the bridge's own transfer energy is priced by
+    /// `synchro-power` from the simulated bridge slot activity.
     pub fn total_power_mw(&self) -> f64 {
         self.chips.iter().map(|c| c.solution.power_mw).sum()
     }
@@ -1156,30 +1155,32 @@ impl BoardExploration {
     }
 }
 
-/// Shard `graph` across up to [`BoardSearch::max_chips`] chips: try chip
-/// counts ascending (a feasible single chip needs no board), and per
-/// count rank every contiguous split min-cut first (fewest cut words,
-/// then best work balance), attempting per-chip explorations — each chip
-/// budgeted at `config.tile_budget` and pruned by `config.comm` — until
-/// one split is feasible on every chip.
+/// Shard `graph` across up to [`BoardSearch::max_chips`] chips: the
+/// cheapest contiguous split at the fewest chips that admit a feasible
+/// one.
 ///
-/// Each chip's subgraph keeps its actors' global firing rates: a range
-/// whose repetition counts share a factor `g` iterates `g` times faster
-/// than the whole graph, so its exploration runs at
-/// `iteration_rate_hz × g`.  Board exploration is restricted to
-/// single-actor columns so the winning mapping stays expressible over
-/// the original graph (fusion-aware partitioning is a recorded
-/// follow-up).
+/// Chip counts run from 1 up.  Within a count every admissible split is
+/// priced: each chip's internal words per board iteration fit
+/// `config.comm`'s frame (as the router checks each chip's bus) and the
+/// cut fits [`BoardSearch::bridge_capacity`].  Each chip has
+/// `config.tile_budget` tiles and single-actor columns, and its best is
+/// the cheapest feasible mapping of its range, picked and priced as
+/// [`explore`] picks its best.  The lowest total power wins, then fewer
+/// cut words, then the earliest boundaries.
 ///
-/// Reads the partition bounds from [`ExplorerConfig::board`]
-/// (defaulting to [`BoardSearch::default`] when unset).
+/// One prefix DP prices every chip.  The whole graph's single-actor
+/// arena is built once, so each column pays for all its boundary words,
+/// the bridge's included, and a flat search rooted at a chip's first
+/// actor prices every range starting there, as far as the frame admits.
+/// A board of one chip is [`explore`]'s single-actor search, bit for bit.
+/// The trace sees `explore`'s spans and counters once per call, and one
+/// `RouteReject` on failure.
 ///
 /// # Errors
 ///
-/// [`ExplorerError::BoardInfeasible`] when no attempted split is
-/// feasible on every chip; [`ExplorerError::InvalidConfig`] (for the
-/// board's rate or a chip's scaled rate) and analysis errors propagate as
-/// in [`explore`].
+/// [`ExplorerError::BoardInfeasible`] when no admissible split is feasible
+/// on every chip; [`ExplorerError::InvalidConfig`] and analysis errors
+/// propagate as in [`explore`].
 pub fn explore_board(
     graph: &SdfGraph,
     config: &ExplorerConfig,
@@ -1193,207 +1194,192 @@ fn explore_board_impl(
     graph: &SdfGraph,
     config: &ExplorerConfig,
 ) -> Result<BoardExploration, ExplorerError> {
-    check_inputs(&config.tech, config.iteration_rate_hz, config.efficiency)?;
-    let board = config.board.unwrap_or_default();
-    let ctx = GraphContext::new(graph)?;
-    let reps = graph.repetition_vector()?;
-    let n = ctx.n;
-    let max_chips = board.max_chips.clamp(1, n.max(1));
-    let mut splits_tried = 0usize;
-    // A split ranked by (bridge cut words, work imbalance, lexicographic).
-    type RankedSplit = (u64, u64, Vec<(usize, usize)>);
-    for chips in 1..=max_chips {
-        let mut candidates: Vec<RankedSplit> = contiguous_splits(n, chips)
-            .into_iter()
-            .map(|split| {
-                let cut = ctx.grouping_cross_words(&split);
-                let works: Vec<u64> = split
-                    .iter()
-                    .map(|&(start, end)| ctx.group_work(start, end))
-                    .collect();
-                let imbalance = works.iter().max().unwrap_or(&0) - works.iter().min().unwrap_or(&0);
-                (cut, imbalance, split)
-            })
-            .collect();
-        candidates.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        for (cut, _, split) in candidates
-            .into_iter()
-            .take(board.splits_per_chip_count.max(1))
-        {
-            // Bridge-capacity prune: the board-level analogue of the
-            // per-chip comm prune — a split whose cut traffic cannot fit
-            // the bridges is unschedulable under any per-chip mapping.
-            if board.bridge_capacity.is_some_and(|cap| cut > cap) {
-                continue;
+    let trace = &config.trace;
+    let (ctx, evaluator) = {
+        let _span = trace.span("explore.plan");
+        let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency)?;
+        (GraphContext::new(graph)?, evaluator)
+    };
+    let arena = {
+        let _span = trace.span("explore.arena");
+        search::IntervalArena::build(&ctx, &evaluator, config.candidates, config.tile_budget, 1)
+    };
+    let board = {
+        let _span = trace.span("explore.search");
+        RangeTables::new(config, &ctx, &evaluator, &arena)
+            .search(config.board.unwrap_or_default())?
+    };
+    count_search(trace, &board.stats);
+    Ok(board)
+}
+
+/// A chip range's best mapping and its packaged price, or `None` when no
+/// mapping of the range fits the tile budget.
+type RangeBest = Option<(search::Entry, f64)>;
+
+/// The range tables of one board search: per chip start, the flat search
+/// rooted there, run once a priced split needs it, and the bests of the
+/// ranges it priced.
+struct RangeTables<'a> {
+    config: &'a ExplorerConfig,
+    ctx: &'a GraphContext,
+    evaluator: &'a Evaluator,
+    arena: &'a search::IntervalArena,
+    /// `reach[s]`: the furthest end of a chip starting at `s` that fits
+    /// the frame (`n` without one); internal words only grow with `end`.
+    reach: Vec<usize>,
+    /// Per start `s`: its search and the best of each range `s..e`,
+    /// index `e - s - 1`, once priced.
+    starts: Vec<Option<(Searched<'a>, Vec<Option<RangeBest>>)>>,
+    groups: space::Grouping,
+    evals: Vec<ColumnEval>,
+}
+
+impl<'a> RangeTables<'a> {
+    fn new(
+        config: &'a ExplorerConfig,
+        ctx: &'a GraphContext,
+        evaluator: &'a Evaluator,
+        arena: &'a search::IntervalArena,
+    ) -> Self {
+        let (n, frame) = (ctx.n, config.comm.map(|comm| comm.capacity()));
+        let mut reach = Vec::with_capacity(n);
+        for start in 0..n {
+            let mut end = reach.last().copied().unwrap_or(0).max(start);
+            while end < n && frame.is_none_or(|frame| ctx.internal_words(start, end + 1) <= frame) {
+                end += 1;
             }
-            splits_tried += 1;
-            if let Some((chips, stats)) = explore_split(graph, config, &reps, &split)? {
+            reach.push(end);
+        }
+        RangeTables {
+            config,
+            ctx,
+            evaluator,
+            arena,
+            reach,
+            starts: std::iter::repeat_with(|| None).take(n).collect(),
+            groups: Vec::new(),
+            evals: Vec::new(),
+        }
+    }
+
+    /// The best of chip range `start..end`, which must fit the frame.
+    fn best(&mut self, start: usize, end: usize) -> RangeBest {
+        let (stop, budget) = (self.reach[start], self.config.tile_budget);
+        let (searched, bests) = self.starts[start].get_or_insert_with(|| {
+            let outcome = search::relax_flat(self.ctx, self.arena, budget, 1, None, start..stop);
+            let searched = Searched {
+                config: self.config,
+                ctx: self.ctx,
+                evaluator: self.evaluator,
+                arena: self.arena,
+                outcome,
+            };
+            (searched, vec![None; stop - start])
+        });
+        *bests[end - start - 1]
+            .get_or_insert_with(|| searched.best_at(end, &mut self.groups, &mut self.evals))
+    }
+
+    /// Price every admissible split, chip counts ascending, and package
+    /// the first count's cheapest feasible one.
+    fn search(mut self, board: BoardSearch) -> Result<BoardExploration, ExplorerError> {
+        let max_chips = board.max_chips.clamp(1, self.ctx.n.max(1));
+        let mut splits_tried = 0;
+        let mut ranges = Vec::with_capacity(max_chips);
+        for chips in 1..=max_chips {
+            // The incumbent: total power, cut words and bounds.
+            let mut best: Option<(f64, u64, &[usize])> = None;
+            let splits = fitting_splits(&self.reach, chips);
+            'split: for bounds in splits.chunks(chips + 1) {
+                ranges.clear();
+                ranges.extend(bounds.windows(2).map(|w| (w[0], w[1])));
+                let cut = self.ctx.grouping_cross_words(&ranges);
+                if board.bridge_capacity.is_some_and(|cap| cut > cap) {
+                    continue;
+                }
+                splits_tried += 1;
+                let mut total = 0.0;
+                for &(start, end) in &ranges {
+                    match self.best(start, end) {
+                        Some((winner, power)) if winner.feasible => total += power,
+                        _ => continue 'split,
+                    }
+                }
+                if best.is_none_or(|(power, words, _)| {
+                    total < power || (total == power && cut < words)
+                }) {
+                    best = Some((total, cut, bounds));
+                }
+            }
+            if let Some((_, cut, bounds)) = best {
+                let mut stats = SearchStats::default();
+                for (searched, _) in self.starts.iter().flatten() {
+                    let run = &searched.outcome.stats;
+                    stats.mappings_evaluated += run.mappings_evaluated;
+                    stats.groupings_examined += run.groupings_examined;
+                    stats.states_pruned += run.states_pruned;
+                    stats.threads_used = run.threads_used;
+                    stats.elapsed_seconds += run.elapsed_seconds;
+                }
                 return Ok(BoardExploration {
-                    chips,
+                    chips: bounds.windows(2).map(|w| self.chip(w[0], w[1])).collect(),
                     bridge_words_per_iteration: cut,
                     splits_tried,
                     stats,
                 });
             }
         }
+        Err(ExplorerError::BoardInfeasible {
+            max_chips,
+            splits_tried,
+        })
     }
-    Err(ExplorerError::BoardInfeasible {
-        max_chips,
-        splits_tried,
-    })
-}
 
-/// Every way to split `0..n` into `chips` non-empty contiguous ranges.
-fn contiguous_splits(n: usize, chips: usize) -> Vec<Vec<(usize, usize)>> {
-    fn recurse(
-        n: usize,
-        chips: usize,
-        cuts: &mut Vec<usize>,
-        result: &mut Vec<Vec<(usize, usize)>>,
-    ) {
-        let placed = cuts.len();
-        if placed == chips - 1 {
-            let mut split = Vec::with_capacity(chips);
-            let mut start = 0usize;
-            for &cut in cuts.iter() {
-                split.push((start, cut));
-                start = cut;
-            }
-            split.push((start, n));
-            result.push(split);
-            return;
+    /// Package the best of a priced range as a chip, its actor ids local
+    /// to the range.
+    fn chip(&mut self, start: usize, end: usize) -> ChipExploration {
+        let (winner, _) = self.best(start, end).expect("the winning split was priced");
+        let (searched, _) = self.starts[start]
+            .as_ref()
+            .expect("priced ranges have searches");
+        let mut solution = searched.solution(&winner, end, &mut self.groups, &mut self.evals);
+        for column in &mut solution.columns {
+            column.actors = column.actors.start - start..column.actors.end - start;
         }
-        let lower = cuts.last().map_or(1, |&c| c + 1);
-        // Leave room for the remaining boundaries (strictly increasing,
-        // all below n).
-        let upper = n - (chips - 1 - placed - 1) - 1;
-        for cut in lower..=upper {
-            cuts.push(cut);
-            recurse(n, chips, cuts, result);
-            cuts.pop();
-        }
-    }
-    if chips == 0 || chips > n {
-        return Vec::new();
-    }
-    let mut result = Vec::new();
-    let mut cuts = Vec::with_capacity(chips.saturating_sub(1));
-    recurse(n, chips, &mut cuts, &mut result);
-    result
-}
-
-/// A split's per-chip winners and summed search counters, or `None` when
-/// the split is rejected.
-type SplitOutcome = Option<(Vec<ChipExploration>, SearchStats)>;
-
-/// Attempt one split: explore every chip's subgraph independently and
-/// accept only when every chip's winner is feasible.  Any other per-chip
-/// failure (budget, comm, infeasible envelope, inconsistent subgraph)
-/// rejects the split with `Ok(None)`; an invalid chip configuration (a
-/// scaled rate that overflows) is returned.
-fn explore_split(
-    graph: &SdfGraph,
-    config: &ExplorerConfig,
-    reps: &[u64],
-    split: &[(usize, usize)],
-) -> Result<SplitOutcome, ExplorerError> {
-    let mut chips = Vec::with_capacity(split.len());
-    let mut stats = SearchStats::default();
-    for &(start, end) in split {
-        let Some((sub, rate_factor)) = chip_subgraph(graph, reps, start, end) else {
-            return Ok(None);
-        };
-        let (best, chip_stats) = match explore_best(&sub, &chip_config(config, rate_factor)) {
-            Ok(found) => found,
-            Err(e @ ExplorerError::InvalidConfig { .. }) => return Err(e),
-            Err(_) => return Ok(None),
-        };
-        if !best.feasible {
-            return Ok(None);
-        }
-        stats.mappings_evaluated += chip_stats.mappings_evaluated;
-        stats.groupings_examined += chip_stats.groupings_examined;
-        stats.states_pruned += chip_stats.states_pruned;
-        stats.groupings_comm_pruned += chip_stats.groupings_comm_pruned;
-        stats.threads_used = stats.threads_used.max(chip_stats.threads_used);
-        stats.elapsed_seconds += chip_stats.elapsed_seconds;
-        chips.push(ChipExploration {
+        ChipExploration {
             start,
             end,
-            solution: best,
-        });
-    }
-    Ok(Some((chips, stats)))
-}
-
-/// The configuration one chip of a split is searched under: single-actor
-/// columns at `rate_factor` times the board's rate.  The chip's subgraph
-/// iterates `rate_factor` times per board iteration and counts its cross
-/// words per its own iteration, so its frame is the bus cycles of one of
-/// those: what `CommSpec::from_clock` gives at the scaled rate.
-fn chip_config(config: &ExplorerConfig, rate_factor: u64) -> ExplorerConfig {
-    ExplorerConfig {
-        iteration_rate_hz: config.iteration_rate_hz * rate_factor as f64,
-        max_group_size: 1,
-        comm: config.comm.map(|comm| CommSpec {
-            period: comm.period / rate_factor,
-            ..comm
-        }),
-        board: None,
-        ..config.clone()
+            solution,
+        }
     }
 }
 
-/// Extract the contiguous actor range `start..end` as a standalone graph
-/// with its internal edges, returning it with the range's iteration-rate
-/// factor: the gcd `g` of the range's repetition counts (the subgraph's
-/// own repetition vector is the range's counts divided by `g`, so it
-/// iterates `g` times per whole-graph iteration).  Returns `None` when
-/// the extracted range does not normalise that way (e.g. a disconnected
-/// range whose components renormalise independently) — such a split
-/// cannot preserve per-actor firing rates and is rejected.
-fn chip_subgraph(
-    graph: &SdfGraph,
-    reps: &[u64],
-    start: usize,
-    end: usize,
-) -> Option<(SdfGraph, u64)> {
-    fn gcd(a: u64, b: u64) -> u64 {
-        if b == 0 {
-            a
-        } else {
-            gcd(b, a % b)
+/// The bounds `[0, b1, .., n]` of every split of `0..n` (`n =
+/// reach.len()`) into `chips` (`1..=n`) contiguous ranges whose every
+/// range `s..e` has `e <= reach[s]`, concatenated in lexicographic order.
+fn fitting_splits(reach: &[usize], chips: usize) -> Vec<usize> {
+    fn extend(reach: &[usize], chips: usize, bounds: &mut Vec<usize>, splits: &mut Vec<usize>) {
+        let n = reach.len();
+        let start = bounds[bounds.len() - 1];
+        let left = chips + 1 - bounds.len();
+        if left == 1 {
+            if reach[start] == n {
+                splits.extend_from_slice(bounds);
+                splits.push(n);
+            }
+            return;
+        }
+        // Leave an actor for each range still to place.
+        for end in start + 1..=reach[start].min(n - (left - 1)) {
+            bounds.push(end);
+            extend(reach, chips, bounds, splits);
+            bounds.pop();
         }
     }
-    let rate_factor = reps[start..end].iter().copied().fold(0u64, gcd);
-    if rate_factor == 0 {
-        return None;
-    }
-    let mut sub = SdfGraph::new();
-    for actor in &graph.actors()[start..end] {
-        sub.add_actor(
-            actor.name.clone(),
-            actor.cycles_per_firing,
-            actor.max_parallel_tiles,
-        );
-    }
-    for edge in graph.edges() {
-        if (start..end).contains(&edge.from.0) && (start..end).contains(&edge.to.0) {
-            sub.add_edge(
-                ActorId(edge.from.0 - start),
-                ActorId(edge.to.0 - start),
-                edge.produce,
-                edge.consume,
-                edge.initial_tokens,
-            )
-            .ok()?;
-        }
-    }
-    let expected: Vec<u64> = reps[start..end].iter().map(|&r| r / rate_factor).collect();
-    if sub.repetition_vector().ok()? != expected {
-        return None;
-    }
-    Some((sub, rate_factor))
+    let mut splits = Vec::new();
+    extend(reach, chips, &mut vec![0], &mut splits);
+    splits
 }
 
 /// Stable hooks for the repo's criterion benches, exposing the search
@@ -2188,8 +2174,9 @@ mod tests {
             ExplorerError::BoardInfeasible { max_chips: 2, .. }
         ));
         assert!(err.to_string().contains("2 chip"));
-        // A zero-capacity bridge prunes every multi-chip split before it
-        // is attempted: only the (infeasible) single-chip split is tried.
+        // A zero-capacity bridge admits no multi-chip split, and the
+        // single chip's 10 internal words overflow the 6-slot frame: no
+        // split is admissible, so none is priced.
         let bridgeless = ExplorerConfig::new(16e6, 50)
             .single_actor_columns()
             .with_comm(CommSpec::new(1, 6))
@@ -2199,7 +2186,7 @@ mod tests {
             err,
             ExplorerError::BoardInfeasible {
                 max_chips: 4,
-                splits_tried: 1
+                splits_tried: 0
             }
         ));
     }
@@ -2207,12 +2194,9 @@ mod tests {
     #[test]
     fn board_chips_preserve_global_firing_rates() {
         // Chip 0 hosts the 4×-rate front end (mixer + integrator fire
-        // four times per graph iteration): its subgraph's repetition
-        // vector normalises to [1, 1], so its sub-exploration must run
-        // at 4 × 16 MHz for the actors to keep their global work rates.
-        // Every column's frequency must therefore equal the actor's
-        // whole-graph work (cycles × repetitions × 16 MHz) over its
-        // tiles, exactly as on a single chip.
+        // four times per graph iteration).  Every column's frequency
+        // must equal the actor's whole-graph work (cycles × repetitions
+        // × 16 MHz) over its tiles, exactly as on a single chip.
         let comm = CommSpec::new(1, 6);
         let config = ExplorerConfig::new(16e6, 50)
             .single_actor_columns()
@@ -2262,14 +2246,12 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The best winner packaged alone, as a board split's chips are,
-        /// is `explore(..).best` bit for bit (its `Debug` text prints
-        /// every float exactly), with the same counters and the same
-        /// errors, under both voltage policies: on random 1–8-actor
-        /// chains with 1:1, 2:1 and 1:2 edges, fused or single-actor,
-        /// with no frame or a 0–11-slot one.  A board of up to two chips
-        /// then keeps, per chip, `explore(..).best` of that chip's
-        /// subgraph and configuration.
+        /// The best winner packaged alone, as a degraded rung's is, is
+        /// `explore(..).best` bit for bit (its `Debug` text prints every
+        /// float exactly), with the same counters and the same errors,
+        /// under both voltage policies: on random 1–8-actor chains with
+        /// 1:1, 2:1 and 1:2 edges, fused or single-actor, with no frame
+        /// or a 0–11-slot one.
         #[test]
         fn winner_only_best_matches_the_explored_best(
             cycles in proptest::collection::vec(1u64..600, 8),
@@ -2299,7 +2281,8 @@ mod tests {
                 config = config.with_comm(CommSpec::new(1, frame_pick));
             }
             let show = |s: &ExplorerSolution| format!("{s:?}");
-            match (explore_best(&graph, &config), explore(&graph, &config)) {
+            let winner_only = explore_impl(&graph, &config, |searched| searched.best());
+            match (winner_only, explore(&graph, &config)) {
                 (Ok((best, stats)), Ok(full)) => {
                     proptest::prop_assert_eq!(show(&best), show(&full.best));
                     proptest::prop_assert_eq!(counters(&stats), counters(&full.stats));
@@ -2313,15 +2296,239 @@ mod tests {
                     )));
                 }
             }
+        }
+    }
 
-            let board = config.clone().with_board(BoardSearch::new(2));
-            if let Ok(found) = explore_board(&graph, &board) {
-                let reps = graph.repetition_vector().unwrap();
-                for chip in &found.chips {
-                    let (sub, rate_factor) =
-                        chip_subgraph(&graph, &reps, chip.start, chip.end).unwrap();
-                    let full = explore(&sub, &chip_config(&board, rate_factor)).unwrap();
-                    proptest::prop_assert_eq!(show(&chip.solution), show(&full.best));
+    /// A board answer as the oracle sees it: each chip's range and power
+    /// bits, the cut words and the admissible splits priced.
+    type BoardAnswer = (Vec<(usize, usize, u64)>, u64, usize);
+
+    /// The board oracle: every contiguous split on 1 to `max_chips` chips
+    /// by brute force, each chip range priced on the whole graph's
+    /// single-actor arena by its own knapsack over the range's actors, not
+    /// by the range tables.  A split is admissible when every chip's
+    /// internal words fit the frame and its cut fits the bridge; the first
+    /// chip count with a feasible split wins, with the lowest total, then
+    /// the fewest cut words, then the earliest boundaries.
+    fn board_oracle(
+        graph: &SdfGraph,
+        config: &ExplorerConfig,
+    ) -> Result<BoardAnswer, ExplorerError> {
+        let ctx = GraphContext::new(graph)?;
+        let evaluator = Evaluator::new(&config.tech, config.iteration_rate_hz, config.efficiency)?;
+        let budget = config.tile_budget as usize;
+        let arena = search::IntervalArena::build(
+            &ctx,
+            &evaluator,
+            config.candidates,
+            config.tile_budget,
+            1,
+        );
+        let board = config.board.unwrap_or_default();
+        let n = ctx.n;
+        let edges: Vec<(usize, usize, u64)> = graph
+            .edges()
+            .iter()
+            .zip(graph.tokens_per_iteration()?)
+            .map(|(e, t)| (e.from.0, e.to.0, t))
+            .collect();
+        let internal = |s: usize, e: usize| -> u64 {
+            edges
+                .iter()
+                .filter(|&&(a, b, _)| a != b && (s..e).contains(&a) && (s..e).contains(&b))
+                .map(|&(_, _, t)| t)
+                .sum()
+        };
+        // The cheapest feasible allocation of `s..e` per exact tile count
+        // (tiles ascending, options ascending, the first cheapest kept),
+        // then the first cheapest by packaged price.
+        let range_best = |s: usize, e: usize| -> Option<f64> {
+            let mut cells: Vec<Option<(f64, Vec<u32>)>> = vec![None; budget + 1];
+            cells[0] = Some((0.0, Vec::new()));
+            for actor in s..e {
+                let mut next: Vec<Option<(f64, Vec<u32>)>> = vec![None; budget + 1];
+                for (used, cell) in cells.iter().enumerate() {
+                    let Some((power, allocation)) = cell else {
+                        continue;
+                    };
+                    for opt in arena
+                        .options(actor, actor + 1)
+                        .iter()
+                        .filter(|o| o.feasible)
+                    {
+                        let tiles = used + opt.tiles as usize;
+                        if tiles > budget {
+                            break;
+                        }
+                        let power = power + opt.power;
+                        if next[tiles].as_ref().is_none_or(|(p, _)| power < *p) {
+                            let mut allocation = allocation.clone();
+                            allocation.push(opt.tiles);
+                            next[tiles] = Some((power, allocation));
+                        }
+                    }
+                }
+                cells = next;
+            }
+            let mut best: Option<f64> = None;
+            for (power, allocation) in cells.iter().skip(1).flatten() {
+                let price = match config.voltage_policy {
+                    VoltagePolicy::PerColumn => *power,
+                    VoltagePolicy::SingleVoltage => {
+                        let groups: Vec<(usize, usize)> = (s..e).map(|a| (a, a + 1)).collect();
+                        let evals: Vec<ColumnEval> = (s..e)
+                            .zip(allocation)
+                            .map(|(a, &t)| *arena.eval(a, a + 1, t).unwrap())
+                            .collect();
+                        packaged_evals(
+                            &ctx,
+                            &evaluator,
+                            &groups,
+                            &evals,
+                            VoltagePolicy::SingleVoltage,
+                        )
+                        .fold(0.0, |p, (_, eval)| p + eval.power.total_mw())
+                    }
+                };
+                if best.is_none_or(|b| price < b) {
+                    best = Some(price);
+                }
+            }
+            best
+        };
+        let max_chips = board.max_chips.clamp(1, n.max(1));
+        let mut splits_tried = 0;
+        for chips in 1..=max_chips {
+            let mut feasible: Vec<(f64, u64, Vec<usize>, Vec<u64>)> = Vec::new();
+            for mask in 0u64..1 << (n - 1) {
+                if mask.count_ones() as usize != chips - 1 {
+                    continue;
+                }
+                let mut bounds = vec![0];
+                bounds.extend((0..n - 1).filter(|i| mask >> i & 1 == 1).map(|i| i + 1));
+                bounds.push(n);
+                let chip_of = |a: usize| bounds.partition_point(|&b| b <= a);
+                let cut: u64 = edges
+                    .iter()
+                    .filter(|&&(a, b, _)| chip_of(a) != chip_of(b))
+                    .map(|&(_, _, t)| t)
+                    .sum();
+                let fits = bounds.windows(2).all(|w| {
+                    config
+                        .comm
+                        .is_none_or(|comm| internal(w[0], w[1]) <= comm.capacity())
+                });
+                if !fits || board.bridge_capacity.is_some_and(|cap| cut > cap) {
+                    continue;
+                }
+                splits_tried += 1;
+                let prices: Option<Vec<f64>> =
+                    bounds.windows(2).map(|w| range_best(w[0], w[1])).collect();
+                if let Some(prices) = prices {
+                    let total = prices.iter().fold(0.0, |t, p| t + p);
+                    let bits = prices.iter().map(|p| p.to_bits()).collect();
+                    feasible.push((total, cut, bounds, bits));
+                }
+            }
+            let best = feasible
+                .into_iter()
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+            if let Some((_, cut, bounds, bits)) = best {
+                let chips = bounds
+                    .windows(2)
+                    .zip(bits)
+                    .map(|(w, b)| (w[0], w[1], b))
+                    .collect();
+                return Ok((chips, cut, splits_tried));
+            }
+        }
+        Err(ExplorerError::BoardInfeasible {
+            max_chips,
+            splits_tried,
+        })
+    }
+
+    /// Stage costs for the board property, few enough that chains repeat
+    /// them (as `deep_pipeline`'s do) and splits tie exactly.
+    const BOARD_CYCLES: [u64; 3] = [29, 60, 150];
+
+    proptest::proptest! {
+        /// `explore_board` against the brute-force oracle on random
+        /// decimating chains of 1–12 actors on 1–4 chips: with no frame
+        /// or one admitting 0–7 eighths of the chain's words, no bridge
+        /// cap, a severed one or a random one, budgets 1–64 and both
+        /// voltage policies.  One chain in three has random stage costs,
+        /// one draws them from three values, and one repeats a block of
+        /// 1–3 stages over 1:1 edges, as `deep_pipeline` does, so that
+        /// mirrored splits tie exactly.  Chip count, ranges, every chip's
+        /// power bits, feasibility, cut words, splits tried and
+        /// `BoardInfeasible` all match.
+        #[test]
+        fn board_matches_the_brute_force_oracle(
+            cycle_picks in proptest::collection::vec(0usize..3, 12),
+            random_cycles in proptest::collection::vec(1u64..600, 12),
+            shape in 0usize..3,
+            cap_picks in proptest::collection::vec(0usize..5, 12),
+            rate_picks in proptest::collection::vec(0usize..4, 12),
+            n in 1usize..13,
+            max_chips in 1usize..5,
+            single_voltage in proptest::prelude::any::<bool>(),
+            budget in 1u32..65,
+            frame_pick in 0u64..12,
+            bridge_pick in 0usize..3,
+            bridge_share in 0u64..9,
+        ) {
+            const CAPS: [u32; 5] = [1, 2, 4, 8, 16];
+            const RATES: [(u64, u64); 4] = [(1, 1), (1, 1), (2, 1), (1, 2)];
+            // A repeated block is 1–3 stages long, and its chains short
+            // enough that chips of one or two stages are common.
+            let (n, block) = match shape {
+                2 => (2 + n % 5, 1 + n % 3),
+                _ => (n, n),
+            };
+            let cycles: Vec<u64> = match shape {
+                0 => random_cycles[..n].to_vec(),
+                _ => (0..n).map(|i| BOARD_CYCLES[cycle_picks[i % block]]).collect(),
+            };
+            let caps: Vec<u32> = (0..n).map(|i| CAPS[cap_picks[i % block]]).collect();
+            let rates: Vec<(u64, u64)> = rate_picks
+                .iter()
+                .map(|&i| if shape == 2 { (1, 1) } else { RATES[i] })
+                .collect();
+            let graph = rated_chain(&cycles, &caps, &rates);
+            let words: u64 = graph.tokens_per_iteration().unwrap().iter().sum();
+            let policy = if single_voltage {
+                VoltagePolicy::SingleVoltage
+            } else {
+                VoltagePolicy::PerColumn
+            };
+            let mut search = BoardSearch::new(max_chips);
+            search.bridge_capacity = [None, Some(0), Some(words * bridge_share / 8)][bridge_pick];
+            let mut config = ExplorerConfig::new(1e6, budget)
+                .single_actor_columns()
+                .with_voltage_policy(policy)
+                .with_board(search);
+            if frame_pick < 8 {
+                config = config.with_comm(CommSpec::new(1, words * frame_pick / 8));
+            }
+            match (explore_board(&graph, &config), board_oracle(&graph, &config)) {
+                (Ok(board), Ok((chips, cut, splits_tried))) => {
+                    let got: Vec<(usize, usize, u64)> = board
+                        .chips
+                        .iter()
+                        .map(|c| (c.start, c.end, c.solution.power_mw.to_bits()))
+                        .collect();
+                    proptest::prop_assert_eq!(got, chips);
+                    proptest::prop_assert!(board.chips.iter().all(|c| c.solution.feasible));
+                    proptest::prop_assert_eq!(board.bridge_words_per_iteration, cut);
+                    proptest::prop_assert_eq!(board.splits_tried, splits_tried);
+                }
+                (Err(a), Err(b)) => proptest::prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
+                (a, b) => {
+                    return Err(proptest::prelude::TestCaseError::fail(format!(
+                        "explore_board {:?} vs oracle {b:?}",
+                        a.map(|board| board.chips)
+                    )));
                 }
             }
         }

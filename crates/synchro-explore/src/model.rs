@@ -89,6 +89,18 @@ impl GraphContext {
             .sum()
     }
 
+    /// Words per graph iteration between two actors of `start..end`
+    /// (saturating): what a chip hosting the range, one actor per
+    /// column, carries on its bus.
+    pub fn internal_words(&self, start: usize, end: usize) -> u64 {
+        let inside = |a: usize| a >= start && a < end;
+        self.edges
+            .iter()
+            .zip(&self.tokens)
+            .filter(|((from, to), _)| from != to && inside(*from) && inside(*to))
+            .fold(0, |words, (_, &t)| words.saturating_add(t))
+    }
+
     /// Total words per graph iteration crossing *any* column boundary of
     /// a complete contiguous grouping — the demand the horizontal bus's
     /// TDM frame must absorb.  `groups` must tile `0..n` in order, so

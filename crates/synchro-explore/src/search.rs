@@ -32,8 +32,10 @@
 //! Each kept partial is one back-pointer node.  The search returns the
 //! winner of every last-boundary tile count without rebuilding it; a
 //! caller walks back-pointers only for the winners it packages (the
-//! whole curve for `explore`, the best alone for a board split or a
-//! degraded rung).  The work is O(n·g·B·k): actors × max group size ×
+//! whole curve for `explore`, the best alone for a degraded rung, one
+//! per chip for a board).  A flat search can be rooted at any boundary,
+//! so one run prices every range that starts there: the board search's
+//! range tables.  The work is O(n·g·B·k): actors × max group size ×
 //! tile budget × tile options per group (times the front size under a
 //! frame with fusion).
 //!
@@ -46,6 +48,7 @@
 //! [`reference`]; a differential property test pins the DP to it.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::time::Instant;
 
 use crate::model::{ColumnEval, Evaluator, GraphContext};
@@ -248,32 +251,43 @@ impl Entry {
 /// boundary; nothing is rebuilt until a caller asks for a winner's
 /// groups.
 pub(crate) struct SearchOutcome {
+    /// The boundary the search starts from: its partials map actors
+    /// `root..boundary`.
+    root: usize,
     /// Every kept partial, boundary by boundary, tiles ascending within a
     /// boundary; `kept[0]` is the root.
     kept: Vec<Entry>,
-    /// `kept[bounds[i]..bounds[i + 1]]` is boundary `i`.
+    /// `kept[bounds[i]..bounds[i + 1]]` is boundary `root + i`.
     bounds: Vec<usize>,
     pub stats: SearchStats,
 }
 
 impl SearchOutcome {
-    /// The winner of every reachable exact tile count at the last
-    /// boundary, tiles ascending: its cheapest feasible partial, or its
-    /// cheapest partial when none is feasible.  Empty when no complete
-    /// mapping fits.
-    pub fn winners(&self) -> impl Iterator<Item = &Entry> + '_ {
-        let last = self.bounds[self.bounds.len() - 2];
-        self.kept[last..]
+    /// The last boundary the search built.
+    pub fn last(&self) -> usize {
+        self.root + self.bounds.len() - 2
+    }
+
+    /// The winner of every reachable exact tile count of boundary `end`
+    /// (actors `root..end`), tiles ascending: its cheapest feasible
+    /// partial, or its cheapest partial when none is feasible.  Empty
+    /// when no mapping of those actors fits.
+    pub fn winners_at(&self, end: usize) -> impl Iterator<Item = &Entry> + '_ {
+        let i = end - self.root;
+        self.kept[self.bounds[i]..self.bounds[i + 1]]
             .chunk_by(|a, b| a.tiles == b.tiles)
             .filter(|cell| cell[0].tiles > 0)
             .map(winner)
     }
 
-    /// `winner`'s groups as `(start, end, tiles)`, last group first: a
-    /// walk up its back-pointer chain.
-    pub fn groups<'a>(&'a self, winner: &Entry) -> impl Iterator<Item = (usize, usize, u32)> + 'a {
+    /// The groups of `winner`, a partial of boundary `end`, as `(start,
+    /// end, tiles)`, last group first: a walk up its back-pointer chain.
+    pub fn groups(
+        &self,
+        winner: &Entry,
+        mut end: usize,
+    ) -> impl Iterator<Item = (usize, usize, u32)> + '_ {
         let mut node = *winner;
-        let mut end = self.bounds.len() - 2;
         std::iter::from_fn(move || {
             if node.parent == ROOT {
                 return None;
@@ -330,7 +344,7 @@ pub(crate) fn prefix_dp(
 ) -> SearchOutcome {
     let capacity = comm.map(|comm| comm.capacity());
     if capacity.is_none() || max_group_size == 1 {
-        relax_flat(ctx, arena, budget, max_group_size, capacity)
+        relax_flat(ctx, arena, budget, max_group_size, capacity, 0..ctx.n)
     } else {
         relax_fronts(ctx, arena, budget, max_group_size, capacity)
     }
@@ -358,37 +372,45 @@ fn fitting(options: &[IntervalOption], headroom: u32) -> &[IntervalOption] {
 /// infeasible one when strictly cheaper, in offer order (the smaller
 /// parent first): the entries, counters and order [`relax_fronts`]
 /// produces, which a property test pins.
-fn relax_flat(
+///
+/// Rooted at boundary `actors.start` and stopped at `actors.end`, one run
+/// holds the winners of every range `actors.start..e`.
+pub(crate) fn relax_flat(
     ctx: &GraphContext,
     arena: &IntervalArena,
     budget: u32,
     max_group_size: usize,
     capacity: Option<u64>,
+    actors: Range<usize>,
 ) -> SearchOutcome {
     debug_assert!(capacity.is_none() || max_group_size == 1);
     let started = Instant::now();
-    let n = ctx.n;
+    let Range {
+        start: root,
+        end: stop,
+    } = actors;
     let mut stats = SearchStats {
         threads_used: 1,
         ..SearchStats::default()
     };
     let mut kept = vec![Entry::ROOT];
-    let mut bounds = Vec::with_capacity(n + 2);
+    let mut bounds = Vec::with_capacity(stop - root + 2);
     bounds.extend([0usize, 1]);
-    let mut paths = vec![0u64; n + 1];
+    // `paths[i]` and `bounds[i]` belong to boundary `root + i`.
+    let mut paths = vec![0u64; stop - root + 1];
     paths[0] = 1;
     // `table[t]` holds tile count `t`'s cheapest feasible and cheapest
     // infeasible offer.
     let mut table = vec![[Offer::EMPTY; 2]; budget as usize + 1];
-    for end in 1..=n {
+    for end in root + 1..=stop {
         // The cross words of the boundary's partials, and the tile counts
         // its offers reached.
         let mut cross = 0;
         let (mut lo, mut hi) = (usize::MAX, 0);
-        for start in end.saturating_sub(max_group_size)..end {
-            paths[end] = paths[end].saturating_add(paths[start]);
-            let first = bounds[start];
-            let sources = &kept[first..bounds[start + 1]];
+        for start in end.saturating_sub(max_group_size).max(root)..end {
+            paths[end - root] = paths[end - root].saturating_add(paths[start - root]);
+            let first = bounds[start - root];
+            let sources = &kept[first..bounds[start - root + 1]];
             let options = arena.options(start, end);
             if let (Some(cap), Some(head)) = (capacity, sources.first()) {
                 cross = head.cross.saturating_add(ctx.group_cross_out(start, end));
@@ -461,9 +483,10 @@ fn relax_flat(
     }
     // Every offer was kept or discarded, once.
     stats.states_pruned = stats.mappings_evaluated - (kept.len() as u64 - 1);
-    stats.groupings_examined = paths[n];
+    stats.groupings_examined = paths[stop - root];
     stats.elapsed_seconds = started.elapsed().as_secs_f64();
     SearchOutcome {
+        root,
         kept,
         bounds,
         stats,
@@ -548,6 +571,7 @@ fn relax_fronts(
     stats.groupings_examined = paths[n];
     stats.elapsed_seconds = started.elapsed().as_secs_f64();
     SearchOutcome {
+        root: 0,
         kept,
         bounds,
         stats,
@@ -797,10 +821,10 @@ mod tests {
     /// Every winner of `outcome`, rebuilt.
     fn curve(outcome: &SearchOutcome) -> Vec<Candidate> {
         outcome
-            .winners()
+            .winners_at(outcome.last())
             .map(|winner| {
                 let (mut groups, mut allocation): (Grouping, Vec<u32>) = outcome
-                    .groups(winner)
+                    .groups(winner, outcome.last())
                     .map(|(start, end, tiles)| ((start, end), tiles))
                     .unzip();
                 groups.reverse();
@@ -1139,7 +1163,7 @@ mod tests {
                 }
                 None => drawn_arena(&ctx, budget, max_group, &draws),
             };
-            let flat = relax_flat(&ctx, &arena, budget, max_group, frame);
+            let flat = relax_flat(&ctx, &arena, budget, max_group, frame, 0..n);
             let fronts = relax_fronts(&ctx, &arena, budget, max_group, frame);
             prop_assert_eq!(entries(&flat), entries(&fronts));
             prop_assert_eq!(&flat.bounds, &fronts.bounds);

@@ -9,7 +9,7 @@
 //! * [`vf`] — the frequency/voltage relationship of Figure 5 (the paper
 //!   SPICEs a 20-FO4 critical path against the Berkeley Predictive
 //!   Technology Models; we substitute a calibrated lookup table plus an
-//!   alpha-power-law analytical model, see `DESIGN.md`),
+//!   alpha-power-law analytical model),
 //! * [`dynamic`] — the normalised tile power model (`U` in mW/MHz scaled by
 //!   `V²/V_ref²`),
 //! * [`interconnect`] — the wire-capacitance bus energy model ("The Future

@@ -40,8 +40,8 @@ impl CriticalPath {
 }
 
 /// Anchor points (supply voltage in volts, maximum frequency in MHz) of the
-/// 20-FO4 curve.  Calibrated against the published Table 4 operating points
-/// (see `DESIGN.md` §2 and `EXPERIMENTS.md`).
+/// 20-FO4 curve.  Calibrated against the published Table 4 operating
+/// points.
 const FO4_20_ANCHORS: &[(f64, f64)] = &[
     (0.60, 30.0),
     (0.65, 55.0),

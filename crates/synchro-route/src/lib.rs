@@ -633,24 +633,6 @@ pub fn compile_flows(flows: &[ColumnFlow], spec: &BusSpec) -> Result<RouteSchedu
     compile_flows_inner(flows, spec, &Trace::off())
 }
 
-/// [`compile_flows`] with observability: a `route.compile_flows` phase
-/// span, one [`TraceEvent::RouteSlot`] per placed slot and a
-/// [`TraceEvent::RouteReject`] on failure.
-///
-/// # Errors
-///
-/// Exactly those of [`compile_flows`].
-pub fn compile_flows_traced(
-    flows: &[ColumnFlow],
-    spec: &BusSpec,
-    trace: &Trace,
-) -> Result<RouteSchedule, RouteError> {
-    let _span = trace.span("route.compile_flows");
-    let result = compile_flows_inner(flows, spec, trace);
-    reject_on_err(trace, &result);
-    result
-}
-
 pub(crate) fn compile_flows_inner(
     flows: &[ColumnFlow],
     spec: &BusSpec,

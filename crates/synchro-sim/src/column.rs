@@ -428,7 +428,9 @@ impl Column {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`ColumnError`] encountered.
+    /// Propagates the first [`ColumnError`] encountered, and returns
+    /// [`BusError::Overflow`] when the column would step past `u64::MAX`
+    /// cycles before halting.
     pub fn run(&mut self, max_cycles: u64) -> Result<u64, ColumnError> {
         let start = self.stats.cycles;
         self.advance(max_cycles).map_err(|(_, error)| error)?;
@@ -438,12 +440,28 @@ impl Column {
     /// The loop of [`Column::run`] and [`crate::Chip::run`]: up to `steps`
     /// steps, as batches, single steps and jumps; returns the steps before
     /// the HALT-observing one (or, with the error, the failing one).
+    ///
+    /// A step adds one to the controller's cycle count (the
+    /// HALT-observing step included) and at most one to the column's
+    /// cycle, broadcast and stall counts, so the run is bounded once, here,
+    /// where the controller's count would pass `u64::MAX`.  A column still
+    /// live at that bound returns [`BusError::Overflow`], as a jump past it
+    /// does, instead of stepping on to wrapped counts.
     pub(crate) fn advance(&mut self, steps: u64) -> Result<u64, (u64, ColumnError)> {
-        match (self.failed, self.jumps) {
-            (true, _) => Ok(0),
-            (false, true) => self.advance_with::<true>(steps),
-            (false, false) => self.advance_with::<false>(steps),
+        if self.failed {
+            return Ok(0);
         }
+        let bounded = steps.min(u64::MAX - self.controller.stats().cycles);
+        let done = if self.jumps {
+            self.advance_with::<true>(bounded)?
+        } else {
+            self.advance_with::<false>(bounded)?
+        };
+        if bounded < steps && !self.controller.is_halted() {
+            let what = "column cycles";
+            return Err((done, ColumnError::Bus(BusError::Overflow { what })));
+        }
+        Ok(done)
     }
 
     fn advance_with<const JUMPS: bool>(&mut self, steps: u64) -> Result<u64, (u64, ColumnError)> {
@@ -1052,6 +1070,29 @@ pub(crate) mod tests {
                 prop_assert_eq!(jumps, 0, "firings that differ or touch memory never jump");
             }
         }
+    }
+
+    #[test]
+    fn cycles_past_u64_max_are_an_error_not_a_wrapped_count() {
+        // `loop u32::MAX { li; send; loop u32::MAX { nop }; recv }` halts
+        // only after more than u64::MAX cycles; with jumps on, one run
+        // reaches u64::MAX.  The next run used to return `Ok(10)` with the
+        // cycle count wrapped to 9 (and to panic in debug builds).
+        let mut column = Column::new(
+            ColumnConfig::isca2004(),
+            jump_program(0, u32::MAX, u32::MAX),
+            None,
+        );
+        column.set_firing_jumps(true);
+        assert_eq!(column.run(u64::MAX).unwrap(), u64::MAX);
+        let stats = column.stats();
+        assert_eq!(stats.cycles, u64::MAX);
+        assert!(matches!(
+            column.run(10),
+            Err(ColumnError::Bus(BusError::Overflow { .. }))
+        ));
+        assert_eq!(column.stats(), stats, "nothing stepped");
+        assert_eq!(column.run(0).unwrap(), 0);
     }
 
     #[test]

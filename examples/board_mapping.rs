@@ -5,9 +5,10 @@
 //! 1. the 24-stage deep pipeline moves 46 words per iteration — the
 //!    reference chip's 25-slot TDM frame rejects every single-chip
 //!    mapping,
-//! 2. the board explorer shards the graph across chips (min-cut-first
-//!    contiguous splits, each chip explored at its own rate), settling on
-//!    two chips with one 2-word bridge crossing,
+//! 2. the board explorer shards the graph across chips (the cheapest
+//!    contiguous split at the fewest chips that admit one, every chip
+//!    priced by one prefix DP over the whole graph), settling on two
+//!    chips with one 2-word bridge crossing,
 //! 3. the board compiles: one chip + bus program per partition plus a
 //!    conflict-free TDM schedule for the chip-to-chip bridge lanes,
 //! 4. the simulated board executes with the bridge transfers replayed in
@@ -43,8 +44,8 @@ fn main() {
         Ok(_) => unreachable!("46 words cannot fit a 25-slot frame"),
     }
 
-    // 2. Shard across a board instead: up to 4 chips, cheapest split
-    //    first.
+    // 2. Shard across a board instead: up to 4 chips, the cheapest split
+    //    at the fewest chips that admit a feasible one.
     let comm = CommSpec::from_clock(1, options.bus_frequency_hz, rate);
     let config = ExplorerConfig::new(rate, 40)
         .single_actor_columns()

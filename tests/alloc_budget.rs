@@ -8,10 +8,11 @@
 //! plus about 10 %: a change that copies a column's DOU table or program
 //! again, builds its segment configuration one split at a time, or builds
 //! a second column to run the fast tier on, spends more than that.  The
-//! explorer budgets are the counts measured when board splits and
-//! degraded rungs began to package their best winner alone, plus about
-//! 10 %: packaging every winner's curve point again, or a DP cell that
-//! allocates, spends more than that.
+//! explorer budgets are the counts measured when degraded rungs began to
+//! package their best winner alone and boards were priced by range
+//! tables over one arena, plus about 10 %: packaging every winner's curve
+//! point again, a DP cell that allocates, or a board search that builds
+//! a graph or an arena per chip, spends more than that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,18 +143,20 @@ fn compile_and_fast_execute_stay_within_their_allocation_budgets() {
     // Measured: 114, 30, 401 and 88 allocations.  With a blueprint copy
     // of each column and a replica built on each fast execute: 126, 46,
     // 455 and 163; before the tables were shared and flat: 240, 106, 937
-    // and 451.  Explorer: 180, 389 and 57 allocations; with every
-    // winner packaged on board splits and degraded rungs, and each
-    // winner's groups rebuilt into fresh vectors: 511, 969 and 300.  The
-    // full explore keeps its earlier count as its budget: it packages
-    // every winner either way, and the flat DP table must not add to it.
+    // and 451.  Explorer: 180, 119 and 57 allocations; with a subgraph,
+    // an arena and a search per chip of each ranked board split, the
+    // board took 389; with every winner packaged on board splits and
+    // degraded rungs, and each winner's groups rebuilt into fresh
+    // vectors: 511, 969 and 300.  The full explore keeps its earlier
+    // count as its budget: it packages every winner either way, and the
+    // flat DP table must not add to it.
     let counts = [
         ("DDC compile", ddc_compile, 125),
         ("DDC fast execute", ddc_execute, 33),
         ("deep-pipeline board compile", board_compile, 441),
         ("deep-pipeline board fast execute", board_execute, 97),
         ("deep-pipeline 64-tile explore", chip_explore, 511),
-        ("deep-pipeline 2-chip board explore", board_explore, 428),
+        ("deep-pipeline 2-chip board explore", board_explore, 131),
         ("DDC degraded explore", degraded_explore, 63),
     ];
     // `--nocapture` shows the counts, for re-measuring a budget.

@@ -5,7 +5,8 @@
 //! compiled bridge schedules replay conflict-free, and a board of one
 //! chip is bit-identical to the legacy single-chip pipeline, faulted runs
 //! and pricing included.  A pinned regression checks that explored
-//! boards fit every chip's TDM frame.
+//! boards fit every chip's TDM frame, and every feasible board answer of
+//! the deep pipeline, healthy or degraded, compiles and runs.
 //!
 //! The pinned end-to-end scenario is the issue's tentpole: the 24-stage
 //! deep pipeline is rejected on one chip (46 cross words against the
@@ -329,13 +330,71 @@ fn explored_boards_fit_every_chips_frame() {
                     .unwrap_or_else(|e| panic!("k = {k}: the explored board must compile: {e}"));
             assert!(compiled.execute().unwrap().firings_exact(), "k = {k}");
         };
-        if let Ok(board) = explore_with(BoardSearch::new(4)) {
-            compiles_and_runs(&board.mapping());
-        }
-        let board = explore_with(BoardSearch::new(4).with_splits_per_chip_count(10_000))
-            .unwrap_or_else(|e| panic!("k = {k}: an unlimited split list finds a board: {e}"));
+        let board = explore_with(BoardSearch::new(4))
+            .unwrap_or_else(|e| panic!("k = {k}: the board search finds a board: {e}"));
         let ranges: Vec<(usize, usize)> = board.chips.iter().map(|c| (c.start, c.end)).collect();
         assert_eq!(ranges, [(0, 3), (3, 7), (7, 12)], "k = {k}");
         compiles_and_runs(&board.mapping());
     }
+}
+
+/// Every feasible board answer compiles under the mapper's default bus
+/// and bridge and runs with exact firings: the deep pipeline at budgets 40
+/// and 64 on up to 2, 3 and 4 chips, and the three degraded boards that
+/// perfbench's `fault_recovery` re-explores — a 2- and a 4-tile column
+/// loss at full rate (every chip's budget shrinks), and the severed
+/// bridge at half rate (its frame twice as long, no cut allowed).
+#[test]
+fn explored_board_answers_compile_and_run() {
+    let graph = deep_pipeline();
+    let defaults = MapperOptions::default();
+    let comm = CommSpec::from_clock(
+        defaults.bus_splits as u32,
+        defaults.bus_frequency_hz,
+        DEEP_PIPELINE_RATE_HZ,
+    );
+    let compiles_and_runs = |rate: f64, budget: u32, comm: CommSpec, search: BoardSearch| {
+        let config = ExplorerConfig::new(rate, budget)
+            .single_actor_columns()
+            .with_comm(comm)
+            .with_board(search);
+        let board = explore_board(&graph, &config)
+            .unwrap_or_else(|e| panic!("{budget} tiles, {search:?}: {e}"));
+        let options = MapperOptions {
+            iterations: 2,
+            iteration_rate_hz: rate,
+            ..MapperOptions::default()
+        };
+        let mut compiled =
+            mapper::compile_board(&graph, &board.mapping(), &options, &BoardConfig::default())
+                .unwrap_or_else(|e| panic!("{budget} tiles, {search:?}: must compile: {e}"));
+        assert!(compiled.execute().unwrap().firings_exact(), "{search:?}");
+        board.chip_count()
+    };
+    for budget in [40, 64] {
+        for max_chips in 2..=4 {
+            let chips = compiles_and_runs(
+                DEEP_PIPELINE_RATE_HZ,
+                budget,
+                comm,
+                BoardSearch::new(max_chips),
+            );
+            assert_eq!(chips, 2, "{budget} tiles on up to {max_chips} chips");
+        }
+    }
+    for tiles_lost in [2, 4] {
+        compiles_and_runs(
+            DEEP_PIPELINE_RATE_HZ,
+            40 - tiles_lost,
+            comm,
+            BoardSearch::new(2),
+        );
+    }
+    let half_rate = CommSpec {
+        period: comm.period * 2,
+        ..comm
+    };
+    let severed = BoardSearch::new(2).with_bridge_capacity(0);
+    let chips = compiles_and_runs(DEEP_PIPELINE_RATE_HZ / 2.0, 40, half_rate, severed);
+    assert_eq!(chips, 1, "a severed bridge leaves one chip");
 }

@@ -247,7 +247,7 @@ fn table4_totals_track_the_paper() {
         (Application::Wifi80211a, 3930.53),
         // The paper's printed 802.11a+AES total (2443.68 mW) does not match
         // the sum of its own component rows (4088.09 mW); we compare against
-        // the component sum.  See EXPERIMENTS.md.
+        // the component sum.
         (Application::Wifi80211aAes, 4088.09),
         (Application::Mpeg4Qcif, 47.24),
         (Application::Mpeg4Cif, 370.03),
